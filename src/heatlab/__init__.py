@@ -25,7 +25,6 @@ from .geometry import (
     covariance_box,
     covariance_mc,
     diameter,
-    dimension,
     directional_variation,
     perimeter,
     perimeter_via_directional,
@@ -43,6 +42,7 @@ from .content import (
     bound_check_part_ii,
     deficit,
     heat_content,
+    heat_sweep,
     poly_lambda,
     regime_of,
     regime_scaling,

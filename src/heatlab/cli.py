@@ -4,7 +4,6 @@ Subcommands:  kernel eval | cov eval | perimeter | alpha-perimeter |
 heat sweep | bounds | verify.  Options may come from a JSON config file
 (--config) with individual flags overriding it.  Exit codes: 0 ok,
 2 configuration/regime error, 3 numerical failure, 4 verification failure.
-HEATLAB_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -33,7 +31,7 @@ from .kernel import (
     moment_d_closed_form,
 )
 from .oracle import mc_alpha_perimeter
-from .reporting import aligned_text, bound_check_text, csv_table, json_report, sweep_csv, write_text
+from .reporting import bound_check_text, csv_table, json_report, sweep_csv, write_text
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -177,9 +175,10 @@ def cmd_kernel_eval(cfg: RunConfig) -> int:
 def cmd_cov_eval(cfg: RunConfig) -> int:
     shape = make_shape(cfg)
     profile = radial_profile(shape)
-    rho = np.asarray(
-        cfg.rho_values if cfg.rho_values is not None else profile.rho_grid, dtype=float
-    )
+    if cfg.rho_values is not None:
+        rho = np.asarray(cfg.rho_values, dtype=float)
+    else:
+        rho = np.linspace(0.0, profile.support_radius, 513)
     rows = list(zip(rho, profile.ghat(rho)))
     meta = {
         "shape": cfg.shape,
@@ -236,10 +235,7 @@ def cmd_heat_sweep(cfg: RunConfig) -> int:
     spec = make_spec(cfg)
     shape = make_shape(cfg)
     qc = quad_config(cfg)
-    t_grid = tuple(cfg.t_grid) if cfg.t_grid else hc.DEFAULT_T_GRID
-    profile = radial_profile(shape)
-    report = hc.asymptotic_sweep(spec, shape, t_grid=t_grid, cfg=qc, profile=profile)
-    results = [hc.heat_content(spec, profile, t, qc) for t in t_grid]
+    report, results = hc.heat_sweep(spec, shape, t_grid=cfg.t_grid or None, cfg=qc)
     meta = {"family": cfg.family, "d": cfg.d, "shape": cfg.shape}
     if cfg.alpha is not None:
         meta["alpha"] = cfg.alpha
@@ -261,7 +257,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
     spec = make_spec(cfg)
     shape = make_shape(cfg)
     qc = quad_config(cfg)
-    t_grid = tuple(cfg.t_grid) if cfg.t_grid else None
+    t_grid = cfg.t_grid or None
     if cfg.which == "i":
         report = hc.bound_check_part_i(spec, shape, t_grid=t_grid, cfg=qc)
     elif cfg.which == "ii":

@@ -22,9 +22,7 @@ closed-form Cauchy-kernel ball decomposition used as an independent oracle.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -213,7 +211,8 @@ def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=N
     """D~(t) = deficit(t) * t^{-(beta+d*gamma)}, with an error estimate.
 
     Refines the panel density until two successive levels agree to the
-    configured tolerances (the returned error is the last inter-level gap).
+    configured tolerances (the returned error is the last inter-level gap);
+    raises QuadratureError if level 8 still disagrees.
     """
     cfg = cfg or _DEFAULT_CFG
     if t <= 0.0:
@@ -221,32 +220,32 @@ def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=N
     if spec.d != profile.d:
         raise ValueError(f"kernel dimension {spec.d} != profile dimension {profile.d}")
     prev = _scaled_deficit_once(spec, profile, t, 1, cfg)
-    err = math.inf
     for level in (2, 4, 8):
         cur = _scaled_deficit_once(spec, profile, t, level, cfg)
         err = abs(cur - prev)
         prev = cur
         if err <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
-            break
-    return prev, err + cfg.abs_tol
+            return cur, err + cfg.abs_tol
+    raise QuadratureError(f"deficit quadrature did not settle by level 8 at t={t:g}", residual=err)
 
 
-def heat_content(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=None) -> HeatContentResult:
-    """H(t) = int int_{Omega x Omega} p_t(x - y), via the covariance route."""
-    cfg = cfg or _DEFAULT_CFG
-    dtil, err = scaled_deficit(spec, profile, t, cfg)
+def _heat_content_result(spec, profile, t, dtil, err) -> HeatContentResult:
+    """H(t), the deficit and its error bar from the scaled deficit D~(t)."""
     sc = spec.scaling()
     pref = t ** (sc.beta + spec.d * sc.gamma)
     total = l1_norm_closed_form(spec) * profile.volume
     return HeatContentResult(t=t, H=pref * (total - dtil), deficit=pref * dtil, quad_error=pref * err)
 
 
+def heat_content(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=None) -> HeatContentResult:
+    """H(t) = int int_{Omega x Omega} p_t(x - y), via the covariance route."""
+    dtil, err = scaled_deficit(spec, profile, t, cfg)
+    return _heat_content_result(spec, profile, t, dtil, err)
+
+
 def deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=None) -> float:
     """t^{beta+d*gamma} ||p_1||_1 |Omega| - H(t); nonnegative up to quadrature."""
-    cfg = cfg or _DEFAULT_CFG
-    dtil, _ = scaled_deficit(spec, profile, t, cfg)
-    sc = spec.scaling()
-    return t ** (sc.beta + spec.d * sc.gamma) * dtil
+    return heat_content(spec, profile, t, cfg).deficit
 
 
 # ---------------------------------------------------------------------------
@@ -304,26 +303,15 @@ def theoretical_constant(spec: KernelSpec, shape, cfg=None) -> float:
 # sweeps
 
 
-def _thread_count():
-    raw = os.environ.get("HEATLAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(4, os.cpu_count() or 1)
-    return n
+def _sweep_inputs(shape, t_grid, profile):
+    """The grid as floats (DEFAULT_T_GRID if None) and the shape's profile."""
+    t_grid = tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
+    return t_grid, radial_profile(shape) if profile is None else profile
 
 
 def _sweep_scaled_deficits(spec, profile, t_grid, cfg):
-    """D~(t) over the grid; independent per t, merged in grid order."""
-    work = lambda t: scaled_deficit(spec, profile, t, cfg)
-    n = _thread_count()
-    if n > 1 and len(t_grid) > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            out = list(pool.map(work, t_grid))
-    else:
-        out = [work(t) for t in t_grid]
+    """D~(t) and its error bar over the grid, in grid order."""
+    out = [scaled_deficit(spec, profile, t, cfg) for t in t_grid]
     return [v for v, _ in out], [e for _, e in out]
 
 
@@ -347,21 +335,22 @@ def _fit_abscissa(spec, t):
     return 1.0 / np.log(1.0 / t)
 
 
-def asymptotic_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=None) -> AsymptoticReport:
-    """Scaled deficits over a decreasing grid, extrapolated to t -> 0.
+def heat_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=None):
+    """One pass over a decreasing grid: (AsymptoticReport, [HeatContentResult]).
 
-    The last three grid points are fit linearly against the regime's
-    correction variable; the intercept is the extrapolated limit.
+    D~(t) is computed once per grid point; the report's scaled deficits and
+    the per-t heat contents both derive from it.  The last three grid points
+    are fit linearly against the regime's correction variable; the intercept
+    is the extrapolated limit.
     """
     cfg = cfg or _DEFAULT_CFG
-    t_grid = tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
+    t_grid, profile = _sweep_inputs(shape, t_grid, profile)
     if len(t_grid) < 3:
-        raise ValueError("asymptotic_sweep needs at least 3 grid points")
+        raise ValueError("a sweep needs at least 3 grid points")
     if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly decreasing")
-    if profile is None:
-        profile = radial_profile(shape)
-    dtils, _ = _sweep_scaled_deficits(spec, profile, t_grid, cfg)
+    dtils, errs = _sweep_scaled_deficits(spec, profile, t_grid, cfg)
+    results = [_heat_content_result(spec, profile, t, v, e) for t, v, e in zip(t_grid, dtils, errs)]
     s_vals = regime_scaling(spec, np.asarray(t_grid))
     y = np.asarray(dtils) / s_vals
     x = _fit_abscissa(spec, np.asarray(t_grid))
@@ -371,7 +360,7 @@ def asymptotic_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=Non
     rel = abs(y[-1] - const) / abs(const) if const != 0.0 else math.inf
     tail_diffs = np.diff(y[1:]) if len(y) > 3 else np.diff(y)
     mono = bool(np.all(tail_diffs >= 0.0) or np.all(tail_diffs <= 0.0))
-    return AsymptoticReport(
+    report = AsymptoticReport(
         regime=regime_of(spec),
         t_grid=t_grid,
         scaled_deficits=tuple(float(v) for v in y),
@@ -381,10 +370,41 @@ def asymptotic_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=Non
         constant_tag=constant_tag(spec, shape),
         monotone=mono,
     )
+    return report, results
+
+
+def asymptotic_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=None) -> AsymptoticReport:
+    """Scaled deficits over a decreasing grid, extrapolated to t -> 0."""
+    return heat_sweep(spec, shape, t_grid=t_grid, cfg=cfg, profile=profile)[0]
 
 
 # ---------------------------------------------------------------------------
 # bound checks
+
+
+def _bound_check(name, spec, shape, t_grid, cfg, profile, rhs_of, extra) -> BoundCheckReport:
+    """Pointwise D~(t) <= rhs_of(t) + slack, slack twice the quadrature error."""
+    t_grid, profile = _sweep_inputs(shape, t_grid, profile)
+    rhs = [rhs_of(t) for t in t_grid]
+    lhs, errs = _sweep_scaled_deficits(spec, profile, t_grid, cfg)
+    slack = [2.0 * (e + cfg.abs_tol) + 1e-12 * abs(r) for e, r in zip(errs, rhs)]
+    passed = [l <= r + s for l, r, s in zip(lhs, rhs, slack)]
+    failures = tuple(
+        f"t={t:g}: lhs {l:.6e} > rhs {r:.6e} + slack {s:.1e}"
+        for t, l, r, s, ok in zip(t_grid, lhs, rhs, slack, passed)
+        if not ok
+    )
+    return BoundCheckReport(
+        name=name,
+        t_grid=t_grid,
+        lhs=tuple(lhs),
+        rhs=tuple(rhs),
+        slack=tuple(slack),
+        passed=tuple(passed),
+        failures=failures,
+        all_passed=all(passed),
+        extra=extra,
+    )
 
 
 def bound_check_part_i(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=None) -> BoundCheckReport:
@@ -395,33 +415,13 @@ def bound_check_part_i(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=N
     quadrature error as slack.
     """
     cfg = cfg or _DEFAULT_CFG
-    t_grid = tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
-    if profile is None:
-        profile = radial_profile(shape)
     gamma = spec.scaling().gamma
     w = unit_ball_volume(spec.d - 1)
     per = perimeter(shape)
     mom = moment_d(spec, cfg)
-    lhs, errs = _sweep_scaled_deficits(spec, profile, t_grid, cfg)
-    rhs = [t**gamma * w * per * mom for t in t_grid]
-    slack = [2.0 * (e + cfg.abs_tol) + 1e-12 * r for e, r in zip(errs, rhs)]
-    passed = [l <= r + s for l, r, s in zip(lhs, rhs, slack)]
-    failures = tuple(
-        f"t={t:g}: lhs {l:.6e} > rhs {r:.6e} + slack {s:.1e}"
-        for t, l, r, s, ok in zip(t_grid, lhs, rhs, slack, passed)
-        if not ok
-    )
-    return BoundCheckReport(
-        name="perimeter-moment bound",
-        t_grid=t_grid,
-        lhs=tuple(lhs),
-        rhs=tuple(rhs),
-        slack=tuple(slack),
-        passed=tuple(passed),
-        failures=failures,
-        all_passed=all(passed),
-        extra={"moment_d": mom, "perimeter": per},
-    )
+    rhs_of = lambda t: t**gamma * w * per * mom
+    extra = {"moment_d": mom, "perimeter": per}
+    return _bound_check("perimeter-moment bound", spec, shape, t_grid, cfg, profile, rhs_of, extra)
 
 
 def poly_lambda(spec: KernelSpec, shape, cfg=None) -> float:
@@ -452,41 +452,30 @@ def bound_check_part_ii(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=
     cfg = cfg or _DEFAULT_CFG
     if spec.family != POLY:
         raise RegimeError("bound_check_part_ii applies to the polynomial family only")
-    t_grid = tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
-    if profile is None:
-        profile = radial_profile(shape)
     gamma = spec.scaling().gamma
-    ell = profile.support_radius
-    for t in t_grid:
-        if t**gamma >= ell:
-            raise RegimeError(f"bound requires t^gamma < ell; violated at t={t:g}")
+    ell = diameter(shape)
     lam = poly_lambda(spec, shape, cfg=cfg)
     w = unit_ball_volume(spec.d - 1)
     env = spec.kappa * w * perimeter(shape) * gamma
-    lhs, errs = _sweep_scaled_deficits(spec, profile, t_grid, cfg)
-    rhs = [t**gamma * (lam + env * math.log(1.0 / t)) for t in t_grid]
-    slack = [2.0 * (e + cfg.abs_tol) + 1e-12 * abs(r) for e, r in zip(errs, rhs)]
-    passed = [l <= r + s for l, r, s in zip(lhs, rhs, slack)]
-    t_min = t_grid[-1]
-    limsup_ratio = lhs[-1] / (t_min**gamma * math.log(1.0 / t_min)) / env
+
+    def rhs_of(t):
+        if t**gamma >= ell:
+            raise RegimeError(f"bound requires t^gamma < ell; violated at t={t:g}")
+        return t**gamma * (lam + env * math.log(1.0 / t))
+
+    extra = {"lambda": lam, "envelope_constant": env}
+    rep = _bound_check("log-regime bound", spec, shape, t_grid, cfg, profile, rhs_of, extra)
+    t_min = rep.t_grid[-1]
+    limsup_ratio = rep.lhs[-1] / (t_min**gamma * math.log(1.0 / t_min)) / env
     limsup_ok = limsup_ratio <= 1.1
-    failures = [
-        f"t={t:g}: lhs {l:.6e} > rhs {r:.6e} + slack {s:.1e}"
-        for t, l, r, s, ok in zip(t_grid, lhs, rhs, slack, passed)
-        if not ok
-    ]
+    failures = rep.failures
     if not limsup_ok:
-        failures.append(f"limsup ratio {limsup_ratio:.4f} > 1.1 at t={t_min:g}")
-    return BoundCheckReport(
-        name="log-regime bound",
-        t_grid=t_grid,
-        lhs=tuple(lhs),
-        rhs=tuple(rhs),
-        slack=tuple(slack),
-        passed=tuple(passed),
-        failures=tuple(failures),
-        all_passed=all(passed) and limsup_ok,
-        extra={"lambda": lam, "envelope_constant": env, "limsup_ratio": limsup_ratio},
+        failures += (f"limsup ratio {limsup_ratio:.4f} > 1.1 at t={t_min:g}",)
+    return replace(
+        rep,
+        failures=failures,
+        all_passed=rep.all_passed and limsup_ok,
+        extra={**rep.extra, "limsup_ratio": limsup_ratio},
     )
 
 

@@ -10,7 +10,6 @@ over the azimuth, which integrates in closed form between the support angles.
 Generic indicator shapes fall back to Monte Carlo.
 """
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -22,8 +21,6 @@ from scipy.special import betainc, betaln
 
 from .errors import QuadratureError, RegimeError, UnsupportedShapeError
 from .kernel import QuadratureConfig, unit_ball_volume, unit_sphere_area
-
-SCHEMA_LINE = "# heatlab-schema v1"
 
 
 # -- shapes ----------------------------------------------------------------
@@ -82,10 +79,6 @@ class Indicator:
             raise ValueError("bounding box must match the dimension (d >= 2)")
         if any(h <= l for l, h in zip(self.bbox_lo, self.bbox_hi)):
             raise ValueError("bounding box must have positive extent")
-
-
-def dimension(shape):
-    return shape.d
 
 
 def volume(shape, samples=2**20, seed=0):
@@ -333,12 +326,10 @@ class CovarianceProfile:
     """Spherical average ghat(rho) = int_{S^{d-1}} g(rho u) dH(u).
 
     ``ghat`` evaluates at arbitrary radii (exact closed form where available,
-    monotone interpolation of the tabulated values otherwise); it vanishes at
+    monotone interpolation of Monte Carlo values otherwise); it vanishes at
     and beyond ``support_radius`` and equals A_d |Omega| at 0.
     """
 
-    rho_grid: np.ndarray
-    ghat_values: np.ndarray
     support_radius: float
     volume: float
     angular_method: str
@@ -358,34 +349,15 @@ class CovarianceProfile:
             out[inside] = np.maximum(self._evaluator(arr[inside]), 0.0)
         return float(out[0]) if scalar else out
 
-    def to_csv(self, path_or_buf):
-        buf = io.StringIO()
-        buf.write(SCHEMA_LINE + "\n")
-        buf.write("rho,ghat,method\n")
-        for r, g in zip(self.rho_grid, self.ghat_values):
-            buf.write(f"{r:.17g},{g:.17g},{self.angular_method}\n")
-        text = buf.getvalue()
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.write(text)
-        else:
-            with open(path_or_buf, "w") as fh:
-                fh.write(text)
-        return text
 
-
-def radial_profile(shape, rho_grid=None, angular_cfg=AngularConfig()):
-    """Tabulate (and wrap an evaluator for) ghat on a radial grid.
+def radial_profile(shape, angular_cfg=AngularConfig()):
+    """Wrap an evaluator for ghat, supported on [0, diameter(shape)).
 
     Ball: exact radial symmetry.  Box: the azimuthal integral is exact and
     the d=3 polar integral uses piecewise Gauss between breakpoints.
     Indicator: sphere-direction Monte Carlo combined with pair sampling.
     """
     ell = diameter(shape)
-    if rho_grid is None:
-        rho_grid = np.linspace(0.0, ell, 513)
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    if rho_grid.ndim != 1 or np.any(np.diff(rho_grid) <= 0) or rho_grid[0] < 0:
-        raise ValueError("rho_grid must be increasing and nonnegative")
     vol = volume(shape)
     d = shape.d
 
@@ -407,11 +379,8 @@ def radial_profile(shape, rho_grid=None, angular_cfg=AngularConfig()):
         evaluator = _indicator_profile_evaluator(shape, ell, vol, angular_cfg)
         method = "sphere-MC"
 
-    values = np.where(rho_grid < ell, np.maximum(evaluator(rho_grid), 0.0), 0.0)
     kinks = tuple(sorted(b for b in _profile_breakpoints(shape) if 0.0 < b < ell))
     return CovarianceProfile(
-        rho_grid=rho_grid,
-        ghat_values=values,
         support_radius=ell,
         volume=vol,
         angular_method=method,

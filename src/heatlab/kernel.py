@@ -82,18 +82,11 @@ class ScalingExponents:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and cutoffs for the numerical kernel paths.
-
-    ``oscillatory_truncation``/``tail_split_radius`` default to None, meaning
-    the cutoff is derived automatically (exp(-S^alpha) below abs_tol for the
-    Hankel integral; the validated table/series switch radius for tails).
-    """
+    """Tolerances and subdivision limit for the numerical kernel paths."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 200
-    oscillatory_truncation: float = None
-    tail_split_radius: float = None
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
@@ -172,6 +165,10 @@ class KernelSpec:
 
 
 _DEFAULT_CFG = QuadratureConfig()
+
+# Radius where l1_norm hands the non-stable families from quadrature to
+# their analytic tail mass.
+_L1_TAIL_SPLIT = 10.0
 
 
 def _density(spec, cfg):
@@ -298,18 +295,17 @@ def l1_norm(spec, cfg=_DEFAULT_CFG):
         head = _integrate_power_against_table(dens, d - 1)
         radial = head + dens.tail_mass(dens.r_switch)[0]
         return unit_sphere_area(d) * radial
-    split = cfg.tail_split_radius if cfg.tail_split_radius is not None else 10.0
     head, err = quad(
         lambda r: r ** (d - 1) * eval_p1(spec, r, cfg),
         0.0,
-        split,
+        _L1_TAIL_SPLIT,
         epsabs=0.1 * cfg.abs_tol,
         epsrel=0.1 * cfg.rel_tol,
         limit=cfg.max_subdivisions,
     )
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(head)):
         raise QuadratureError("L1-norm quadrature did not converge", err)
-    return unit_sphere_area(d) * (head + tail_mass(spec, split, cfg))
+    return unit_sphere_area(d) * (head + tail_mass(spec, _L1_TAIL_SPLIT, cfg))
 
 
 def l1_norm_closed_form(spec):

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .geometry import SCHEMA_LINE
+SCHEMA_LINE = "# heatlab-schema v1"
 
 
 def _fmt(x):

@@ -8,8 +8,10 @@ import sys
 import pytest
 
 from heatlab.cli import RunConfig, main, parse_config
-from heatlab.geometry import SCHEMA_LINE
-from heatlab.kernel import poisson_constant, unit_sphere_area
+from heatlab.content import heat_content
+from heatlab.geometry import Box, radial_profile
+from heatlab.kernel import KernelSpec, poisson_constant, unit_sphere_area
+from heatlab.reporting import SCHEMA_LINE
 
 
 def parse_csv(text):
@@ -82,6 +84,18 @@ def test_cov_eval_ball(capsys):
     assert float(meta["support_radius"]) == 2.0
     assert float(rows[0][1]) == pytest.approx(unit_sphere_area(2) * math.pi, rel=1e-12)
     assert float(rows[2][1]) == 0.0
+
+
+def test_cov_eval_default_grid(capsys):
+    rc, out = run_cli(["cov", "eval", "--shape", "box", "--sides", "1,2"], capsys)
+    assert rc == 0
+    meta, _, rows = parse_csv(out)
+    # 513 radii from 0 to the diameter, where ghat has just vanished
+    assert len(rows) == 513
+    assert float(rows[0][0]) == 0.0
+    assert float(rows[-1][0]) == float(meta["support_radius"]) == math.sqrt(5.0)
+    assert float(rows[0][1]) == unit_sphere_area(2) * 2.0
+    assert float(rows[-1][1]) == 0.0
 
 
 def test_perimeter_routes_agree(capsys):
@@ -161,6 +175,40 @@ def test_heat_sweep_json_format(capsys):
     assert payload["report"]["theoretical_constant"] == pytest.approx(
         4.0 / math.sqrt(math.pi), rel=1e-12
     )
+
+
+def test_heat_sweep_columns_match_heat_content(capsys):
+    # the sweep's H and deficit columns come from its single pass over D~(t);
+    # they must be the numbers heat_content gives at each t, bit for bit
+    rc, out = run_cli(
+        ["heat", "sweep", "--family", "stable", "--alpha", "1.5", "--d", "3", "--shape", "box", "--sides", "1,2,3"],
+        capsys,
+    )
+    assert rc == 0
+    _, header, rows = parse_csv(out)
+    assert header[:3] == ["t", "H", "deficit"]
+    spec = KernelSpec.stable(1.5, 3)
+    profile = radial_profile(Box((1.0, 2.0, 3.0)))
+    assert len(rows) == 5
+    for row in rows:
+        res = heat_content(spec, profile, float(row[0]))
+        assert float(row[1]) == res.H
+        assert float(row[2]) == res.deficit
+
+
+def test_heat_sweep_starved_quadrature_exit_code(capsys):
+    # tolerances no refinement level can meet: the deficit quadrature raises,
+    # which the CLI reports as a numerical failure
+    rc = main(
+        [
+            "heat", "sweep", "--family", "gaussian", "--d", "2", "--shape", "ball", "--radius", "1",
+            "--t-grid", "0.5,0.25,0.125", "--abs-tol", "1e-300", "--rel-tol", "1e-300",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "did not settle" in captured.err
+    assert captured.out == ""
 
 
 def test_bounds_command_exit_codes(capsys):

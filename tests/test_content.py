@@ -28,9 +28,9 @@ from heatlab.content import (
     stable_limit_constant,
     theoretical_constant,
 )
-from heatlab.errors import DivergentMomentError, RegimeError
+from heatlab.errors import DivergentMomentError, QuadratureError, RegimeError
 from heatlab.geometry import Ball, Box, perimeter, radial_profile, volume
-from heatlab.kernel import KernelSpec, l1_norm_closed_form, poisson_constant
+from heatlab.kernel import KernelSpec, QuadratureConfig, l1_norm_closed_form, poisson_constant
 
 BALL = Ball(1.0, 2)
 BALL_PROFILE = radial_profile(BALL)
@@ -104,6 +104,15 @@ def test_profile_dimension_must_match_spec():
     prof3 = radial_profile(Ball(1.0, 3))
     with pytest.raises(ValueError):
         heat_content(KernelSpec.gaussian(2), prof3, 0.1)
+
+
+def test_scaled_deficit_raises_when_refinement_cannot_settle():
+    # at t=0.5 the level-4/level-8 gap is ~1e-10, far above roundoff, so
+    # tolerances of 1e-300 cannot be met
+    starved = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
+    with pytest.raises(QuadratureError) as exc:
+        scaled_deficit(KernelSpec.gaussian(2), BALL_PROFILE, 0.5, starved)
+    assert exc.value.residual > 1e-12
 
 
 def test_gaussian_ball_small_t_deficit():
@@ -195,17 +204,6 @@ def test_sweep_requires_three_decreasing_points():
 
 def test_default_grid_is_decreasing():
     assert all(a > b for a, b in zip(DEFAULT_T_GRID, DEFAULT_T_GRID[1:]))
-
-
-def test_sweep_deterministic_across_thread_counts(monkeypatch):
-    spec = KernelSpec.stable(1.5, 2)
-    grid = (1e-2, 1e-3, 1e-4)
-    monkeypatch.setenv("HEATLAB_THREADS", "1")
-    seq = asymptotic_sweep(spec, BALL, t_grid=grid, profile=BALL_PROFILE)
-    monkeypatch.setenv("HEATLAB_THREADS", "3")
-    par = asymptotic_sweep(spec, BALL, t_grid=grid, profile=BALL_PROFILE)
-    assert seq.scaled_deficits == par.scaled_deficits
-    assert seq.extrapolated_limit == par.extrapolated_limit
 
 
 # -- bounds ------------------------------------------------------------------------------

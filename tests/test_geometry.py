@@ -1,6 +1,5 @@
 """Set covariance, spherical profiles, directional variation, perimeters."""
 
-import io
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from heatlab.errors import RegimeError, UnsupportedShapeError
 from heatlab.geometry import (
-    SCHEMA_LINE,
     AngularConfig,
     Ball,
     Box,
@@ -123,6 +121,7 @@ def test_ball_profile_matches_lens_formula():
     rho = np.array([0.3, 1.0, 1.7])
     expect = unit_sphere_area(2) * np.array([covariance_ball(2, 1.0, a) for a in rho])
     np.testing.assert_allclose(prof.ghat(rho), expect, rtol=1e-12)
+    assert prof.ghat(0.0) == pytest.approx(unit_sphere_area(2) * math.pi, rel=1e-15)
     assert prof.angular_method == "exact-radial"
 
 
@@ -140,26 +139,6 @@ def test_indicator_profile_tracks_ball():
     scale = unit_sphere_area(2) * math.pi
     err = np.abs(prof.ghat(rho) - ref.ghat(rho)) / scale
     assert err.max() < 0.02
-
-
-def test_profile_csv_round_trip():
-    prof = radial_profile(Ball(1.0, 2), rho_grid=np.linspace(0.0, 2.0, 9))
-    buf = io.StringIO()
-    text = prof.to_csv(buf)
-    assert buf.getvalue() == text
-    lines = text.strip().splitlines()
-    assert lines[0] == SCHEMA_LINE
-    assert lines[1] == "rho,ghat,method"
-    assert len(lines) == 2 + 9
-    rho0, ghat0, method = lines[2].split(",")
-    assert float(rho0) == 0.0
-    assert float(ghat0) == pytest.approx(unit_sphere_area(2) * math.pi, rel=1e-15)
-    assert method == "exact-radial"
-
-
-def test_profile_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        radial_profile(Ball(1.0, 2), rho_grid=np.array([0.0, 0.5, 0.5]))
 
 
 # -- Monte Carlo covariance ------------------------------------------------------

@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from heatlab.geometry import SCHEMA_LINE
-from heatlab.reporting import aligned_text, csv_table, json_report, to_jsonable, write_text
+from heatlab.reporting import SCHEMA_LINE, aligned_text, csv_table, json_report, to_jsonable, write_text
 
 
 def test_csv_schema_meta_and_formats():
