@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -323,7 +324,9 @@ def _add_common(p):
     p.add_argument("--moment", action="store_const", const=True)
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built once per process (``parse_args`` does not mutate it)."""
     parser = argparse.ArgumentParser(prog="heatlab", description=__doc__)
     sub = parser.add_subparsers(dest="group", required=True)
 

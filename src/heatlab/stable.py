@@ -16,7 +16,12 @@ with nu = d/2 - 1.  Two complementary evaluation routes are used:
       c_k = (-1)^{k+1} 2^{alpha k} Gamma((d+alpha k)/2) Gamma(1+alpha k/2)
             sin(k pi alpha/2) / (pi^{d/2+1} k!),
   convergent for alpha < 1 and asymptotic (truncated at the smallest term)
-  for alpha >= 1.
+  for alpha >= 1.  Its K kept coefficients are rescaled once to the switch
+  radius r_s, c'_k = c_k r_s^{-d-alpha k}, so that beyond r_s the partial sum
+  is (r_s/r)^d sum_{k<=K} c'_k v^k with v = (r_s/r)^alpha <= 1, evaluated by
+  Horner's rule in O(K) in-place array updates per batch.  The same c'_k
+  give the truncation bound, the spline's end slope and the analytic tail
+  integrals.
 
 ``StableDensity`` glues the two together behind a cubic-spline table on
 [0, r_switch] whose accuracy is validated at construction time, so that bulk
@@ -189,27 +194,69 @@ def series_truncation(alpha, d, coeffs, r, tol):
     return max(K, 1), err
 
 
-def series_eval(alpha, d, coeffs, K, r):
-    """Vectorized partial sum  sum_{k<=K} c_k r^{-d-alpha k}  with error bound
-    (max of the next two neglected magnitudes, robust to zero terms)."""
+def rescaled_coefficients(alpha, d, coeffs, r_ref, n):
+    """c'_k = c_k r_ref^{-d-alpha k} for k=1..n: the series terms at r_ref.
+
+    Formed from the log form, so the overflowing |c_k| themselves never appear.
+    """
     sign, logmag = coeffs
+    return sign[:n] * np.exp(np.minimum(_term_logmags(alpha, d, logmag[:n], r_ref), 700.0))
+
+
+def _horner(coef, v):
+    """sum_{k=1}^{len(coef)} coef[k-1] v^k by Horner's rule, for an array v,
+    updating one accumulator array in place."""
+    acc = np.full_like(v, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= v
+        acc += c
+    acc *= v
+    return acc
+
+
+def series_eval(alpha, d, scaled, r_ref, r):
+    """Vectorized partial sum  sum_{k<=K} c_k r^{-d-alpha k}  with error bound.
+
+    ``scaled`` holds c'_1..c'_{K+2} rescaled to ``r_ref`` (see
+    ``rescaled_coefficients``); with u = r_ref/r and v = u^alpha the sum is
+    u^d sum_{k<=K} c'_k v^k, and the bound is u^d max(|c'_{K+1}| v^{K+1},
+    |c'_{K+2}| v^{K+2}), the next two neglected magnitudes (robust to a zero
+    term).  Each radius is computed on its own, so a scalar and the same
+    radius inside a batch agree bit for bit.
+    """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    k = np.arange(1, K + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        logr = np.log(arr)
-    lt = logmag[None, :K] + (-d - alpha * k)[None, :] * logr[:, None]
-    vals = (sign[None, :K] * np.exp(np.minimum(lt, 700.0))).sum(axis=-1)
-    err = np.zeros_like(vals)
-    for j in (K, K + 1):
-        if j < len(sign):
-            err = np.maximum(
-                err, np.exp(np.minimum(logmag[j] + (-d - alpha * (j + 1)) * logr, 700.0))
-            )
+    u = r_ref / np.atleast_1d(arr)
+    v = u**alpha
+    ud = u**d
+    vals = _horner(scaled[:-2], v)
+    vals *= ud
+    err = v ** (len(scaled) - 1)
+    err *= np.maximum(abs(scaled[-2]), abs(scaled[-1]) * v)
+    err *= ud
     if scalar:
         return float(vals[0]), float(err[0])
     return vals, err
+
+
+def switch_radius(alpha, d, abs_tol, rel_tol):
+    """(r_s, K, err, c'_1..c'_{K+2}) at the smallest scanned radius r_s in
+    [0.8, 60] where the truncated series meets a tenth of the mixed target
+    max(abs_tol, rel_tol |p_1(r_s)|); raises if no scanned radius does."""
+    coeffs = series_coefficients(alpha, d)
+    floor = 0.1 * abs_tol
+    for r in np.geomspace(0.8, 60.0, 36):
+        r = float(r)
+        K, err = series_truncation(alpha, d, coeffs, r, floor)
+        scaled = rescaled_coefficients(alpha, d, coeffs, r, K + 2)
+        val, _ = series_eval(alpha, d, scaled, r, r)
+        if err < 0.1 * max(abs_tol, rel_tol * abs(val)):
+            return r, K, err, scaled
+    raise QuadratureError(
+        f"tail series for alpha={alpha}, d={d} misses its tolerance at every "
+        "switch radius up to 60",
+        err,
+    )
 
 
 class StableDensity:
@@ -230,28 +277,15 @@ class StableDensity:
         self.abs_tol = float(abs_tol)
         self.rel_tol = float(rel_tol)
         self.clamped = 0
-        self._coeffs = series_coefficients(alpha, d)
-        self._pick_switch_radius()
+        self.r_switch, self.series_K, self.series_err, self._scaled = switch_radius(
+            self.alpha, self.d, self.abs_tol, self.rel_tol
+        )
         self._build_table()
 
     # -- construction -----------------------------------------------------
 
     def _target(self, value):
         return max(self.abs_tol, self.rel_tol * abs(value))
-
-    def _pick_switch_radius(self):
-        floor = 0.1 * self.abs_tol
-        for r in np.geomspace(0.8, 60.0, 36):
-            K, err = series_truncation(self.alpha, self.d, self._coeffs, r, floor)
-            val, _ = series_eval(self.alpha, self.d, self._coeffs, K, r)
-            if err < 0.1 * self._target(val):
-                self.r_switch = float(r)
-                self.series_K, self.series_err = K, err
-                return
-        # give the series its best shot at the scan edge and record the floor
-        r = 60.0
-        K, err = series_truncation(self.alpha, self.d, self._coeffs, r, floor)
-        self.r_switch, self.series_K, self.series_err = r, K, err
 
     def _table_values(self, r_nodes, n_per_period):
         """Shared-panel vectorized Hankel evaluation at all table nodes."""
@@ -274,29 +308,29 @@ class StableDensity:
         # peak curvature scale Gamma((d+4)/alpha) is large
         n = 700 if self.alpha < 1.0 else 520
         grade = 2.0 if self.alpha < 1.0 else 1.4
+        # the spline ends with the partial sum's slope, -sum (d + alpha k) c'_k / r_switch
+        expo = self.d + self.alpha * np.arange(1, self.series_K + 1, dtype=float)
+        deriv_end = -float(np.sum(expo * self._scaled[: self.series_K])) / self.r_switch
         for _ in range(4):
             u = np.linspace(0.0, 1.0, n)
             r_nodes = self.r_switch * u**grade
             vals = self._table_values(r_nodes, n_per_period=2)
             vals[0] = p1_at_zero(self.alpha, self.d)
-            deriv_end = self._series_derivative(self.r_switch)
             spline = CubicSpline(r_nodes, vals, bc_type=((1, 0.0), (1, deriv_end)))
             defect, ok = self._validate(spline)
             if ok:
                 break
             n = int(n * 1.7)
+        else:
+            raise QuadratureError(
+                f"stable density table for alpha={self.alpha}, d={self.d} "
+                "failed validation after 4 table builds",
+                defect,
+            )
         self._spline = spline
         self.table_nodes = r_nodes
         self.table_error = defect
         self._lock = threading.Lock()
-
-    def _series_derivative(self, r):
-        sign, logmag = self._coeffs
-        K = self.series_K
-        k = np.arange(1, K + 1, dtype=float)
-        expo = self.d + self.alpha * k
-        terms = sign[:K] * expo * np.exp(logmag[:K] - (expo + 1.0) * math.log(r))
-        return float(-terms.sum())
 
     def _validate(self, spline):
         """Check the spline against fresh adaptive Hankel values at probe
@@ -318,20 +352,9 @@ class StableDensity:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, r):
-        """Vectorized p_1(r); r may be scalar or array, entries >= 0."""
-        arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if np.any(arr < 0):
-            raise ValueError("radius must be nonnegative")
-        out = np.empty_like(arr)
-        near = arr <= self.r_switch
-        if near.any():
-            out[near] = self._spline(arr[near])
-        if (~near).any():
-            vals, _ = series_eval(self.alpha, self.d, self._coeffs, self.series_K, arr[~near])
-            out[~near] = vals
+    def _clamp(self, out):
+        """Zero negative quadrature noise in ``out`` (in place, counted in
+        ``clamped``); values below the negativity floor raise."""
         neg = out < 0.0
         if neg.any():
             floor = -10.0 * self.abs_tol
@@ -344,6 +367,23 @@ class StableDensity:
             with self._lock:
                 self.clamped += int(neg.sum())
             out[neg] = 0.0
+        return out
+
+    def evaluate(self, r):
+        """Vectorized p_1(r); r may be scalar or array, entries >= 0."""
+        arr = np.asarray(r, dtype=float)
+        scalar = arr.ndim == 0
+        arr = np.atleast_1d(arr)
+        if np.any(arr < 0):
+            raise ValueError("radius must be nonnegative")
+        out = np.empty_like(arr)
+        near = arr <= self.r_switch
+        if near.any():
+            out[near] = self._spline(arr[near])
+        if not near.all():
+            vals, _ = series_eval(self.alpha, self.d, self._scaled, self.r_switch, arr[~near])
+            out[~near] = vals
+        self._clamp(out)
         return float(out[0]) if scalar else out
 
     __call__ = evaluate
@@ -353,31 +393,31 @@ class StableDensity:
         truncation bound, whichever branch applies)."""
         r = float(r)
         if r <= self.r_switch:
-            return float(self.evaluate(r)), self.table_error
-        _, err = series_eval(self.alpha, self.d, self._coeffs, self.series_K, r)
-        return float(self.evaluate(r)), float(err)
+            return self.evaluate(r), self.table_error
+        val, err = series_eval(self.alpha, self.d, self._scaled, self.r_switch, np.array([r]))
+        return float(self._clamp(val)[0]), float(err[0])
 
     # -- analytic tail integrals -------------------------------------------
 
-    def _tail_error(self, R, shift):
-        """Max over the next two neglected term-by-term tail integrals."""
-        _, logmag = self._coeffs
-        err = 0.0
-        for j in (self.series_K, self.series_K + 1):
-            if j < len(logmag):
-                expo = self.alpha * (j + 1) - shift
-                err = max(err, math.exp(min(logmag[j] - expo * math.log(R), 700.0)) / expo)
-        return err
+    def _tail_integral(self, R, shift):
+        """(int_R^inf r^{d-1+shift} S_K(r) dr, error bound) for the partial sum S_K.
+
+        Term by term this is sum_k c_k R^{shift-alpha k} / (alpha k - shift)
+        = r_s^{d+shift} u^{-shift} sum_k c'_k v^k / (alpha k - shift) with
+        u = r_s/R and v = u^alpha: the series of ``series_eval`` with weights
+        c'_k / (alpha k - shift) and exponent -shift in place of d, whose bound
+        is the larger of the next two neglected term integrals.
+        """
+        expo = self.alpha * np.arange(1, len(self._scaled) + 1, dtype=float) - shift
+        val, err = series_eval(self.alpha, -shift, self._scaled / expo, self.r_switch, float(R))
+        scale = self.r_switch ** (self.d + shift)
+        return scale * val, scale * err
 
     def tail_mass(self, R):
         """(int_R^inf r^{d-1} p_1(r) dr, error bound), valid for R >= r_switch."""
         if R < self.r_switch:
             raise ValueError("tail_mass requires R >= r_switch")
-        sign, logmag = self._coeffs
-        K = self.series_K
-        ak = self.alpha * np.arange(1, K + 1, dtype=float)
-        val = float(np.sum(sign[:K] * np.exp(logmag[:K] - ak * math.log(R)) / ak))
-        return val, self._tail_error(R, 0.0)
+        return self._tail_integral(R, 0.0)
 
     def tail_moment(self, R):
         """(int_R^inf r^d p_1(r) dr, error bound); requires alpha > 1."""
@@ -385,11 +425,7 @@ class StableDensity:
             raise RegimeError("radial d-th moment tail diverges for alpha <= 1")
         if R < self.r_switch:
             raise ValueError("tail_moment requires R >= r_switch")
-        sign, logmag = self._coeffs
-        K = self.series_K
-        ak = self.alpha * np.arange(1, K + 1, dtype=float)
-        val = float(np.sum(sign[:K] * np.exp(logmag[:K] + (1.0 - ak) * math.log(R)) / (ak - 1.0)))
-        return val, self._tail_error(R, 1.0)
+        return self._tail_integral(R, 1.0)
 
 
 _cache = {}

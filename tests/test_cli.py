@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from heatlab.cli import RunConfig, main, parse_config
+from heatlab.cli import RunConfig, build_parser, main, parse_config
 from heatlab.content import heat_content
 from heatlab.geometry import Box, radial_profile
 from heatlab.kernel import KernelSpec, poisson_constant, unit_sphere_area
@@ -313,3 +313,13 @@ def test_console_script_entry_point():
 def test_no_command_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_parser_is_shared_and_parses_each_call_afresh():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["heat", "sweep", "--alpha", "1.5", "--t-grid", "0.1,0.01"])
+    second = parser.parse_args(["bounds"])
+    assert (first.group, first.cmd, first.alpha, first.t_grid) == ("heat", "sweep", 1.5, (0.1, 0.01))
+    assert second.group == "bounds" and second.alpha is None and second.t_grid is None
+    assert not hasattr(second, "cmd")

@@ -1,10 +1,13 @@
 """Radial alpha-stable density engine: table, series, tails, cache."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from heatlab import stable
 from heatlab.errors import QuadratureError, RegimeError
 from heatlab.kernel import moment_d_closed_form, KernelSpec, poisson_constant, unit_sphere_area
 from heatlab.stable import (
@@ -14,7 +17,9 @@ from heatlab.stable import (
     density,
     hankel_p1_adaptive,
     p1_at_zero,
+    series_coefficients,
     series_eval,
+    switch_radius,
 )
 
 
@@ -121,10 +126,97 @@ def test_cutoff_radius_meets_tolerance():
 def test_series_eval_is_vectorized():
     dens = density(1.4, 2)
     r = dens.r_switch * np.array([1.1, 2.0, 5.0])
-    vals, err = series_eval(1.4, 2, dens._coeffs, dens.series_K, r)
-    assert vals.shape == r.shape
-    scalar, _ = series_eval(1.4, 2, dens._coeffs, dens.series_K, float(r[1]))
-    assert scalar == pytest.approx(float(vals[1]), rel=1e-15)
+    vals, err = series_eval(1.4, 2, dens._scaled, dens.r_switch, r)
+    assert vals.shape == err.shape == r.shape
+    scalar, scalar_err = series_eval(1.4, 2, dens._scaled, dens.r_switch, float(r[1]))
+    assert scalar == vals[1] and scalar_err == err[1]
+
+
+def _log_form_sum(alpha, d, K, r):
+    """sum_{k<=K} c_k r^{-d-alpha k} term by term from the log-form coefficients."""
+    sign, logmag = series_coefficients(alpha, d)
+    k = np.arange(1, K + 1, dtype=float)
+    logr = np.log(np.atleast_1d(r))[:, None]
+    terms = sign[:K] * np.exp(logmag[:K] - (d + alpha * k) * logr)
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 1.2, 1.5, 1.9, 1.99])
+def test_horner_matches_log_form_sum(alpha, d):
+    r_s, K, _, scaled = switch_radius(alpha, d, 1e-10, 1e-8)
+    r = np.geomspace(r_s * (1.0 + 1e-12), 1e6, 400)
+    vals, _ = series_eval(alpha, d, scaled, r_s, r)
+    ref, _ = _log_form_sum(alpha, d, K, r)
+    np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.5, 1.99),
+    d=st.sampled_from([2, 3, 5]),
+    frac=st.floats(0.0, 1.0),
+)
+def test_horner_matches_log_form_sum_property(alpha, d, frac):
+    # Measured against the term magnitudes: for alpha just below 1 the switch
+    # radius is 0.8, where the alternating series cancels ~3.5 digits in any
+    # summation order (alpha=0.913, d=5: both sums sit 5e-13 and 8e-13 from
+    # a 40-digit reference).  Elsewhere the two scales coincide.
+    r_s, K, _, scaled = switch_radius(alpha, d, 1e-10, 1e-8)
+    r = r_s * (1.0 + 1e-12) * (1e6 / r_s) ** frac
+    val, _ = series_eval(alpha, d, scaled, r_s, r)
+    ref, mag = _log_form_sum(alpha, d, K, r)
+    assert abs(val - ref[0]) <= 1e-13 * mag[0]
+
+
+def test_series_error_is_next_two_neglected_terms():
+    alpha, d = 1.2, 3
+    r_s, K, err_s, scaled = switch_radius(alpha, d, 1e-10, 1e-8)
+    assert len(scaled) == K + 2
+    r = 1.7 * r_s
+    _, err = series_eval(alpha, d, scaled, r_s, r)
+    _, logmag = series_coefficients(alpha, d)
+    neglected = np.exp(logmag[K : K + 2] - (d + alpha * np.arange(K + 1, K + 3)) * math.log(r))
+    assert err == pytest.approx(neglected.max(), rel=1e-13)
+    _, err_at_switch = series_eval(alpha, d, scaled, r_s, r_s)
+    assert err_at_switch == pytest.approx(err_s, rel=1e-13)
+
+
+def test_scalar_and_batch_evaluation_agree_bitwise():
+    dens = density(1.0, 2)
+    r = dens.r_switch * np.concatenate([np.linspace(0.0, 1.0, 7), np.geomspace(1.0 + 1e-12, 1e4, 41)])
+    batch = dens.evaluate(r)
+    singles = np.array([dens.evaluate(float(x)) for x in r])
+    np.testing.assert_array_equal(batch, singles)
+    np.testing.assert_array_equal(dens.evaluate(r[::-1])[::-1], batch)
+    for x, b in zip(r[7:], batch[7:]):
+        assert dens.value_and_error(x)[0] == b
+
+
+def test_series_branch_memory_is_bounded():
+    dens = density(1.0, 2)
+    r = dens.r_switch * np.geomspace(1.0 + 1e-12, 50.0, 2**18)
+    tracemalloc.start()
+    try:
+        dens.evaluate(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+
+
+def test_table_that_fails_validation_raises(monkeypatch):
+    monkeypatch.setattr(StableDensity, "_validate", lambda self, spline: (0.25, False))
+    with pytest.raises(QuadratureError) as info:
+        StableDensity(1.5, 2)
+    assert info.value.residual == 0.25
+
+
+def test_switch_radius_scan_edge_raises(monkeypatch):
+    monkeypatch.setattr(stable, "series_truncation", lambda alpha, d, coeffs, r, tol: (5, 0.5))
+    with pytest.raises(QuadratureError) as info:
+        StableDensity(1.5, 2)
+    assert info.value.residual == 0.5
 
 
 def test_negative_radius_rejected():
