@@ -243,7 +243,7 @@ def _box_azimuth_integral(s, L1, L2):
     antiderivatives.  Vectorized in s.
     """
     s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         phi0 = np.arccos(np.minimum(np.where(s > 0, L1 / np.where(s > 0, s, 1.0), 1.0), 1.0))
         phi1 = np.arcsin(np.minimum(np.where(s > 0, L2 / np.where(s > 0, s, 1.0), 1.0), 1.0))
     phi0 = np.where(s <= L1, 0.0, phi0)
@@ -277,6 +277,9 @@ def _box_ghat_d3(rho, L1, L2, L3):
     trigonometric (no endpoint branch points) and smooth between the
     breakpoints where rho sin psi = L3 or rho cos psi hits L1, L2 or
     sqrt(L1^2+L2^2); piecewise Gauss-Legendre there is spectrally accurate.
+    Cuts that fall outside (0, pi/2) clip to an end and leave segments of
+    zero width (for rho < min(L) all but one); only segments of positive
+    width are integrated, since the others add exactly 0.
     """
     rho = np.asarray(rho, dtype=float)
     out = np.zeros_like(rho)
@@ -284,23 +287,28 @@ def _box_ghat_d3(rho, L1, L2, L3):
     if pos.any():
         r = rho[pos]
         half_pi = math.pi / 2.0
-        cuts = [np.arcsin(np.minimum(L3 / r, 1.0))]
-        for c in (L1, L2, math.hypot(L1, L2)):
-            cuts.append(np.arccos(np.minimum(c / r, 1.0)))
+        with np.errstate(over="ignore"):  # subnormal r: c / r = inf clips to 1
+            cuts = [np.arcsin(np.minimum(L3 / r, 1.0))]
+            for c in (L1, L2, math.hypot(L1, L2)):
+                cuts.append(np.arccos(np.minimum(c / r, 1.0)))
         cuts = np.stack([np.zeros_like(r)] + cuts + [np.full_like(r, half_pi)], axis=-1)
         cuts = np.sort(np.clip(cuts, 0.0, half_pi), axis=-1)  # (n, 6) edges
         acc = np.zeros_like(r)
         for j in range(cuts.shape[-1] - 1):
             half = 0.5 * (cuts[:, j + 1] - cuts[:, j])
-            mid = 0.5 * (cuts[:, j + 1] + cuts[:, j])
-            psi = mid[:, None] + half[:, None] * _POLAR_NODES[None, :]
-            s = r[:, None] * np.cos(psi)
+            live = np.flatnonzero(half > 0)
+            if live.size == 0:
+                continue
+            rl, hl = r[live, None], half[live]
+            mid = 0.5 * (cuts[live, j + 1] + cuts[live, j])
+            psi = mid[:, None] + hl[:, None] * _POLAR_NODES[None, :]
+            cos_psi = np.cos(psi)
             f = (
-                np.maximum(L3 - r[:, None] * np.sin(psi), 0.0)
-                * _box_azimuth_integral(s, L1, L2)
-                * np.cos(psi)
+                np.maximum(L3 - rl * np.sin(psi), 0.0)
+                * _box_azimuth_integral(rl * cos_psi, L1, L2)
+                * cos_psi
             )
-            acc += half * (f @ _POLAR_WEIGHTS)
+            acc[live] += hl * (f @ _POLAR_WEIGHTS)
         out[pos] = 8.0 * acc
     if (~pos).any():
         out[~pos] = _box_ghat_zero((L1, L2, L3))
@@ -341,7 +349,7 @@ class CovarianceProfile:
         arr = np.asarray(rho, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):  # also rejects NaN
             raise ValueError("radius must be nonnegative")
         out = np.zeros_like(arr)
         inside = arr < self.support_radius

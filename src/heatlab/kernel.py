@@ -178,7 +178,7 @@ def _density(spec, cfg):
 def eval_p1(spec, r, cfg=_DEFAULT_CFG):
     """p_1(r e_d); r may be a scalar or an array of nonnegative radii."""
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # also rejects NaN
         raise ValueError("radius must be nonnegative")
     scalar = arr.ndim == 0
     if spec.family == GAUSSIAN:
@@ -226,7 +226,7 @@ def tail_mass(spec, R, cfg=_DEFAULT_CFG):
     algebraic families, incomplete Gamma for Gaussian, the stable inverse-power
     series beyond the table)."""
     d = spec.d
-    if R < 0:
+    if not R >= 0:
         raise ValueError("radius must be nonnegative")
     if spec.family == GAUSSIAN:
         return (

@@ -374,7 +374,7 @@ class StableDensity:
         arr = np.asarray(r, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):  # also rejects NaN
             raise ValueError("radius must be nonnegative")
         out = np.empty_like(arr)
         near = arr <= self.r_switch

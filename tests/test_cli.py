@@ -262,6 +262,18 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cov", "eval", "--shape", "box", "--sides", "1,2,3", "--rho", "nan,inf,0.5"],
+        ["kernel", "eval", "--family", "stable", "--alpha", "1.5", "--d", "2", "--r", "nan,1"],
+    ],
+)
+def test_nan_radius_exit_code(argv, capsys):
+    assert main(argv) == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"family": "poisson", "d": 2, "quark": 3}))

@@ -1,10 +1,13 @@
 """Set covariance, spherical profiles, directional variation, perimeters."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from heatlab import geometry
 from heatlab.errors import RegimeError, UnsupportedShapeError
 from heatlab.geometry import (
     AngularConfig,
@@ -127,6 +130,121 @@ def test_ball_profile_matches_lens_formula():
 
 def test_box_d3_profile_method_tag():
     assert radial_profile(Box((1.0, 1.0, 1.0))).angular_method == "angular-quadrature"
+
+
+def test_profile_rejects_nan_radius():
+    prof = radial_profile(Box((1.0, 2.0, 3.0)))
+    with pytest.raises(ValueError):
+        prof.ghat(float("nan"))
+    with pytest.raises(ValueError):
+        prof.ghat(np.array([0.5, np.nan]))
+    assert prof.ghat(math.inf) == 0.0
+
+
+@pytest.mark.parametrize("rho", [1e-300, 4e-313, 5e-324])
+def test_box_d3_profile_at_tiny_radius_warns_nothing(rho):
+    # 1e-300 overflowed L/s in the azimuthal integral, subnormal radii also L/r
+    prof = radial_profile(Box((1.0, 2.0, 3.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = prof.ghat(rho)
+    assert value == pytest.approx(prof.ghat(0.0), rel=1e-14)
+
+
+# -- 3-D box ghat: segment skipping against the all-segment loop ------------------
+
+
+def _reference_box_ghat_d3(rho, L1, L2, L3):
+    """The piecewise Gauss loop over all five polar segments, zero-width ones
+    included: the reference for ``_box_ghat_d3``, which skips those."""
+    rho = np.asarray(rho, dtype=float)
+    out = np.zeros_like(rho)
+    pos = rho > 0
+    if pos.any():
+        r = rho[pos]
+        half_pi = math.pi / 2.0
+        with np.errstate(over="ignore"):
+            cuts = [np.arcsin(np.minimum(L3 / r, 1.0))]
+            for c in (L1, L2, math.hypot(L1, L2)):
+                cuts.append(np.arccos(np.minimum(c / r, 1.0)))
+        cuts = np.stack([np.zeros_like(r)] + cuts + [np.full_like(r, half_pi)], axis=-1)
+        cuts = np.sort(np.clip(cuts, 0.0, half_pi), axis=-1)
+        acc = np.zeros_like(r)
+        for j in range(cuts.shape[-1] - 1):
+            half = 0.5 * (cuts[:, j + 1] - cuts[:, j])
+            mid = 0.5 * (cuts[:, j + 1] + cuts[:, j])
+            psi = mid[:, None] + half[:, None] * geometry._POLAR_NODES[None, :]
+            s = r[:, None] * np.cos(psi)
+            f = (
+                np.maximum(L3 - r[:, None] * np.sin(psi), 0.0)
+                * geometry._box_azimuth_integral(s, L1, L2)
+                * np.cos(psi)
+            )
+            acc += half * (f @ geometry._POLAR_WEIGHTS)
+        out[pos] = 8.0 * acc
+    out[~pos] = unit_sphere_area(3) * L1 * L2 * L3
+    return out
+
+
+def _assert_matches_reference(sides, rho):
+    got = geometry._box_ghat_d3(rho, *sides)
+    want = _reference_box_ghat_d3(rho, *sides)
+    atol = 1e-15 * unit_sphere_area(3) * float(np.prod(sides))
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=atol)
+
+
+@pytest.mark.parametrize("sides", [(1.0, 2.0, 3.0), (3.0, 1.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)])
+def test_box_d3_ghat_matches_all_segment_loop(sides):
+    L1, L2, L3 = sides
+    ell = math.sqrt(L1 * L1 + L2 * L2 + L3 * L3)
+    cut_radii = np.array(
+        [L1, L2, L3, math.hypot(L1, L2), math.hypot(L1, L3), math.hypot(L2, L3), ell]
+    )
+    rho = np.concatenate(
+        [
+            [0.0, 1e-300, 5e-324],
+            cut_radii,
+            np.nextafter(cut_radii, 0.0),
+            np.nextafter(cut_radii, np.inf),
+            np.linspace(0.0, ell, 2001),
+        ]
+    )
+    _assert_matches_reference(sides, rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sides=st.tuples(*[st.floats(0.2, 5.0)] * 3),
+    frac=st.floats(0.0, 1.0),
+)
+def test_box_d3_ghat_matches_all_segment_loop_property(sides, frac):
+    ell = math.sqrt(sum(s * s for s in sides))
+    _assert_matches_reference(sides, np.array([frac * ell]))
+
+
+def test_box_d3_ghat_matches_sphere_quadrature_of_covariance():
+    # ghat(rho) = int_{S^2} g(rho u) dH(u) by brute force: Gauss in cos(theta)
+    # on each hemisphere times the midpoint rule in phi, on covariance_box.
+    sides = (1.0, 2.0, 3.0)
+    x, w = np.polynomial.legendre.leggauss(400)
+    cos_t = np.concatenate([0.5 * (x - 1.0), 0.5 * (x + 1.0)])
+    w_t = np.concatenate([0.5 * w, 0.5 * w])
+    n_phi = 800
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    u = np.stack(
+        [
+            np.outer(sin_t, np.cos(phi)),
+            np.outer(sin_t, np.sin(phi)),
+            np.broadcast_to(cos_t[:, None], (cos_t.size, n_phi)),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    prof = radial_profile(Box(sides))
+    for rho in (0.3, 0.9, 1.5, 2.1, 2.6, 3.3):
+        g = covariance_box(sides, rho * u).reshape(cos_t.size, n_phi)
+        brute = (2.0 * math.pi / n_phi) * float(w_t @ g.sum(axis=1))
+        assert brute == pytest.approx(prof.ghat(rho), rel=1e-4)
 
 
 def test_indicator_profile_tracks_ball():

@@ -191,6 +191,19 @@ def test_profile_nonnegative_and_decreasing():
     assert np.all(np.diff(vals) < 0.0)
 
 
+@pytest.mark.parametrize(
+    "spec", [KernelSpec.gaussian(2), KernelSpec.poisson(3), KernelSpec.stable(1.5, 2)]
+)
+def test_eval_p1_rejects_nan_radius(spec):
+    with pytest.raises(ValueError):
+        eval_p1(spec, np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        eval_p1(spec, float("nan"))
+    with pytest.raises(ValueError):
+        tail_mass(spec, float("nan"))
+    assert eval_p1(spec, math.inf) == 0.0
+
+
 def test_poisson_constant_identity():
     # kappa_d * w_{d-1} = 1/pi for every d
     for d in range(2, 7):

@@ -224,6 +224,15 @@ def test_negative_radius_rejected():
         density(1.5, 2).evaluate(-0.1)
 
 
+def test_nan_radius_rejected():
+    dens = density(1.5, 2)
+    with pytest.raises(ValueError):
+        dens.evaluate(float("nan"))
+    with pytest.raises(ValueError):
+        dens.evaluate(np.array([1.0, np.nan]))
+    assert dens.evaluate(math.inf) == 0.0
+
+
 def test_constructor_validation():
     with pytest.raises(RegimeError):
         StableDensity(2.0, 2)
