@@ -7,6 +7,8 @@ spherical average ghat(rho) = int_{S^{d-1}} g(rho u) dH(u).
 Balls and boxes have closed-form covariance; for a box the spherical average
 reduces per octant to an integral of (L1 - s cos phi)^+ (L2 - s sin phi)^+
 over the azimuth, which integrates in closed form between the support angles.
+For a 3-D box, ghat is a closed-form cubic in rho up to the shortest side;
+above it, polar Gauss quadrature integrates the azimuthal closed form.
 Generic indicator shapes fall back to Monte Carlo.
 """
 
@@ -138,7 +140,7 @@ def theta(d, z):
     """Theta(z) = int_0^{arcsin z} sin^{d-2}(t) cos^2(t) dt
     = (1/2) B(z^2; (d-1)/2, 3/2)."""
     zz = np.asarray(z, dtype=float)
-    if np.any(zz < 0) or np.any(zz > 1):
+    if not np.all((zz >= 0) & (zz <= 1)):  # also rejects NaN
         raise ValueError("theta argument must lie in [0, 1]")
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -153,7 +155,7 @@ def covariance_ball(d, R, a):
     if not R > 0:
         raise ValueError("ball radius must be positive")
     aa = np.asarray(a, dtype=float)
-    if np.any(aa < 0):
+    if not np.all(aa >= 0):  # also rejects NaN
         raise ValueError("covariance argument must be nonnegative")
     s = np.minimum(aa / R, 2.0)
     disc = np.maximum(1.0 - s * s / 4.0, 0.0)
@@ -170,6 +172,8 @@ def covariance_box(L, y):
     Ls = np.asarray(L, dtype=float)
     if yy.shape[-1] != Ls.size:
         raise ValueError("point dimension does not match box dimension")
+    if np.isnan(yy).any():  # any sign is valid, and +-inf gives 0
+        raise ValueError("displacement must not be NaN")
     val = np.prod(np.maximum(Ls[None, :] - np.abs(yy), 0.0), axis=-1)
     return float(val[0]) if np.asarray(y).ndim == 1 else val
 
@@ -235,28 +239,38 @@ def covariance_mc(shape, y, samples=2**20, seed=0):
 # -- spherical average of the covariance -------------------------------------
 
 
+# cos(phi1) - cos(phi0) at phi1 = pi/2, phi0 = 0: -0.9999999999999999, not -1
+_COS_HALF_PI_M1 = math.cos(math.pi / 2.0) - 1.0
+
+
 def _box_azimuth_integral(s, L1, L2):
     """int_0^{pi/2} (L1 - s cos phi)^+ (L2 - s sin phi)^+ dphi, closed form.
 
     The integrand is supported on (phi0, phi1) with phi0 = arccos(min(L1/s,1)),
     phi1 = arcsin(min(L2/s,1)); expanding the product gives elementary
-    antiderivatives.  Vectorized in s.
+    antiderivatives.  For s <= min(L1, L2) the support is the whole quarter
+    circle, and the same operations at phi0 = 0, phi1 = pi/2 need no inverse
+    trigonometry.  Vectorized in s.
     """
     s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        phi0 = np.arccos(np.minimum(np.where(s > 0, L1 / np.where(s > 0, s, 1.0), 1.0), 1.0))
-        phi1 = np.arcsin(np.minimum(np.where(s > 0, L2 / np.where(s > 0, s, 1.0), 1.0), 1.0))
-    phi0 = np.where(s <= L1, 0.0, phi0)
-    phi1 = np.where(s <= L2, math.pi / 2.0, phi1)
-    live = phi1 > phi0
-    p0, p1 = np.where(live, phi0, 0.0), np.where(live, phi1, 0.0)
-    val = (
-        L1 * L2 * (p1 - p0)
-        + L1 * s * (np.cos(p1) - np.cos(p0))
-        - L2 * s * (np.sin(p1) - np.sin(p0))
-        + 0.25 * s * s * (np.cos(2.0 * p0) - np.cos(2.0 * p1))
+    out = np.asarray(
+        L1 * L2 * (math.pi / 2.0) + L1 * s * _COS_HALF_PI_M1 - L2 * s + 0.25 * s * s * 2.0
     )
-    return np.where(live, val, 0.0)
+    far = s > min(L1, L2)
+    if far.any():
+        sf = s[far]
+        phi0 = np.where(sf <= L1, 0.0, np.arccos(np.minimum(L1 / sf, 1.0)))
+        phi1 = np.where(sf <= L2, math.pi / 2.0, np.arcsin(np.minimum(L2 / sf, 1.0)))
+        live = phi1 > phi0
+        p0, p1 = np.where(live, phi0, 0.0), np.where(live, phi1, 0.0)
+        val = (
+            L1 * L2 * (p1 - p0)
+            + L1 * sf * (np.cos(p1) - np.cos(p0))
+            - L2 * sf * (np.sin(p1) - np.sin(p0))
+            + 0.25 * sf * sf * (np.cos(2.0 * p0) - np.cos(2.0 * p1))
+        )
+        out[far] = np.where(live, val, 0.0)
+    return out
 
 
 def _box_ghat_d2(rho, L1, L2):
@@ -270,7 +284,12 @@ _POLAR_NODES, _POLAR_WEIGHTS = np.polynomial.legendre.leggauss(48)
 def _box_ghat_d3(rho, L1, L2, L3):
     """ghat(rho) for a 3-D box.
 
-    Per octant, substituting the polar angle t = cos(theta) = sin(psi):
+    For rho <= min(L) no factor of g(rho u) = prod (L_i - rho |u_i|) clips,
+    and integrating it over the sphere term by term gives the cubic
+        ghat = 4 pi L1 L2 L3 - 2 pi rho (L1 L2 + L1 L3 + L2 L3)
+               + (8/3) rho^2 (L1 + L2 + L3) - rho^3,
+    whose linear coefficient is pi Per.  Above the shortest side, per octant,
+    substituting the polar angle t = cos(theta) = sin(psi):
         ghat = 8 int_0^{pi/2} (L3 - rho sin psi)^+ I2(rho cos psi; L1, L2)
                cos(psi) dpsi,
     with I2 the closed-form azimuthal integral.  The psi-integrand is
@@ -278,19 +297,21 @@ def _box_ghat_d3(rho, L1, L2, L3):
     breakpoints where rho sin psi = L3 or rho cos psi hits L1, L2 or
     sqrt(L1^2+L2^2); piecewise Gauss-Legendre there is spectrally accurate.
     Cuts that fall outside (0, pi/2) clip to an end and leave segments of
-    zero width (for rho < min(L) all but one); only segments of positive
-    width are integrated, since the others add exactly 0.
+    zero width; only segments of positive width are integrated, since the
+    others add exactly 0.
     """
     rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
-    pos = rho > 0
-    if pos.any():
-        r = rho[pos]
+    c1 = 2.0 * math.pi * (L1 * L2 + L1 * L3 + L2 * L3)
+    c2 = 8.0 / 3.0 * (L1 + L2 + L3)
+    # constant term: A_3 |Omega| with the bits of A_3 * volume(Box)
+    out = np.asarray(unit_sphere_area(3) * (L1 * L2 * L3) - rho * (c1 - rho * (c2 - rho)))
+    far = rho > min(L1, L2, L3)
+    if far.any():
+        r = rho[far]
         half_pi = math.pi / 2.0
-        with np.errstate(over="ignore"):  # subnormal r: c / r = inf clips to 1
-            cuts = [np.arcsin(np.minimum(L3 / r, 1.0))]
-            for c in (L1, L2, math.hypot(L1, L2)):
-                cuts.append(np.arccos(np.minimum(c / r, 1.0)))
+        cuts = [np.arcsin(np.minimum(L3 / r, 1.0))]
+        for c in (L1, L2, math.hypot(L1, L2)):
+            cuts.append(np.arccos(np.minimum(c / r, 1.0)))
         cuts = np.stack([np.zeros_like(r)] + cuts + [np.full_like(r, half_pi)], axis=-1)
         cuts = np.sort(np.clip(cuts, 0.0, half_pi), axis=-1)  # (n, 6) edges
         acc = np.zeros_like(r)
@@ -309,14 +330,8 @@ def _box_ghat_d3(rho, L1, L2, L3):
                 * cos_psi
             )
             acc[live] += hl * (f @ _POLAR_WEIGHTS)
-        out[pos] = 8.0 * acc
-    if (~pos).any():
-        out[~pos] = _box_ghat_zero((L1, L2, L3))
+        out[far] = 8.0 * acc
     return out
-
-
-def _box_ghat_zero(sides):
-    return unit_sphere_area(len(sides)) * float(np.prod(sides))
 
 
 @dataclass(frozen=True)
@@ -361,8 +376,9 @@ class CovarianceProfile:
 def radial_profile(shape, angular_cfg=AngularConfig()):
     """Wrap an evaluator for ghat, supported on [0, diameter(shape)).
 
-    Ball: exact radial symmetry.  Box: the azimuthal integral is exact and
-    the d=3 polar integral uses piecewise Gauss between breakpoints.
+    Ball: exact radial symmetry.  Box: the azimuthal integral is exact; for
+    d=3, ghat is a closed-form cubic for rho <= min(L), and above it the
+    polar integral uses piecewise Gauss between breakpoints.
     Indicator: sphere-direction Monte Carlo combined with pair sampling.
     """
     ell = diameter(shape)

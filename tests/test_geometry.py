@@ -24,6 +24,7 @@ from heatlab.geometry import (
     perimeter,
     perimeter_via_directional,
     radial_profile,
+    theta,
     volume,
 )
 from heatlab.kernel import unit_ball_volume, unit_sphere_area
@@ -79,6 +80,29 @@ def test_covariance_symmetry_and_bounds():
 def test_covariance_vanishes_beyond_diameter():
     shape = Box((1.0, 2.0))
     assert float(covariance(shape, np.array([diameter(shape) + 0.01, 0.0]))) == 0.0
+
+
+def test_closed_forms_reject_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        covariance_ball(2, 1.0, nan)
+    with pytest.raises(ValueError):
+        covariance_ball(3, 1.0, np.array([0.5, nan]))
+    with pytest.raises(ValueError):
+        covariance_box((1.0, 2.0), [nan, 0.1])
+    with pytest.raises(ValueError):
+        covariance_box((1.0, 2.0), np.array([[0.1, 0.2], [0.3, nan]]))
+    with pytest.raises(ValueError):
+        theta(3, nan)
+    with pytest.raises(ValueError):
+        theta(2, np.array([0.5, nan]))
+
+
+def test_box_covariance_accepts_negative_and_infinite_displacements():
+    assert covariance_box((1.0, 2.0), [-0.5, 0.1]) == pytest.approx(0.5 * 1.9, rel=1e-15)
+    assert covariance_box((1.0, 2.0), [math.inf, 0.1]) == 0.0
+    assert covariance_box((1.0, 2.0), [0.1, -math.inf]) == 0.0
+    assert covariance_ball(2, 1.0, math.inf) == 0.0
 
 
 # -- spherically averaged profile ----------------------------------------------
@@ -151,12 +175,50 @@ def test_box_d3_profile_at_tiny_radius_warns_nothing(rho):
     assert value == pytest.approx(prof.ghat(0.0), rel=1e-14)
 
 
-# -- 3-D box ghat: segment skipping against the all-segment loop ------------------
+# -- box ghat: closed-form pieces against the general expressions ----------------
+
+
+def _reference_azimuth_integral(s, L1, L2):
+    """The general closed form of the azimuthal integral at every s, inverse
+    trigonometric support angles included: the reference for
+    ``_box_azimuth_integral``, which skips them on the whole quarter circle."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi0 = np.arccos(np.minimum(np.where(s > 0, L1 / np.where(s > 0, s, 1.0), 1.0), 1.0))
+        phi1 = np.arcsin(np.minimum(np.where(s > 0, L2 / np.where(s > 0, s, 1.0), 1.0), 1.0))
+    phi0 = np.where(s <= L1, 0.0, phi0)
+    phi1 = np.where(s <= L2, math.pi / 2.0, phi1)
+    live = phi1 > phi0
+    p0, p1 = np.where(live, phi0, 0.0), np.where(live, phi1, 0.0)
+    val = (
+        L1 * L2 * (p1 - p0)
+        + L1 * s * (np.cos(p1) - np.cos(p0))
+        - L2 * s * (np.sin(p1) - np.sin(p0))
+        + 0.25 * s * s * (np.cos(2.0 * p0) - np.cos(2.0 * p1))
+    )
+    return np.where(live, val, 0.0)
+
+
+@pytest.mark.parametrize("sides", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (3.0, 0.5)])
+def test_box_azimuth_integral_matches_general_form_bitwise(sides):
+    L1, L2 = sides
+    m = min(sides)
+    s = np.concatenate(
+        [
+            [0.0, 5e-324, 1e-300],
+            np.linspace(0.0, m, 1001),
+            [m, np.nextafter(m, -np.inf), np.nextafter(m, np.inf), math.hypot(L1, L2)],
+        ]
+    )
+    want = _reference_azimuth_integral(s, L1, L2)
+    assert geometry._box_azimuth_integral(s, L1, L2).tobytes() == want.tobytes()
+    assert geometry._box_ghat_d2(s, L1, L2).tobytes() == (4.0 * want).tobytes()
 
 
 def _reference_box_ghat_d3(rho, L1, L2, L3):
-    """The piecewise Gauss loop over all five polar segments, zero-width ones
-    included: the reference for ``_box_ghat_d3``, which skips those."""
+    """The piecewise Gauss loop over all five polar segments at every rho > 0,
+    zero-width ones included: the reference for ``_box_ghat_d3``, which skips
+    those and uses the cubic for rho <= min(L)."""
     rho = np.asarray(rho, dtype=float)
     out = np.zeros_like(rho)
     pos = rho > 0
@@ -177,7 +239,7 @@ def _reference_box_ghat_d3(rho, L1, L2, L3):
             s = r[:, None] * np.cos(psi)
             f = (
                 np.maximum(L3 - r[:, None] * np.sin(psi), 0.0)
-                * geometry._box_azimuth_integral(s, L1, L2)
+                * _reference_azimuth_integral(s, L1, L2)
                 * np.cos(psi)
             )
             acc += half * (f @ geometry._POLAR_WEIGHTS)
@@ -220,6 +282,43 @@ def test_box_d3_ghat_matches_all_segment_loop(sides):
 def test_box_d3_ghat_matches_all_segment_loop_property(sides, frac):
     ell = math.sqrt(sum(s * s for s in sides))
     _assert_matches_reference(sides, np.array([frac * ell]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sides=st.tuples(*[st.floats(0.2, 5.0)] * 3),
+    frac=st.floats(0.0, 1.0),
+)
+def test_box_d3_ghat_cubic_matches_all_segment_loop_property(sides, frac):
+    # rho <= min(L) is the closed-form cubic branch
+    _assert_matches_reference(sides, np.array([frac * min(sides)]))
+
+
+@pytest.mark.parametrize("sides", [(1.0, 2.0, 3.0), (3.0, 1.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)])
+def test_box_d3_ghat_continuous_at_shortest_side(sides):
+    # the cubic at min(L) against the quadrature one ulp above it
+    m = min(sides)
+    at, above = geometry._box_ghat_d3(np.array([m, np.nextafter(m, np.inf)]), *sides)
+    atol = 1e-15 * unit_sphere_area(3) * float(np.prod(sides))
+    np.testing.assert_allclose(at, above, rtol=1e-14, atol=atol)
+
+
+@pytest.mark.parametrize("sides", [(1.0, 2.0, 3.0), (3.0, 1.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)])
+def test_box_d3_ghat_slope_at_zero_is_pi_perimeter(sides):
+    # (ghat(0) - ghat(h)) / h -> w_2 Per = pi Per (the paper's expansion).  The
+    # quotient is off by the h^2 term, (8/3) h sum(L), plus the rounding of
+    # ghat(h) to ghat(0)'s ulp divided by h (about 1e-7 relative here).
+    h = 1e-9 * min(sides)
+    g0, gh = geometry._box_ghat_d3(np.array([0.0, h]), *sides)
+    bound = 8.0 / 3.0 * h * sum(sides) + 2.0 * np.spacing(g0) / h
+    assert abs((g0 - gh) / h - math.pi * perimeter(Box(sides))) <= bound
+
+
+@pytest.mark.parametrize("sides", [(1.0, 2.0, 3.0), (0.3, 0.7, 1.1), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)])
+def test_box_d3_ghat_at_zero_is_sphere_area_times_volume(sides):
+    g0 = geometry._box_ghat_d3(np.array([0.0]), *sides)[0]
+    assert g0 == unit_sphere_area(3) * volume(Box(sides))
+    assert radial_profile(Box(sides)).ghat(0.0) == g0
 
 
 def test_box_d3_ghat_matches_sphere_quadrature_of_covariance():
