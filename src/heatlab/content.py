@@ -82,7 +82,7 @@ class HeatContentResult:
     quad_error: float
 
     def __post_init__(self):
-        if self.t <= 0.0:
+        if not self.t > 0.0:  # also rejects NaN
             raise ValueError(f"t must be positive, got {self.t}")
 
 
@@ -143,8 +143,8 @@ def regime_of(spec: KernelSpec) -> str:
 def regime_scaling(spec: KernelSpec, t) -> np.ndarray:
     """The normalising s(t) the scaled deficit is divided by, per regime."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("t must be positive")
+    if not np.all(t > 0.0):  # also rejects NaN
+        raise ValueError(f"t must be positive, got {t[~(t > 0.0)][0]}")
     reg = regime_of(spec)
     if reg == REGIME_ALPHA_GT_1:
         return t ** (1.0 / spec.alpha)
@@ -215,7 +215,7 @@ def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=N
     raises QuadratureError if level 8 still disagrees.
     """
     cfg = cfg or _DEFAULT_CFG
-    if t <= 0.0:
+    if not t > 0.0:  # also rejects NaN
         raise ValueError(f"t must be positive, got {t}")
     if spec.d != profile.d:
         raise ValueError(f"kernel dimension {spec.d} != profile dimension {profile.d}")

@@ -225,6 +225,8 @@ def covariance_mc(shape, y, samples=2**20, seed=0):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     y = np.asarray(y, dtype=float)
+    if np.isnan(y).any():  # +-inf is valid and gives 0
+        raise ValueError("displacement must not be NaN")
     lo, hi = _bounding_box(shape)
     member = _membership(shape)
     box_vol = float(np.prod(hi - lo))

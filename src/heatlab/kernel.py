@@ -194,8 +194,8 @@ def eval_p1(spec, r, cfg=_DEFAULT_CFG):
 
 def eval_pt(spec, t, r, cfg=_DEFAULT_CFG):
     """p_t(r e_d) = t^beta p_1(t^{-gamma} r)."""
-    if t <= 0:
-        raise ValueError(f"time t={t} must be positive")
+    if not t > 0:  # also rejects NaN
+        raise ValueError(f"t must be positive, got {t}")
     sc = spec.scaling()
     return t**sc.beta * eval_p1(spec, np.asarray(r, dtype=float) * t**-sc.gamma, cfg)
 

@@ -6,6 +6,11 @@ and the alpha-perimeter integrates the exact chord-length power along
 uniformly random lines.  Both use counter-based streams (Philox keyed by
 (seed, batch)) with a fixed batch size and ordered reduction, so estimates
 are bit-identical for a given (seed, samples, inputs).
+
+The pair estimator draws one pair stream per call and returns one estimate
+per (kernel, t) case evaluated on it.  A case's reduction reads only the
+shared distances and its own kernel values, never another case's, so each
+estimate is bit-identical to the one a call with that case alone returns.
 """
 
 from __future__ import annotations
@@ -48,28 +53,37 @@ def _finalize(total, total_sq, samples, seed):
     return McEstimate(value=float(mean), stderr=float(err), samples=samples, seed=seed)
 
 
-def mc_heat_content(spec, shape, t, samples=2**20, seed=0, kernel_override=None) -> McEstimate:
-    """Pair estimator of H(t): V_box^2 * mean( 1_O(x) 1_O(y) p_t(x - y) ).
+def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
+    """Pair estimates of H(t) = V_box^2 * mean( 1_O(x) 1_O(y) p_t(x - y) ).
+
+    ``cases`` is a sequence of ``(spec, t)``; one McEstimate is returned per
+    case, in order.  Each batch of pairs is drawn, tested for membership and
+    turned into distances once, and every case then evaluates its own p_t on
+    those distances.  A case's values and its two running sums go through
+    the same operations in the same order as a call made with that case
+    alone, so each estimate is bit-identical to it.  The cases share their
+    draws (common random numbers), so the sampling cost is paid once.
 
     Equivalent to rejection-sampling x, y uniform in Omega and averaging
     p_t(x - y) times |Omega|^2, but keeping the rejection randomness inside
-    the estimator so the stderr reflects it.  ``kernel_override`` is a
-    calibration hook replacing p_t by an arbitrary radial function (with the
-    constant 1/|Omega| it returns |Omega| in expectation).  Raises when the
-    bounding-box acceptance rate falls below 1e-3.
+    the estimator so the stderr reflects it.  Every case is validated before
+    any pair is drawn.  Raises when the bounding-box acceptance rate falls
+    below 1e-3.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if spec.d != getattr(shape, "d", spec.d):
-        raise ValueError("kernel and shape dimensions differ")
+    cases = list(cases)
+    for spec, t in cases:
+        if not t > 0.0:  # also rejects NaN
+            raise ValueError(f"t must be positive, got {t}")
+        if spec.d != getattr(shape, "d", spec.d):
+            raise ValueError("kernel and shape dimensions differ")
     lo, hi = _bounding_box(shape)
     member = _membership(shape)
     box_vol = float(np.prod(hi - lo))
     scale = box_vol * box_vol
-    total = 0.0
-    total_sq = 0.0
+    totals = [0.0] * len(cases)
+    totals_sq = [0.0] * len(cases)
     accepted = 0
     samples = int(samples)
     first_batch = None
@@ -78,13 +92,15 @@ def mc_heat_content(spec, shape, t, samples=2**20, seed=0, kernel_override=None)
         x = lo + (hi - lo) * rng.random((n, len(lo)))
         y = lo + (hi - lo) * rng.random((n, len(lo)))
         inside = member(x) & member(y)
-        vals = np.zeros(n)
-        if np.any(inside):
+        any_inside = bool(np.any(inside))
+        if any_inside:
             r = np.linalg.norm(x[inside] - y[inside], axis=1)
-            pt = kernel_override(r) if kernel_override is not None else eval_pt(spec, t, r)
-            vals[inside] = scale * pt
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        for i, (spec, t) in enumerate(cases):
+            vals = np.zeros(n)
+            if any_inside:
+                vals[inside] = scale * eval_pt(spec, t, r)
+            totals[i] += float(vals.sum())
+            totals_sq[i] += float((vals * vals).sum())
         accepted += int(np.count_nonzero(inside))
         if first_batch is None:
             first_batch = (accepted, n)
@@ -96,7 +112,7 @@ def mc_heat_content(spec, shape, t, samples=2**20, seed=0, kernel_override=None)
         raise SamplingEfficiencyError(
             f"bounding-box pair acceptance {accepted / samples:.2e} < {_MIN_EFFICIENCY:g}"
         )
-    return _finalize(total, total_sq, samples, seed)
+    return [_finalize(s, sq, samples, seed) for s, sq in zip(totals, totals_sq)]
 
 
 def _perp_points(u, rng, n, d):

@@ -274,6 +274,19 @@ def test_nan_radius_exit_code(argv, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "eval", "--family", "gaussian", "--d", "2", "--r", "1", "--t", "nan"],
+        ["heat", "sweep", "--family", "poisson", "--d", "2", "--shape", "ball", "--radius", "1",
+         "--t-grid", "0.1,nan,0.01"],
+    ],
+)
+def test_nan_time_exit_code(argv, capsys):
+    assert main(argv) == 2
+    assert "config error: t must be positive, got nan" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"family": "poisson", "d": 2, "quark": 3}))

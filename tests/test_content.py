@@ -7,6 +7,7 @@ import pytest
 
 from heatlab.content import (
     DEFAULT_T_GRID,
+    HeatContentResult,
     REGIME_ALPHA_EQ_1,
     REGIME_ALPHA_GT_1,
     REGIME_ALPHA_LT_1,
@@ -98,6 +99,21 @@ def test_positive_time_required():
         heat_content(KernelSpec.gaussian(2), BALL_PROFILE, 0.0)
     with pytest.raises(ValueError):
         heat_content(KernelSpec.gaussian(2), BALL_PROFILE, -1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: scaled_deficit(KernelSpec.gaussian(2), BALL_PROFILE, t),
+        lambda t: HeatContentResult(t=t, H=1.0, deficit=0.0, quad_error=0.0),
+        lambda t: regime_scaling(KernelSpec.gaussian(2), t),
+        lambda t: regime_scaling(KernelSpec.gaussian(2), [0.1, t, 0.01]),
+    ],
+    ids=["scaled_deficit", "HeatContentResult", "regime_scaling", "regime_scaling_grid"],
+)
+def test_nan_time_rejected(call):
+    with pytest.raises(ValueError, match="t must be positive, got nan"):
+        call(math.nan)
 
 
 def test_profile_dimension_must_match_spec():

@@ -380,6 +380,14 @@ def test_covariance_mc_reproducible():
     assert c[0] != a[0]
 
 
+@pytest.mark.parametrize("shape", [Ball(1.0, 2), Box((1.0, 2.0))])
+def test_covariance_mc_rejects_nan_and_zeroes_infinite_displacement(shape):
+    with pytest.raises(ValueError, match="NaN"):
+        covariance_mc(shape, [math.nan, 0.0], samples=2**10, seed=0)
+    assert covariance_mc(shape, [math.inf, 0.0], samples=2**10, seed=0) == (0.0, 0.0)
+    assert covariance_mc(shape, [0.1, -math.inf], samples=2**10, seed=0) == (0.0, 0.0)
+
+
 # -- directional variation and perimeters ----------------------------------------
 
 

@@ -204,6 +204,12 @@ def test_eval_p1_rejects_nan_radius(spec):
     assert eval_p1(spec, math.inf) == 0.0
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+def test_eval_pt_rejects_nonpositive_and_nan_time(t):
+    with pytest.raises(ValueError, match=f"t must be positive, got {t}"):
+        eval_pt(KernelSpec.gaussian(2), t, 1.0)
+
+
 def test_poisson_constant_identity():
     # kappa_d * w_{d-1} = 1/pi for every d
     for d in range(2, 7):

@@ -6,12 +6,47 @@ import numpy as np
 import pytest
 
 from heatlab.content import heat_content
+from heatlab import oracle
 from heatlab.errors import RegimeError, SamplingEfficiencyError, UnsupportedShapeError
-from heatlab.geometry import Ball, Box, Indicator, alpha_perimeter, radial_profile, volume
-from heatlab.kernel import KernelSpec
+from heatlab.geometry import (
+    Ball,
+    Box,
+    Indicator,
+    _batches,
+    _bounding_box,
+    _membership,
+    alpha_perimeter,
+    radial_profile,
+    volume,
+)
+from heatlab.kernel import KernelSpec, eval_pt
 from heatlab.oracle import McEstimate, mc_alpha_perimeter, mc_heat_content
 
 BALL = Ball(1.0, 2)
+
+
+def _reference_pair_estimate(spec, shape, t, samples, seed):
+    """The single-case pair loop: one stream per (spec, t), drawn afresh."""
+    lo, hi = _bounding_box(shape)
+    member = _membership(shape)
+    box_vol = float(np.prod(hi - lo))
+    scale = box_vol * box_vol
+    total = 0.0
+    total_sq = 0.0
+    for start, stop, rng in _batches(samples, seed):
+        n = stop - start
+        x = lo + (hi - lo) * rng.random((n, len(lo)))
+        y = lo + (hi - lo) * rng.random((n, len(lo)))
+        inside = member(x) & member(y)
+        vals = np.zeros(n)
+        if np.any(inside):
+            r = np.linalg.norm(x[inside] - y[inside], axis=1)
+            vals[inside] = scale * eval_pt(spec, t, r)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+    mean = total / samples
+    err = math.sqrt(max(total_sq / samples - mean * mean, 0.0) / (samples - 1))
+    return McEstimate(value=float(mean), stderr=float(err), samples=samples, seed=seed)
 
 
 def test_estimate_validation():
@@ -24,7 +59,7 @@ def test_estimate_validation():
 def test_heat_content_estimate_matches_quadrature():
     spec = KernelSpec.poisson(2)
     t = 0.1
-    est = mc_heat_content(spec, BALL, t, samples=2**18, seed=3)
+    est, = mc_heat_content(BALL, [(spec, t)], samples=2**18, seed=3)
     ref = heat_content(spec, radial_profile(BALL), t)
     z = abs(est.value - ref.H) / est.stderr
     assert z < 4.0
@@ -33,29 +68,79 @@ def test_heat_content_estimate_matches_quadrature():
 
 def test_heat_content_estimate_reproducible():
     spec = KernelSpec.gaussian(2)
-    a = mc_heat_content(spec, BALL, 0.5, samples=2**17, seed=9)
-    b = mc_heat_content(spec, BALL, 0.5, samples=2**17, seed=9)
-    c = mc_heat_content(spec, BALL, 0.5, samples=2**17, seed=10)
+    a, = mc_heat_content(BALL, [(spec, 0.5)], samples=2**17, seed=9)
+    b, = mc_heat_content(BALL, [(spec, 0.5)], samples=2**17, seed=9)
+    c, = mc_heat_content(BALL, [(spec, 0.5)], samples=2**17, seed=10)
     assert (a.value, a.stderr) == (b.value, b.stderr)
     assert c.value != a.value
 
 
-def test_constant_kernel_calibration_hook():
-    # with p_t replaced by 1 the estimator targets |Omega|^2 exactly, and the
-    # stderr must shrink like samples^{-1/2} since the indicator randomness
-    # stays inside the average
+def test_flat_kernel_calibration():
+    # at t = 1e6 the Gaussian is flat on the disc: 4 pi t p_t(r) = e^{-r^2/4t}
+    # lies in [1 - 1e-6, 1], so 4 pi t H(t) = pi^2 (1 + O(1e-6)) = |Omega|^2;
+    # the stderr must shrink like samples^{-1/2} since the indicator
+    # randomness stays inside the average
+    t = 1e6
     ns = [2**14, 2**16, 2**18]
     ests = [
-        mc_heat_content(
-            KernelSpec.poisson(2), BALL, 0.1, samples=n, seed=21,
-            kernel_override=lambda r: np.ones_like(r),
-        )
-        for n in ns
+        mc_heat_content(BALL, [(KernelSpec.gaussian(2), t)], samples=n, seed=21)[0] for n in ns
     ]
+    norm = 4.0 * math.pi * t
     for est in ests:
-        assert abs(est.value - math.pi**2) <= 4.0 * est.stderr
+        assert abs(norm * est.value - math.pi**2) <= 4.0 * norm * est.stderr
     slope = np.polyfit(np.log(ns), np.log([e.stderr for e in ests]), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.1)
+
+
+_MIXED_CASES = [
+    (spec, t)
+    for t in (0.1, 0.01)
+    for spec in (
+        KernelSpec.gaussian(2),
+        KernelSpec.poisson(2),
+        KernelSpec.stable(1.0, 2),
+        KernelSpec.stable(1.5, 2),
+    )
+]
+
+
+@pytest.mark.parametrize("shape", [Ball(1.0, 2), Box((1.0, 1.0))])
+def test_shared_stream_matches_single_case_reference(shape):
+    # two batches, the last one partial: every case's sums must come out
+    # bit-identical to a loop that draws its own stream
+    samples = 2**18 + 5
+    ests = mc_heat_content(shape, _MIXED_CASES, samples=samples, seed=4)
+    assert len(ests) == len(_MIXED_CASES)
+    for (spec, t), est in zip(_MIXED_CASES, ests):
+        ref = _reference_pair_estimate(spec, shape, t, samples, 4)
+        assert est.value == ref.value
+        assert est.stderr == ref.stderr
+        assert est.samples == ref.samples
+        assert est.seed == ref.seed
+
+
+def test_case_order_only_permutes_estimates():
+    cases = _MIXED_CASES[:4]
+    forward = mc_heat_content(BALL, cases, samples=2**14, seed=5)
+    backward = mc_heat_content(BALL, cases[::-1], samples=2**14, seed=5)
+    assert forward == backward[::-1]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((KernelSpec.poisson(2), 0.0), "t must be positive, got 0.0"),
+        ((KernelSpec.poisson(2), math.nan), "t must be positive, got nan"),
+        ((KernelSpec.poisson(3), 0.1), "dimensions differ"),
+    ],
+)
+def test_invalid_case_raises_before_sampling(bad, message, monkeypatch):
+    def no_draws(*_args):
+        raise AssertionError("pairs drawn before every case was validated")
+
+    monkeypatch.setattr(oracle, "_batches", no_draws)
+    with pytest.raises(ValueError, match=message):
+        mc_heat_content(BALL, [(KernelSpec.gaussian(2), 0.1), bad], samples=2**10, seed=0)
 
 
 def test_rejection_efficiency_guard():
@@ -69,7 +154,7 @@ def test_rejection_efficiency_guard():
         volume=math.pi * 0.25,
     )
     with pytest.raises(SamplingEfficiencyError):
-        mc_heat_content(KernelSpec.poisson(2), needle, 0.1, samples=2**20, seed=0)
+        mc_heat_content(needle, [(KernelSpec.poisson(2), 0.1)], samples=2**20, seed=0)
 
 
 @pytest.mark.parametrize(
