@@ -45,6 +45,7 @@ from .kernel import (
     STABLE,
     KernelSpec,
     QuadratureConfig,
+    _check_time,
     eval_p1,
     l1_norm_closed_form,
     moment_d,
@@ -82,8 +83,7 @@ class HeatContentResult:
     quad_error: float
 
     def __post_init__(self):
-        if not self.t > 0.0:  # also rejects NaN
-            raise ValueError(f"t must be positive, got {self.t}")
+        _check_time(self.t)
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,9 @@ def regime_of(spec: KernelSpec) -> str:
 def regime_scaling(spec: KernelSpec, t) -> np.ndarray:
     """The normalising s(t) the scaled deficit is divided by, per regime."""
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):  # also rejects NaN
-        raise ValueError(f"t must be positive, got {t[~(t > 0.0)][0]}")
+    bad = ~((t > 0.0) & (t < math.inf))  # NaN included
+    if bad.any():
+        _check_time(t[bad][0])
     reg = regime_of(spec)
     if reg == REGIME_ALPHA_GT_1:
         return t ** (1.0 / spec.alpha)
@@ -215,8 +216,7 @@ def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=N
     raises QuadratureError if level 8 still disagrees.
     """
     cfg = cfg or _DEFAULT_CFG
-    if not t > 0.0:  # also rejects NaN
-        raise ValueError(f"t must be positive, got {t}")
+    _check_time(t)
     if spec.d != profile.d:
         raise ValueError(f"kernel dimension {spec.d} != profile dimension {profile.d}")
     prev = _scaled_deficit_once(spec, profile, t, 1, cfg)

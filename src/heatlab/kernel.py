@@ -192,10 +192,17 @@ def eval_p1(spec, r, cfg=_DEFAULT_CFG):
     return float(out) if scalar else out
 
 
+def _check_time(t):
+    """Raise ValueError unless 0 < t < inf (NaN included)."""
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t}")
+    if t == math.inf:
+        raise ValueError(f"t must be finite, got {t}")
+
+
 def eval_pt(spec, t, r, cfg=_DEFAULT_CFG):
     """p_t(r e_d) = t^beta p_1(t^{-gamma} r)."""
-    if not t > 0:  # also rejects NaN
-        raise ValueError(f"t must be positive, got {t}")
+    _check_time(t)
     sc = spec.scaling()
     return t**sc.beta * eval_p1(spec, np.asarray(r, dtype=float) * t**-sc.gamma, cfg)
 

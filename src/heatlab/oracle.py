@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import RegimeError, SamplingEfficiencyError, UnsupportedShapeError
 from .geometry import Ball, Box, _batches, _bounding_box, _membership
-from .kernel import eval_pt, unit_ball_volume, unit_sphere_area
+from .kernel import _check_time, eval_pt, unit_ball_volume, unit_sphere_area
 
 _MIN_EFFICIENCY = 1e-3
 
@@ -74,8 +74,7 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
         raise ValueError("samples must be >= 1")
     cases = list(cases)
     for spec, t in cases:
-        if not t > 0.0:  # also rejects NaN
-            raise ValueError(f"t must be positive, got {t}")
+        _check_time(t)
         if spec.d != getattr(shape, "d", spec.d):
             raise ValueError("kernel and shape dimensions differ")
     lo, hi = _bounding_box(shape)

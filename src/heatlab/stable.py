@@ -215,28 +215,32 @@ def _horner(coef, v):
 
 
 def series_eval(alpha, d, scaled, r_ref, r):
-    """Vectorized partial sum  sum_{k<=K} c_k r^{-d-alpha k}  with error bound.
+    """Vectorized partial sum  sum_{k<=K} c_k r^{-d-alpha k}.
 
     ``scaled`` holds c'_1..c'_{K+2} rescaled to ``r_ref`` (see
     ``rescaled_coefficients``); with u = r_ref/r and v = u^alpha the sum is
-    u^d sum_{k<=K} c'_k v^k, and the bound is u^d max(|c'_{K+1}| v^{K+1},
-    |c'_{K+2}| v^{K+2}), the next two neglected magnitudes (robust to a zero
-    term).  Each radius is computed on its own, so a scalar and the same
-    radius inside a batch agree bit for bit.
+    u^d sum_{k<=K} c'_k v^k.  Each radius is computed on its own, so a scalar
+    and the same radius inside a batch agree bit for bit.  ``series_bound``
+    gives the truncation bound.
     """
     arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
+    u = r_ref / np.atleast_1d(arr)
+    vals = _horner(scaled[:-2], u**alpha)
+    vals *= u**d
+    return float(vals[0]) if arr.ndim == 0 else vals
+
+
+def series_bound(alpha, d, scaled, r_ref, r):
+    """Truncation bound of ``series_eval``: u^d max(|c'_{K+1}| v^{K+1},
+    |c'_{K+2}| v^{K+2}), the next two neglected magnitudes (robust to a zero
+    term)."""
+    arr = np.asarray(r, dtype=float)
     u = r_ref / np.atleast_1d(arr)
     v = u**alpha
-    ud = u**d
-    vals = _horner(scaled[:-2], v)
-    vals *= ud
     err = v ** (len(scaled) - 1)
     err *= np.maximum(abs(scaled[-2]), abs(scaled[-1]) * v)
-    err *= ud
-    if scalar:
-        return float(vals[0]), float(err[0])
-    return vals, err
+    err *= u**d
+    return float(err[0]) if arr.ndim == 0 else err
 
 
 def switch_radius(alpha, d, abs_tol, rel_tol):
@@ -249,7 +253,7 @@ def switch_radius(alpha, d, abs_tol, rel_tol):
         r = float(r)
         K, err = series_truncation(alpha, d, coeffs, r, floor)
         scaled = rescaled_coefficients(alpha, d, coeffs, r, K + 2)
-        val, _ = series_eval(alpha, d, scaled, r, r)
+        val = series_eval(alpha, d, scaled, r, r)
         if err < 0.1 * max(abs_tol, rel_tol * abs(val)):
             return r, K, err, scaled
     raise QuadratureError(
@@ -381,8 +385,7 @@ class StableDensity:
         if near.any():
             out[near] = self._spline(arr[near])
         if not near.all():
-            vals, _ = series_eval(self.alpha, self.d, self._scaled, self.r_switch, arr[~near])
-            out[~near] = vals
+            out[~near] = series_eval(self.alpha, self.d, self._scaled, self.r_switch, arr[~near])
         self._clamp(out)
         return float(out[0]) if scalar else out
 
@@ -394,8 +397,8 @@ class StableDensity:
         r = float(r)
         if r <= self.r_switch:
             return self.evaluate(r), self.table_error
-        val, err = series_eval(self.alpha, self.d, self._scaled, self.r_switch, np.array([r]))
-        return float(self._clamp(val)[0]), float(err[0])
+        args = (self.alpha, self.d, self._scaled, self.r_switch, np.array([r]))
+        return float(self._clamp(series_eval(*args))[0]), float(series_bound(*args)[0])
 
     # -- analytic tail integrals -------------------------------------------
 
@@ -409,9 +412,9 @@ class StableDensity:
         is the larger of the next two neglected term integrals.
         """
         expo = self.alpha * np.arange(1, len(self._scaled) + 1, dtype=float) - shift
-        val, err = series_eval(self.alpha, -shift, self._scaled / expo, self.r_switch, float(R))
+        args = (self.alpha, -shift, self._scaled / expo, self.r_switch, float(R))
         scale = self.r_switch ** (self.d + shift)
-        return scale * val, scale * err
+        return scale * series_eval(*args), scale * series_bound(*args)
 
     def tail_mass(self, R):
         """(int_R^inf r^{d-1} p_1(r) dr, error bound), valid for R >= r_switch."""

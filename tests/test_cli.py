@@ -287,6 +287,22 @@ def test_nan_time_exit_code(argv, capsys):
     assert "config error: t must be positive, got nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "eval", "--family", "gaussian", "--d", "2", "--r", "1", "--t", "inf"],
+        ["heat", "sweep", "--family", "gaussian", "--d", "2", "--shape", "ball", "--radius", "1",
+         "--t-grid", "inf,0.1,0.01"],
+    ],
+)
+def test_infinite_time_exit_code(argv, capfd):
+    # capfd, not capsys: LAPACK would write to file descriptor 2 directly
+    assert main(argv) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "config error: t must be finite, got inf\n"
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"family": "poisson", "d": 2, "quark": 3}))

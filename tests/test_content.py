@@ -101,19 +101,25 @@ def test_positive_time_required():
         heat_content(KernelSpec.gaussian(2), BALL_PROFILE, -1.0)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda t: scaled_deficit(KernelSpec.gaussian(2), BALL_PROFILE, t),
-        lambda t: HeatContentResult(t=t, H=1.0, deficit=0.0, quad_error=0.0),
-        lambda t: regime_scaling(KernelSpec.gaussian(2), t),
-        lambda t: regime_scaling(KernelSpec.gaussian(2), [0.1, t, 0.01]),
-    ],
-    ids=["scaled_deficit", "HeatContentResult", "regime_scaling", "regime_scaling_grid"],
-)
+_TIME_CALLS = [
+    lambda t: scaled_deficit(KernelSpec.gaussian(2), BALL_PROFILE, t),
+    lambda t: HeatContentResult(t=t, H=1.0, deficit=0.0, quad_error=0.0),
+    lambda t: regime_scaling(KernelSpec.gaussian(2), t),
+    lambda t: regime_scaling(KernelSpec.gaussian(2), [0.1, t, 0.01]),
+]
+_TIME_CALL_IDS = ["scaled_deficit", "HeatContentResult", "regime_scaling", "regime_scaling_grid"]
+
+
+@pytest.mark.parametrize("call", _TIME_CALLS, ids=_TIME_CALL_IDS)
 def test_nan_time_rejected(call):
     with pytest.raises(ValueError, match="t must be positive, got nan"):
         call(math.nan)
+
+
+@pytest.mark.parametrize("call", _TIME_CALLS, ids=_TIME_CALL_IDS)
+def test_infinite_time_rejected(call):
+    with pytest.raises(ValueError, match="t must be finite, got inf"):
+        call(math.inf)
 
 
 def test_profile_dimension_must_match_spec():

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,7 +154,7 @@ def test_ball_profile_matches_lens_formula():
 
 
 def test_box_d3_profile_method_tag():
-    assert radial_profile(Box((1.0, 1.0, 1.0))).angular_method == "angular-quadrature"
+    assert radial_profile(Box((1.0, 1.0, 1.0))).angular_method == "exact-radial"
 
 
 def test_profile_rejects_nan_radius():
@@ -215,10 +216,126 @@ def test_box_azimuth_integral_matches_general_form_bitwise(sides):
     assert geometry._box_ghat_d2(s, L1, L2).tobytes() == (4.0 * want).tobytes()
 
 
+BOX_SIDES = [(1.0, 2.0, 3.0), (3.0, 1.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)]
+
+
+def _ghat0(sides):
+    return unit_sphere_area(3) * float(np.prod(sides))
+
+
+def _cut_radii(sides):
+    """The sides, the three face diagonals and the full diagonal."""
+    L1, L2, L3 = sides
+    ell = math.sqrt(L1 * L1 + L2 * L2 + L3 * L3)
+    return np.array([L1, L2, L3, math.hypot(L1, L2), math.hypot(L1, L3), math.hypot(L2, L3), ell])
+
+
+def _mp_box_ghat_d3(rho, L1, L2, L3):
+    """30-digit reference: 8 int_0^{min(1, L3/rho)} (L3 - rho z) I2(rho sqrt(1 - z^2)) dz
+    with z = cos(theta) and I2 the azimuthal closed form, by ``mpmath.quad``
+    split where rho sqrt(1 - z^2) crosses L1, L2 or hypot(L1, L2)."""
+    with mpmath.workdps(30):
+        rho, L1, L2, L3 = (mpmath.mpf(x) for x in (rho, L1, L2, L3))
+        if rho == 0:
+            return float(4 * mpmath.pi * L1 * L2 * L3)
+
+        def azimuth(s):
+            p0 = mpmath.acos(L1 / s) if s > L1 else mpmath.mpf(0)
+            p1 = mpmath.asin(L2 / s) if s > L2 else mpmath.pi / 2
+            if p1 <= p0:
+                return mpmath.mpf(0)
+            return (
+                L1 * L2 * (p1 - p0)
+                + L1 * s * (mpmath.cos(p1) - mpmath.cos(p0))
+                - L2 * s * (mpmath.sin(p1) - mpmath.sin(p0))
+                + s * s * (mpmath.cos(2 * p0) - mpmath.cos(2 * p1)) / 4
+            )
+
+        top = min(mpmath.mpf(1), L3 / rho)
+        cuts = [mpmath.sqrt(1 - (c / rho) ** 2) for c in (L1, L2, mpmath.hypot(L1, L2)) if c < rho]
+        pts = [mpmath.mpf(0)] + sorted(z for z in cuts if 0 < z < top) + [top]
+        f = lambda z: (L3 - rho * z) * azimuth(rho * mpmath.sqrt(1 - z * z))
+        return float(8 * mpmath.quad(f, pts))
+
+
+def _assert_matches_mp_reference(sides, rho, rtol, atol):
+    ell = math.sqrt(sum(s * s for s in sides))
+    got = geometry._box_ghat_d3(rho, *sides)
+    want = np.array([_mp_box_ghat_d3(x, *sides) if x < ell else 0.0 for x in rho])
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=atol * _ghat0(sides))
+
+
+@pytest.mark.parametrize("sides", BOX_SIDES)
+def test_box_d3_ghat_matches_mpmath_reference(sides):
+    cuts = _cut_radii(sides)
+    rho = np.concatenate(
+        [
+            cuts,
+            np.nextafter(cuts, 0.0),
+            np.nextafter(cuts, np.inf),
+            np.linspace(0.0, cuts[-1], 10)[1:-1],
+        ]
+    )
+    _assert_matches_mp_reference(sides, rho, rtol=1e-14, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sides=st.tuples(*[st.floats(0.2, 5.0)] * 3),
+    frac=st.floats(0.0, 1.0),
+)
+def test_box_d3_ghat_matches_mpmath_reference_property(sides, frac):
+    ell = math.sqrt(sum(s * s for s in sides))
+    _assert_matches_mp_reference(sides, np.array([frac * ell]), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("sides", BOX_SIDES)
+def test_box_d3_ghat_continuous_across_kinks(sides):
+    cuts = _cut_radii(sides)[:-1]
+    below, at, above = (
+        geometry._box_ghat_d3(x, *sides)
+        for x in (np.nextafter(cuts, 0.0), cuts, np.nextafter(cuts, np.inf))
+    )
+    atol = 4e-15 * _ghat0(sides)
+    np.testing.assert_allclose(below, at, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(above, at, rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("sides", BOX_SIDES)
+def test_box_d3_ghat_vanishes_at_and_beyond_diagonal(sides):
+    ell = _cut_radii(sides)[-1]
+    beyond = np.array([ell, np.nextafter(ell, np.inf), 1.5 * ell, 10.0 * ell])
+    assert np.all(geometry._box_ghat_d3(beyond, *sides) == 0.0)
+    just_below = geometry._box_ghat_d3(np.array([np.nextafter(ell, 0.0)]), *sides)[0]
+    assert abs(just_below) <= 1e-15 * _ghat0(sides)
+
+
+@pytest.mark.parametrize("sides", BOX_SIDES)
+def test_box_d3_ghat_mass_identity(sides):
+    # int_0^ell rho^2 ghat(rho) drho = |Omega|^2.  Between cut radii ghat is
+    # analytic except for half-integer powers of (rho - left cut), which
+    # rho = a + (b - a) s^2 turns smooth, so Gauss-Legendre in s converges.
+    edges = np.concatenate([[0.0], np.unique(_cut_radii(sides))])
+    s, w = np.polynomial.legendre.leggauss(40)
+    s, w = 0.5 * (s + 1.0), 0.5 * w
+    mass = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        rho = a + (b - a) * s * s
+        mass += float(np.sum(w * 2.0 * (b - a) * s * rho * rho * geometry._box_ghat_d3(rho, *sides)))
+    assert mass == pytest.approx(volume(Box(sides)) ** 2, rel=1e-13)
+
+
+# A polar Gauss rule, 48 nodes per segment between the angles where
+# rho sin(psi) = L3 or rho cos(psi) meets L1, L2 or hypot(L1, L2): an
+# independent cross-check whose own error bounds the comparison.  Its
+# psi-integrand has square-root kinks at the segment ends, so against
+# ``_mp_box_ghat_d3`` it is off by up to 9.96e-11 ghat(0) on BOX_SIDES and
+# 9.1e-10 ghat(0) on sides in [0.2, 5]^3; below min(L) it is exact.
+_POLAR_NODES, _POLAR_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
 def _reference_box_ghat_d3(rho, L1, L2, L3):
-    """The piecewise Gauss loop over all five polar segments at every rho > 0,
-    zero-width ones included: the reference for ``_box_ghat_d3``, which skips
-    those and uses the cubic for rho <= min(L)."""
+    """The piecewise Gauss loop over all five polar segments at every rho > 0."""
     rho = np.asarray(rho, dtype=float)
     out = np.zeros_like(rho)
     pos = rho > 0
@@ -235,43 +352,38 @@ def _reference_box_ghat_d3(rho, L1, L2, L3):
         for j in range(cuts.shape[-1] - 1):
             half = 0.5 * (cuts[:, j + 1] - cuts[:, j])
             mid = 0.5 * (cuts[:, j + 1] + cuts[:, j])
-            psi = mid[:, None] + half[:, None] * geometry._POLAR_NODES[None, :]
+            psi = mid[:, None] + half[:, None] * _POLAR_NODES[None, :]
             s = r[:, None] * np.cos(psi)
             f = (
                 np.maximum(L3 - r[:, None] * np.sin(psi), 0.0)
                 * _reference_azimuth_integral(s, L1, L2)
                 * np.cos(psi)
             )
-            acc += half * (f @ geometry._POLAR_WEIGHTS)
+            acc += half * (f @ _POLAR_WEIGHTS)
         out[pos] = 8.0 * acc
     out[~pos] = unit_sphere_area(3) * L1 * L2 * L3
     return out
 
 
-def _assert_matches_reference(sides, rho):
+def _assert_matches_reference(sides, rho, atol=1e-15):
     got = geometry._box_ghat_d3(rho, *sides)
     want = _reference_box_ghat_d3(rho, *sides)
-    atol = 1e-15 * unit_sphere_area(3) * float(np.prod(sides))
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=atol)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=atol * _ghat0(sides))
 
 
-@pytest.mark.parametrize("sides", [(1.0, 2.0, 3.0), (3.0, 1.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)])
+@pytest.mark.parametrize("sides", BOX_SIDES)
 def test_box_d3_ghat_matches_all_segment_loop(sides):
-    L1, L2, L3 = sides
-    ell = math.sqrt(L1 * L1 + L2 * L2 + L3 * L3)
-    cut_radii = np.array(
-        [L1, L2, L3, math.hypot(L1, L2), math.hypot(L1, L3), math.hypot(L2, L3), ell]
-    )
+    cut_radii = _cut_radii(sides)
     rho = np.concatenate(
         [
             [0.0, 1e-300, 5e-324],
             cut_radii,
             np.nextafter(cut_radii, 0.0),
             np.nextafter(cut_radii, np.inf),
-            np.linspace(0.0, ell, 2001),
+            np.linspace(0.0, cut_radii[-1], 2001),
         ]
     )
-    _assert_matches_reference(sides, rho)
+    _assert_matches_reference(sides, rho, atol=2e-10)
 
 
 @settings(max_examples=100, deadline=None)
@@ -281,7 +393,7 @@ def test_box_d3_ghat_matches_all_segment_loop(sides):
 )
 def test_box_d3_ghat_matches_all_segment_loop_property(sides, frac):
     ell = math.sqrt(sum(s * s for s in sides))
-    _assert_matches_reference(sides, np.array([frac * ell]))
+    _assert_matches_reference(sides, np.array([frac * ell]), atol=2e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -290,20 +402,20 @@ def test_box_d3_ghat_matches_all_segment_loop_property(sides, frac):
     frac=st.floats(0.0, 1.0),
 )
 def test_box_d3_ghat_cubic_matches_all_segment_loop_property(sides, frac):
-    # rho <= min(L) is the closed-form cubic branch
+    # rho <= min(L) is the closed-form cubic branch, where the loop is exact
     _assert_matches_reference(sides, np.array([frac * min(sides)]))
 
 
-@pytest.mark.parametrize("sides", [(1.0, 2.0, 3.0), (3.0, 1.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)])
+@pytest.mark.parametrize("sides", BOX_SIDES)
 def test_box_d3_ghat_continuous_at_shortest_side(sides):
-    # the cubic at min(L) against the quadrature one ulp above it
+    # the cubic at min(L) against the slab integral one ulp above it
     m = min(sides)
     at, above = geometry._box_ghat_d3(np.array([m, np.nextafter(m, np.inf)]), *sides)
     atol = 1e-15 * unit_sphere_area(3) * float(np.prod(sides))
     np.testing.assert_allclose(at, above, rtol=1e-14, atol=atol)
 
 
-@pytest.mark.parametrize("sides", [(1.0, 2.0, 3.0), (3.0, 1.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)])
+@pytest.mark.parametrize("sides", BOX_SIDES)
 def test_box_d3_ghat_slope_at_zero_is_pi_perimeter(sides):
     # (ghat(0) - ghat(h)) / h -> w_2 Per = pi Per (the paper's expansion).  The
     # quotient is off by the h^2 term, (8/3) h sum(L), plus the rounding of

@@ -204,10 +204,16 @@ def test_eval_p1_rejects_nan_radius(spec):
     assert eval_p1(spec, math.inf) == 0.0
 
 
-@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, -math.inf])
 def test_eval_pt_rejects_nonpositive_and_nan_time(t):
     with pytest.raises(ValueError, match=f"t must be positive, got {t}"):
         eval_pt(KernelSpec.gaussian(2), t, 1.0)
+
+
+def test_eval_pt_rejects_infinite_time():
+    # p_inf would read 0 for every r
+    with pytest.raises(ValueError, match="t must be finite, got inf"):
+        eval_pt(KernelSpec.gaussian(2), math.inf, 1.0)
 
 
 def test_poisson_constant_identity():

@@ -132,6 +132,7 @@ def test_case_order_only_permutes_estimates():
         ((KernelSpec.poisson(2), 0.0), "t must be positive, got 0.0"),
         ((KernelSpec.poisson(2), math.nan), "t must be positive, got nan"),
         ((KernelSpec.poisson(3), 0.1), "dimensions differ"),
+        ((KernelSpec.poisson(2), math.inf), "t must be finite, got inf"),
     ],
 )
 def test_invalid_case_raises_before_sampling(bad, message, monkeypatch):

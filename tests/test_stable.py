@@ -18,6 +18,7 @@ from heatlab.stable import (
     hankel_p1_adaptive,
     p1_at_zero,
     series_coefficients,
+    series_bound,
     series_eval,
     switch_radius,
 )
@@ -126,9 +127,11 @@ def test_cutoff_radius_meets_tolerance():
 def test_series_eval_is_vectorized():
     dens = density(1.4, 2)
     r = dens.r_switch * np.array([1.1, 2.0, 5.0])
-    vals, err = series_eval(1.4, 2, dens._scaled, dens.r_switch, r)
+    vals = series_eval(1.4, 2, dens._scaled, dens.r_switch, r)
+    err = series_bound(1.4, 2, dens._scaled, dens.r_switch, r)
     assert vals.shape == err.shape == r.shape
-    scalar, scalar_err = series_eval(1.4, 2, dens._scaled, dens.r_switch, float(r[1]))
+    scalar = series_eval(1.4, 2, dens._scaled, dens.r_switch, float(r[1]))
+    scalar_err = series_bound(1.4, 2, dens._scaled, dens.r_switch, float(r[1]))
     assert scalar == vals[1] and scalar_err == err[1]
 
 
@@ -146,7 +149,7 @@ def _log_form_sum(alpha, d, K, r):
 def test_horner_matches_log_form_sum(alpha, d):
     r_s, K, _, scaled = switch_radius(alpha, d, 1e-10, 1e-8)
     r = np.geomspace(r_s * (1.0 + 1e-12), 1e6, 400)
-    vals, _ = series_eval(alpha, d, scaled, r_s, r)
+    vals = series_eval(alpha, d, scaled, r_s, r)
     ref, _ = _log_form_sum(alpha, d, K, r)
     np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=0.0)
 
@@ -164,7 +167,7 @@ def test_horner_matches_log_form_sum_property(alpha, d, frac):
     # a 40-digit reference).  Elsewhere the two scales coincide.
     r_s, K, _, scaled = switch_radius(alpha, d, 1e-10, 1e-8)
     r = r_s * (1.0 + 1e-12) * (1e6 / r_s) ** frac
-    val, _ = series_eval(alpha, d, scaled, r_s, r)
+    val = series_eval(alpha, d, scaled, r_s, r)
     ref, mag = _log_form_sum(alpha, d, K, r)
     assert abs(val - ref[0]) <= 1e-13 * mag[0]
 
@@ -174,11 +177,11 @@ def test_series_error_is_next_two_neglected_terms():
     r_s, K, err_s, scaled = switch_radius(alpha, d, 1e-10, 1e-8)
     assert len(scaled) == K + 2
     r = 1.7 * r_s
-    _, err = series_eval(alpha, d, scaled, r_s, r)
+    err = series_bound(alpha, d, scaled, r_s, r)
     _, logmag = series_coefficients(alpha, d)
     neglected = np.exp(logmag[K : K + 2] - (d + alpha * np.arange(K + 1, K + 3)) * math.log(r))
     assert err == pytest.approx(neglected.max(), rel=1e-13)
-    _, err_at_switch = series_eval(alpha, d, scaled, r_s, r_s)
+    err_at_switch = series_bound(alpha, d, scaled, r_s, r_s)
     assert err_at_switch == pytest.approx(err_s, rel=1e-13)
 
 
