@@ -64,7 +64,6 @@ from .kernel import (
     stable_tail_constant,
     tail_bound_check,
     tail_mass,
-    tail_moment,
     unit_ball_volume,
     unit_sphere_area,
 )

@@ -69,12 +69,9 @@ class Context:
         return 2**17 if self.quick else 10**6
 
     def profile(self, shape):
-        key = (type(shape).__name__,) + (
-            (shape.radius, shape.d) if isinstance(shape, Ball) else tuple(shape.sides)
-        )
-        if key not in self._profiles:
-            self._profiles[key] = radial_profile(shape)
-        return self._profiles[key]
+        if shape not in self._profiles:
+            self._profiles[shape] = radial_profile(shape)
+        return self._profiles[shape]
 
 
 def _rel(a, b):
@@ -110,7 +107,7 @@ def criterion_03(ctx):
     ok = True
     rng = np.random.default_rng(ctx.seed)
     for shape in shapes:
-        d = shape.d if isinstance(shape, Ball) else len(shape.sides)
+        d = shape.d
         vol = volume(shape)
         ell = diameter(shape)
         ys = rng.standard_normal((4, d)) * ell / 3.0

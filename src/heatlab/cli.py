@@ -187,8 +187,6 @@ def cmd_cov_eval(cfg: RunConfig) -> int:
         "support_radius": profile.support_radius,
         "volume": profile.volume,
     }
-    if profile.angular_method == "sphere-MC":
-        meta["seed"] = cfg.seed
     if cfg.format == "json":
         body = json_report({"columns": ["rho", "ghat"], "rows": [list(map(float, r)) for r in rows], "meta": meta})
     else:
@@ -199,11 +197,7 @@ def cmd_cov_eval(cfg: RunConfig) -> int:
 
 def cmd_perimeter(cfg: RunConfig) -> int:
     shape = make_shape(cfg)
-    rows = [("directional", perimeter_via_directional(shape))]
-    try:
-        rows.append(("closed_form", perimeter(shape)))
-    except UnsupportedShapeError:
-        pass
+    rows = [("directional", perimeter_via_directional(shape)), ("closed_form", perimeter(shape))]
     body = (
         json_report({"rows": [[k, float(v)] for k, v in rows]})
         if cfg.format == "json"

@@ -9,7 +9,13 @@ reduces per octant to an integral of (L1 - s cos phi)^+ (L2 - s sin phi)^+
 over the azimuth, which integrates in closed form between the support angles.
 For a 3-D box, ghat is a closed-form cubic in rho up to the shortest side
 and, above it, a sum of closed-form integrals over caps of the octant of S^2.
-Generic indicator shapes fall back to Monte Carlo.
+
+A generic ``Indicator`` shape has no closed form, so it is served only by the
+Monte Carlo estimators that report a stderr: ``covariance_mc`` here and
+``oracle.mc_heat_content``.  Every route that would return a bare Monte Carlo
+number for it -- ``radial_profile`` (hence ``alpha_perimeter``), ``perimeter``,
+``perimeter_via_directional``, ``directional_variation``, ``covariance`` and
+``volume`` without a declared volume -- raises ``UnsupportedShapeError``.
 """
 
 import math
@@ -18,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 from scipy.special import betainc, betaln
 
 from .errors import QuadratureError, RegimeError, UnsupportedShapeError
@@ -66,8 +71,11 @@ class Indicator:
 
     ``contains`` maps an (n, d) array of points to a boolean array; the
     bounding box must cover the support.  ``volume`` may be supplied when
-    known exactly; otherwise it is Monte Carlo estimated on demand and all
-    derived quantities inherit that error.
+    known exactly, and ``volume()`` then returns it.  The shape is accepted
+    by ``covariance_mc`` and ``oracle.mc_heat_content``, which return an
+    estimate with its stderr (``covariance_mc(shape, 0)`` estimates |Omega|),
+    and by ``diameter``; every closed-form or profile-based call raises
+    ``UnsupportedShapeError``.
     """
 
     d: int
@@ -83,22 +91,17 @@ class Indicator:
             raise ValueError("bounding box must have positive extent")
 
 
-def volume(shape, samples=2**20, seed=0):
-    """|Omega|: closed form for Ball/Box, declared or MC for Indicator."""
+def volume(shape):
+    """|Omega|: closed form for Ball/Box, the declared volume for Indicator."""
     if isinstance(shape, Ball):
         return unit_ball_volume(shape.d) * shape.radius**shape.d
     if isinstance(shape, Box):
         return float(np.prod(shape.sides))
     if shape.volume is not None:
         return float(shape.volume)
-    lo = np.asarray(shape.bbox_lo, dtype=float)
-    hi = np.asarray(shape.bbox_hi, dtype=float)
-    box_vol = float(np.prod(hi - lo))
-    hits = 0
-    for start, stop, batch_rng in _batches(samples, seed):
-        x = lo + (hi - lo) * batch_rng.random((stop - start, shape.d))
-        hits += int(np.count_nonzero(shape.contains(x)))
-    return box_vol * hits / samples
+    raise UnsupportedShapeError(
+        "Indicator has no declared volume; covariance_mc(shape, 0) estimates it with a stderr"
+    )
 
 
 def diameter(shape):
@@ -128,9 +131,7 @@ def perimeter(shape):
                     prod *= s
             total += prod
         return 2.0 * total
-    raise UnsupportedShapeError(
-        "no closed-form perimeter for Indicator shapes; use perimeter_via_directional"
-    )
+    raise UnsupportedShapeError("no closed-form perimeter for Indicator shapes")
 
 
 # -- covariance closed forms -------------------------------------------------
@@ -414,24 +415,23 @@ def _box_ghat_d3(rho, L1, L2, L3):
     return out
 
 
-@dataclass(frozen=True)
-class AngularConfig:
-    """Controls for the spherical averaging of non-radial covariances."""
-
-    n_phi: int = 4096  # circle nodes (d=2 trapezoid cross-checks)
-    n_polar: int = 48  # Gauss nodes in cos(theta) per hemisphere (perimeter_via_directional, d=3)
-    samples: int = 2**18  # MC pairs per grid point (Indicator)
-    seed: int = 0
+# spherical rules of perimeter_via_directional: circle nodes (d = 2; a
+# sixteenth of them per azimuth ring for d = 3) and Gauss nodes in cos(theta)
+# per hemisphere (d = 3)
+_N_PHI = 4096
+_N_POLAR = 48
 
 
 @dataclass(frozen=True)
 class CovarianceProfile:
     """Spherical average ghat(rho) = int_{S^{d-1}} g(rho u) dH(u).
 
-    ``ghat`` evaluates at arbitrary radii: in closed form for balls and boxes
-    (``angular_method`` "exact-radial"), by monotone interpolation of Monte
-    Carlo values for indicators ("sphere-MC"); it vanishes at and beyond
-    ``support_radius`` and equals A_d |Omega| at 0.
+    ``ghat`` evaluates at arbitrary radii in closed form (``angular_method``
+    is always "exact-radial"); it vanishes at and beyond ``support_radius``
+    and equals A_d |Omega| at 0.  Profiles exist for balls and for boxes in
+    d = 2, 3 only; ``radial_profile`` raises ``UnsupportedShapeError`` for an
+    ``Indicator``, whose covariance is estimated, with a stderr, by
+    ``covariance_mc``.
     """
 
     support_radius: float
@@ -454,68 +454,40 @@ class CovarianceProfile:
         return float(out[0]) if scalar else out
 
 
-def radial_profile(shape, angular_cfg=AngularConfig()):
+def radial_profile(shape):
     """Wrap an evaluator for ghat, supported on [0, diameter(shape)).
 
     Ball: exact radial symmetry.  Box: closed form, from the azimuthal
     integral for d=2 and from octant cap integrals for d=3 (a cubic for
-    rho <= min(L)).  Indicator: sphere-direction Monte Carlo combined with
-    pair sampling.
+    rho <= min(L)).  Indicator: raises ``UnsupportedShapeError``.
     """
-    ell = diameter(shape)
-    vol = volume(shape)
     d = shape.d
-
     if isinstance(shape, Ball):
         evaluator = lambda r: unit_sphere_area(d) * covariance_ball(d, shape.radius, r)
-        method = "exact-radial"
     elif isinstance(shape, Box):
         if d == 2:
             L1, L2 = shape.sides
             evaluator = lambda r: _box_ghat_d2(np.asarray(r, dtype=float), L1, L2)
-            method = "exact-radial"
         elif d == 3:
             L1, L2, L3 = shape.sides
             evaluator = lambda r: _box_ghat_d3(np.asarray(r, dtype=float), L1, L2, L3)
-            method = "exact-radial"
         else:
             raise UnsupportedShapeError("box profiles implemented for d in {2, 3}")
     else:
-        evaluator = _indicator_profile_evaluator(shape, ell, vol, angular_cfg)
-        method = "sphere-MC"
+        raise UnsupportedShapeError(
+            "no closed-form ghat for Indicator shapes; covariance_mc estimates g with a stderr"
+        )
 
+    ell = diameter(shape)
     kinks = tuple(sorted(b for b in _profile_breakpoints(shape) if 0.0 < b < ell))
     return CovarianceProfile(
         support_radius=ell,
-        volume=vol,
-        angular_method=method,
+        volume=volume(shape),
+        angular_method="exact-radial",
         d=d,
         kink_radii=kinks,
         _evaluator=evaluator,
     )
-
-
-def _indicator_profile_evaluator(shape, ell, vol, cfg):
-    """Monte Carlo ghat on a fixed grid + monotone interpolation between."""
-    grid = np.linspace(0.0, ell, 65)
-    lo, hi = _bounding_box(shape)
-    member = _membership(shape)
-    box_vol = float(np.prod(hi - lo))
-    area = unit_sphere_area(shape.d)
-    vals = np.empty_like(grid)
-    vals[0] = area * vol
-    for i, rho in enumerate(grid[1:], start=1):
-        hits = 0
-        n = int(cfg.samples)
-        for start, stop, rng in _batches(n, cfg.seed + 7919 * i):
-            u = rng.standard_normal((stop - start, shape.d))
-            u /= np.linalg.norm(u, axis=-1, keepdims=True)
-            x = lo + (hi - lo) * rng.random((stop - start, shape.d))
-            hits += int(np.count_nonzero(member(x) & member(x - rho * u)))
-        vals[i] = area * box_vol * hits / n
-    vals[grid >= ell] = 0.0
-    interp = PchipInterpolator(grid, vals, extrapolate=False)
-    return lambda r: np.nan_to_num(interp(np.asarray(r, dtype=float)), nan=0.0)
 
 
 # -- directional variation and perimeter identities ---------------------------
@@ -564,12 +536,16 @@ def directional_variation(shape, u, h_grid=None):
     return float(val[0])
 
 
-def perimeter_via_directional(shape, angular_cfg=AngularConfig()):
+def perimeter_via_directional(shape):
     """Per(Omega) = (1 / 2 w_{d-1}) int_{S^{d-1}} V_u(Omega) dH(u)."""
+    if not isinstance(shape, (Ball, Box)):
+        raise UnsupportedShapeError(
+            "the perimeter identity needs the closed-form covariance of Ball/Box"
+        )
     d = shape.d
     h_grid = diameter(shape) * np.geomspace(1e-2, 1e-6, 5)
     if d == 2:
-        n = int(angular_cfg.n_phi)
+        n = _N_PHI
         phi = 2.0 * math.pi * np.arange(n) / n
         U = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
         vals, _ = _variation_batch(shape, U, h_grid)
@@ -577,10 +553,10 @@ def perimeter_via_directional(shape, angular_cfg=AngularConfig()):
     elif d == 3:
         # product rule: Gauss in t = cos(theta) per hemisphere (|t| kink at 0),
         # uniform trapezoid in phi (nodes sit on the |cos|,|sin| kinks)
-        nt = int(angular_cfg.n_polar)
+        nt = _N_POLAR
         t_nodes, t_w = np.polynomial.legendre.leggauss(nt)
         integral = 0.0
-        nphi = max(64, int(angular_cfg.n_phi) // 16)
+        nphi = max(64, _N_PHI // 16)
         phi = 2.0 * math.pi * np.arange(nphi) / nphi
         for sign in (-1.0, 1.0):
             t = 0.5 * (t_nodes + 1.0) * sign  # map to (0, 1) or (-1, 0)

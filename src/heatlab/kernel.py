@@ -204,7 +204,14 @@ def eval_pt(spec, t, r, cfg=_DEFAULT_CFG):
     """p_t(r e_d) = t^beta p_1(t^{-gamma} r)."""
     _check_time(t)
     sc = spec.scaling()
-    return t**sc.beta * eval_p1(spec, np.asarray(r, dtype=float) * t**-sc.gamma, cfg)
+    t = float(t)  # a NumPy scalar would overflow to inf instead of raising
+    try:
+        scale, stretch = t**sc.beta, t**-sc.gamma
+    except OverflowError:
+        raise ValueError(
+            f"t too small: t**{sc.beta:g} or t**{-sc.gamma:g} overflows, got {t}"
+        ) from None
+    return scale * eval_p1(spec, np.asarray(r, dtype=float) * stretch, cfg)
 
 
 def _integrate_power_against_table(dens, q):
@@ -217,11 +224,11 @@ def _integrate_power_against_table(dens, q):
     return float(weights @ (nodes**q * dens.evaluate(nodes)))
 
 
-def _poly_tail_mass(d, kappa, n, m, R, shift=0.0):
-    """int_R^inf r^{d-1+shift} (1+r^n)^{-m} dr * kappa via the binomial series
+def _poly_tail_mass(d, kappa, n, m, R):
+    """int_R^inf r^{d-1} (1+r^n)^{-m} dr * kappa via the binomial series
     in r^{-n}; requires R > 1 (used with R >= 2) and convergent exponents."""
     j = np.arange(0, 60, dtype=float)
-    expo = n * m + n * j - d - shift
+    expo = n * m + n * j - d
     # (-1)^j binom(m+j-1, j): pole-free form of binom(-m, j) for integer m
     coeff = (-1.0) ** j * np.exp(gammaln(m + j) - gammaln(m) - gammaln(j + 1.0))
     terms = coeff * R ** (-expo) / expo
@@ -243,9 +250,9 @@ def tail_mass(spec, R, cfg=_DEFAULT_CFG):
             * float(gammaincc(d / 2.0, R * R / 4.0))
         )
     if spec.family == POISSON:
-        return _series_or_quad_tail(d, poisson_constant(d), 2.0, (d + 1) / 2.0, R, 0.0, cfg)
+        return _series_or_quad_tail(d, poisson_constant(d), 2.0, (d + 1) / 2.0, R, cfg)
     if spec.family == POLY:
-        return _series_or_quad_tail(d, spec.kappa, spec.n, spec.m, R, 0.0, cfg)
+        return _series_or_quad_tail(d, spec.kappa, spec.n, spec.m, R, cfg)
     dens = _density(spec, cfg)
     if R >= dens.r_switch:
         return dens.tail_mass(R)[0]
@@ -255,12 +262,12 @@ def tail_mass(spec, R, cfg=_DEFAULT_CFG):
     return 1.0 / unit_sphere_area(d) - head
 
 
-def _series_or_quad_tail(d, kappa, n, m, R, shift, cfg):
+def _series_or_quad_tail(d, kappa, n, m, R, cfg):
     Rs = max(R, 2.0)
-    val = _poly_tail_mass(d, kappa, n, m, Rs, shift)
+    val = _poly_tail_mass(d, kappa, n, m, Rs)
     if Rs > R:
         bridge, err = quad(
-            lambda r: kappa * r ** (d - 1 + shift) * (1.0 + r**n) ** (-m),
+            lambda r: kappa * r ** (d - 1) * (1.0 + r**n) ** (-m),
             R,
             Rs,
             epsabs=0.1 * cfg.abs_tol,
@@ -269,29 +276,6 @@ def _series_or_quad_tail(d, kappa, n, m, R, shift, cfg):
         )
         val += bridge
     return val
-
-
-def tail_moment(spec, R, cfg=_DEFAULT_CFG):
-    """int_R^inf r^d p_1(r) dr; finite only for Gaussian and stable alpha>1."""
-    d = spec.d
-    if spec.family == GAUSSIAN:
-        return (
-            (4.0 * math.pi) ** (-d / 2.0)
-            * 2.0**d
-            * math.exp(gammaln((d + 1) / 2.0))
-            * float(gammaincc((d + 1) / 2.0, R * R / 4.0))
-        )
-    if spec.family in (POISSON, POLY) or spec.alpha <= 1.0:
-        raise DivergentMomentError(
-            "the d-th radial moment diverges unless alpha is in (1, 2) "
-            "(Gaussian included as the alpha=2 endpoint)"
-        )
-    dens = _density(spec, cfg)
-    if R >= dens.r_switch:
-        return dens.tail_moment(R)[0]
-    nodes, weights = _gl_nodes_weights(np.linspace(0.0, R, 200))
-    head = float(weights @ (nodes**d * dens.evaluate(nodes)))
-    return moment_d(spec, cfg) - head
 
 
 def l1_norm(spec, cfg=_DEFAULT_CFG):

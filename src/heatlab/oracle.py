@@ -75,7 +75,7 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
     cases = list(cases)
     for spec, t in cases:
         _check_time(t)
-        if spec.d != getattr(shape, "d", spec.d):
+        if spec.d != shape.d:
             raise ValueError("kernel and shape dimensions differ")
     lo, hi = _bounding_box(shape)
     member = _membership(shape)
@@ -176,7 +176,7 @@ def mc_alpha_perimeter(shape, alpha, samples=2**20, seed=0) -> McEstimate:
         raise ValueError("samples must be >= 1")
     if not isinstance(shape, (Ball, Box)):
         raise UnsupportedShapeError("line sampling needs a convex closed-form shape")
-    d = shape.d if isinstance(shape, Ball) else len(shape.sides)
+    d = shape.d
     if d not in (2, 3):
         raise UnsupportedShapeError("line sampling implemented for d in {2, 3}")
     lo, hi = _bounding_box(shape)

@@ -303,6 +303,20 @@ def test_infinite_time_exit_code(argv, capfd):
     assert err == "config error: t must be finite, got inf\n"
 
 
+@pytest.mark.parametrize(
+    "alpha, power",
+    [("1.5", "-1.33333"), ("0.5", "-4")],  # t**beta overflows; at 0.5 t**-gamma = t**-2 too
+)
+def test_tiny_time_overflow_exit_code(alpha, power, capfd):
+    argv = ["kernel", "eval", "--family", "stable", "--alpha", alpha, "--d", "2", "--r", "1",
+            "--t", "1e-300"]
+    assert main(argv) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: t too small: t**{power} or t**")
+    assert err.endswith("overflows, got 1e-300\n")
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"family": "poisson", "d": 2, "quark": 3}))

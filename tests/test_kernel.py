@@ -216,6 +216,12 @@ def test_eval_pt_rejects_infinite_time():
         eval_pt(KernelSpec.gaussian(2), math.inf, 1.0)
 
 
+def test_eval_pt_rejects_overflowing_numpy_time():
+    # a NumPy scalar t would overflow t**(-d/alpha) = 1e400 to inf, not raise
+    with pytest.raises(ValueError, match="t too small: .* overflows, got 1e-300"):
+        eval_pt(KernelSpec.stable(1.5, 2), np.float64(1e-300), np.array([0.0, 1.0]))
+
+
 def test_poisson_constant_identity():
     # kappa_d * w_{d-1} = 1/pi for every d
     for d in range(2, 7):
