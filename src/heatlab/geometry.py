@@ -71,11 +71,11 @@ class Indicator:
 
     ``contains`` maps an (n, d) array of points to a boolean array; the
     bounding box must cover the support.  ``volume`` may be supplied when
-    known exactly, and ``volume()`` then returns it.  The shape is accepted
-    by ``covariance_mc`` and ``oracle.mc_heat_content``, which return an
-    estimate with its stderr (``covariance_mc(shape, 0)`` estimates |Omega|),
-    and by ``diameter``; every closed-form or profile-based call raises
-    ``UnsupportedShapeError``.
+    known exactly (finite, positive and at most the bounding-box volume), and
+    ``volume()`` then returns it.  The shape is accepted by ``covariance_mc``
+    and ``oracle.mc_heat_content``, which return an estimate with its stderr
+    (``covariance_mc(shape, 0)`` estimates |Omega|), and by ``diameter``;
+    every closed-form or profile-based call raises ``UnsupportedShapeError``.
     """
 
     d: int
@@ -89,6 +89,13 @@ class Indicator:
             raise ValueError("bounding box must match the dimension (d >= 2)")
         if any(h <= l for l, h in zip(self.bbox_lo, self.bbox_hi)):
             raise ValueError("bounding box must have positive extent")
+        if self.volume is not None:
+            box = math.prod(h - l for l, h in zip(self.bbox_lo, self.bbox_hi))
+            if not (math.isfinite(self.volume) and 0.0 < self.volume <= box):
+                raise ValueError(
+                    f"declared volume {self.volume} must be finite, positive and at most "
+                    f"the bounding-box volume {box}"
+                )
 
 
 def volume(shape):

@@ -262,19 +262,29 @@ def tail_mass(spec, R, cfg=_DEFAULT_CFG):
     return 1.0 / unit_sphere_area(d) - head
 
 
+def _quad(f, a, b, cfg, what):
+    """int_a^b f by scipy ``quad`` at a tenth of the cfg tolerances; raises
+    ``QuadratureError`` when its error estimate exceeds max(abs_tol,
+    rel_tol |value|) (``full_output`` keeps scipy from only warning)."""
+    val, err, *_ = quad(
+        f,
+        a,
+        b,
+        epsabs=0.1 * cfg.abs_tol,
+        epsrel=0.1 * cfg.rel_tol,
+        limit=cfg.max_subdivisions,
+        full_output=1,
+    )
+    if err > max(cfg.abs_tol, cfg.rel_tol * abs(val)):
+        raise QuadratureError(f"{what} quadrature did not converge", err)
+    return val
+
+
 def _series_or_quad_tail(d, kappa, n, m, R, cfg):
     Rs = max(R, 2.0)
     val = _poly_tail_mass(d, kappa, n, m, Rs)
     if Rs > R:
-        bridge, err = quad(
-            lambda r: kappa * r ** (d - 1) * (1.0 + r**n) ** (-m),
-            R,
-            Rs,
-            epsabs=0.1 * cfg.abs_tol,
-            epsrel=0.1 * cfg.rel_tol,
-            limit=cfg.max_subdivisions,
-        )
-        val += bridge
+        val += _quad(lambda r: kappa * r ** (d - 1) * (1.0 + r**n) ** (-m), R, Rs, cfg, "tail bridge")
     return val
 
 
@@ -286,16 +296,7 @@ def l1_norm(spec, cfg=_DEFAULT_CFG):
         head = _integrate_power_against_table(dens, d - 1)
         radial = head + dens.tail_mass(dens.r_switch)[0]
         return unit_sphere_area(d) * radial
-    head, err = quad(
-        lambda r: r ** (d - 1) * eval_p1(spec, r, cfg),
-        0.0,
-        _L1_TAIL_SPLIT,
-        epsabs=0.1 * cfg.abs_tol,
-        epsrel=0.1 * cfg.rel_tol,
-        limit=cfg.max_subdivisions,
-    )
-    if err > max(cfg.abs_tol, cfg.rel_tol * abs(head)):
-        raise QuadratureError("L1-norm quadrature did not converge", err)
+    head = _quad(lambda r: r ** (d - 1) * eval_p1(spec, r, cfg), 0.0, _L1_TAIL_SPLIT, cfg, "L1-norm")
     return unit_sphere_area(d) * (head + tail_mass(spec, _L1_TAIL_SPLIT, cfg))
 
 
@@ -314,15 +315,7 @@ def moment_d(spec, cfg=_DEFAULT_CFG):
     (Gaussian = alpha 2 endpoint).  Divergent regimes raise."""
     d = spec.d
     if spec.family == GAUSSIAN:
-        val, err = quad(
-            lambda r: r**d * eval_p1(spec, r, cfg),
-            0.0,
-            42.0,
-            epsabs=0.1 * cfg.abs_tol,
-            epsrel=0.1 * cfg.rel_tol,
-            limit=cfg.max_subdivisions,
-        )
-        return val
+        return _quad(lambda r: r**d * eval_p1(spec, r, cfg), 0.0, 42.0, cfg, "moment")
     if spec.family in (POISSON, POLY) or spec.alpha <= 1.0:
         raise DivergentMomentError(
             "the d-th radial moment diverges unless alpha is in (1, 2) "

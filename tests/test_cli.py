@@ -196,6 +196,19 @@ def test_heat_sweep_columns_match_heat_content(capsys):
         assert float(row[2]) == res.deficit
 
 
+def test_kernel_eval_small_alpha_exit_codes(capsys):
+    args = ["kernel", "eval", "--family", "stable", "--d", "2", "--r", "0.5", "--alpha"]
+    rc, out = run_cli(args + ["0.3"], capsys)
+    assert rc == 0
+    _, _, rows = parse_csv(out)
+    assert float(rows[0][1]) > 0
+    # alpha = 0.2: the density peak is too sharp for the validated table
+    rc = main(args + ["0.2"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "failed validation" in captured.err
+
+
 def test_heat_sweep_starved_quadrature_exit_code(capsys):
     # tolerances no refinement level can meet: the deficit quadrature raises,
     # which the CLI reports as a numerical failure

@@ -601,3 +601,12 @@ def test_shape_validation():
         Box((1.0, -2.0))
     with pytest.raises(ValueError):
         Indicator(d=2, contains=lambda x: x, bbox_lo=(0.0,), bbox_hi=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("declared", [-5.0, 0.0, 4.5, math.nan, math.inf])
+def test_indicator_rejects_impossible_declared_volume(declared):
+    # the bounding box [-1, 1]^2 has volume 4
+    square = dict(d=2, contains=lambda x: x, bbox_lo=(-1.0, -1.0), bbox_hi=(1.0, 1.0))
+    with pytest.raises(ValueError):
+        Indicator(**square, volume=declared)
+    assert volume(Indicator(**square, volume=4.0)) == 4.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heatlab.errors import DivergentMomentError, RegimeError
+from heatlab.errors import DivergentMomentError, QuadratureError, RegimeError
 from heatlab.kernel import (
     KernelSpec,
     QuadratureConfig,
@@ -268,6 +268,21 @@ def test_quadrature_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
+
+
+def test_starved_quadrature_raises_instead_of_returning():
+    # one Gauss-Kronrod panel: scipy's own error estimate (0.31 for the
+    # Gaussian d=3 moment) exceeds the tolerance, so no value comes back
+    starved = QuadratureConfig(max_subdivisions=1)
+    with pytest.raises(QuadratureError) as info:
+        moment_d(KernelSpec.gaussian(3), starved)
+    assert info.value.residual > 0.1
+    with pytest.raises(QuadratureError):
+        l1_norm(KernelSpec.poisson(2), starved)
+    # the [R, 2] bridge ahead of the poly/poisson tail series
+    strict = QuadratureConfig(abs_tol=1e-16, rel_tol=1e-16, max_subdivisions=1)
+    with pytest.raises(QuadratureError):
+        tail_mass(KernelSpec.poisson(2), 0.0, strict)
 
 
 def test_tail_bound_report():

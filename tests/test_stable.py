@@ -1,6 +1,7 @@
 """Radial alpha-stable density engine: table, series, tails, cache."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,15 +14,15 @@ from heatlab.kernel import moment_d_closed_form, KernelSpec, poisson_constant, u
 from heatlab.stable import (
     StableDensity,
     _gl_nodes_weights,
-    cutoff_radius,
     density,
-    hankel_p1_adaptive,
     p1_at_zero,
     series_coefficients,
     series_bound,
     series_eval,
+    subordination_p1,
     switch_radius,
 )
+from hankel_reference import cutoff_radius, hankel_p1_adaptive
 
 
 def test_value_at_origin_closed_form():
@@ -66,6 +67,49 @@ def test_series_error_bound_is_honest():
     val, err = dens.value_and_error(r)
     ref, _ = hankel_p1_adaptive(1.5, 2, r, abs_tol=1e-14, rel_tol=1e-11)
     assert abs(val - ref) <= 10 * err + 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [0.2, 0.25, 0.3, 0.4, 0.5, 0.7, 1.0, 1.5, 1.9])
+def test_every_alpha_builds_or_raises_in_bounded_time(alpha, d):
+    # the smallest alpha have peaks too sharp for the spline table, which then
+    # fails validation after its four builds instead of hanging or lying
+    t0 = time.perf_counter()
+    try:
+        dens = StableDensity(alpha, d)
+    except QuadratureError as exc:
+        assert exc.residual > 0
+    else:
+        defect, ok = dens._validate(dens._spline)
+        assert ok and defect == dens.table_error
+    assert time.perf_counter() - t0 <= 5.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_small_alpha_builds(d):
+    dens = density(0.3, d)
+    r = np.linspace(0.0, dens.r_switch, 33)
+    assert np.all(np.diff(dens.evaluate(r)) < 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [0.2, 0.3])
+def test_subordination_matches_convergent_series(alpha, d):
+    # below alpha = 1 the full series converges at every r > 0; all 220
+    # coefficients leave a remainder below 1e-250 on [0.05, 0.8]
+    r = np.geomspace(0.05, 0.8, 13)
+    ref, mag = _log_form_sum(alpha, d, 220, r)
+    assert np.all(mag <= 400 * ref)
+    np.testing.assert_allclose(subordination_p1(alpha, d, r), ref, rtol=1e-11, atol=0.0)
+
+
+def test_subordination_rules_agree_near_two():
+    # alpha -> 2 confines the heavy tail to a thin layer at phi = pi
+    for alpha in (1.99, 1.999, 1.9999):
+        r = np.linspace(0.0, 9.0, 19)
+        coarse = subordination_p1(alpha, 2, r)
+        fine = subordination_p1(alpha, 2, r, refine=2)
+        np.testing.assert_allclose(coarse, fine, rtol=1e-13, atol=1e-14)
 
 
 def test_tail_mass_closed_form_alpha_one():
