@@ -216,22 +216,31 @@ def series_bound(alpha, d, scaled, r_ref, r):
     return float(err[0]) if arr.ndim == 0 else err
 
 
+# Longest tail series switch_radius accepts: at ~40 terms a Horner radius
+# costs about as much as a table radius, so near alpha = 1, where the series
+# meets its target at r ~ 1.2 only with K ~ 170, the table is extended instead.
+MAX_SERIES_TERMS = 40
+
+
 def switch_radius(alpha, d, abs_tol, rel_tol):
     """(r_s, K, err, c'_1..c'_{K+2}) at the smallest scanned radius r_s in
     [0.8, 60] where the truncated series meets a tenth of the mixed target
-    max(abs_tol, rel_tol |p_1(r_s)|); raises if no scanned radius does."""
+    max(abs_tol, rel_tol |p_1(r_s)|) with K <= MAX_SERIES_TERMS; raises if no
+    scanned radius does."""
     coeffs = series_coefficients(alpha, d)
     floor = 0.1 * abs_tol
     for r in np.geomspace(0.8, 60.0, 36):
         r = float(r)
         K, err = series_truncation(alpha, d, coeffs, r, floor)
+        if K > MAX_SERIES_TERMS:
+            continue
         scaled = rescaled_coefficients(alpha, d, coeffs, r, K + 2)
         val = series_eval(alpha, d, scaled, r, r)
         if err < 0.1 * max(abs_tol, rel_tol * abs(val)):
             return r, K, err, scaled
     raise QuadratureError(
-        f"tail series for alpha={alpha}, d={d} misses its tolerance at every "
-        "switch radius up to 60",
+        f"tail series for alpha={alpha}, d={d} misses its tolerance within "
+        f"{MAX_SERIES_TERMS} terms at every switch radius up to 60",
         err,
     )
 
@@ -268,10 +277,11 @@ class StableDensity:
         # node grading: quadratic clustering toward 0 for alpha < 1 where the
         # peak curvature scale Gamma((d+4)/alpha) is large
         n = 700 if self.alpha < 1.0 else 520
-        grade = 2.0 if self.alpha < 1.0 else 1.4
+        self._grade = 2.0 if self.alpha < 1.0 else 1.4
         # the spline ends with the partial sum's slope, -sum (d + alpha k) c'_k / r_switch
         expo = self.d + self.alpha * np.arange(1, self.series_K + 1, dtype=float)
         deriv_end = -float(np.sum(expo * self._scaled[: self.series_K])) / self.r_switch
+        bc = ((1, 0.0), (1, deriv_end))
         try:
             peak = p1_at_zero(self.alpha, self.d)
         except OverflowError:
@@ -282,11 +292,11 @@ class StableDensity:
             ) from None
         for _ in range(4):
             u = np.linspace(0.0, 1.0, n)
-            r_nodes = self.r_switch * u**grade
-            vals = subordination_p1(self.alpha, self.d, r_nodes)
+            self.table_nodes = self.r_switch * u**self._grade
+            vals = subordination_p1(self.alpha, self.d, self.table_nodes)
             vals[0] = peak
-            spline = CubicSpline(r_nodes, vals, bc_type=((1, 0.0), (1, deriv_end)))
-            defect, ok = self._validate(spline)
+            self._coef = CubicSpline(self.table_nodes, vals, bc_type=bc).c
+            defect, ok = self._validate()
             if ok:
                 break
             n = int(n * 1.7)
@@ -296,15 +306,14 @@ class StableDensity:
                 "failed validation after 4 table builds",
                 defect,
             )
-        self._spline = spline
-        self.table_nodes = r_nodes
         self.table_error = defect
         self._lock = threading.Lock()
 
-    def _validate(self, spline):
-        """Check the spline at probe radii spread across the table (including
-        the peaked head) against the subordination integral on the twice
-        finer rule, whose gap to the table's rule is the reference error.
+    def _validate(self):
+        """Check the table, through the runtime evaluator ``_table``, at probe
+        radii spread across it (including the peaked head) against the
+        subordination integral on the twice finer rule, whose gap to the
+        table's rule is the reference error.
         Returns (max absolute defect, all probes within their local mixed
         tolerance); raises if the two rules disagree beyond a hundredth of
         the tolerance."""
@@ -314,20 +323,40 @@ class StableDensity:
         refs = subordination_p1(self.alpha, self.d, probes, refine=2)
         errs = np.abs(refs - subordination_p1(self.alpha, self.d, probes))
         worst, ok = 0.0, True
-        for r, ref, err in zip(probes, refs, errs):
+        for r, ref, err, val in zip(probes, refs, errs, self._table(probes)):
             if err > 0.01 * self._target(ref):
                 raise QuadratureError(
                     f"subordination quadrature for alpha={self.alpha}, d={self.d}, "
                     f"r={r} did not converge",
                     float(err),
                 )
-            defect = max(abs(float(spline(r)) - ref) - err, 0.0)
+            defect = max(abs(float(val) - ref) - err, 0.0)
             worst = max(worst, defect)
             if defect > 0.5 * self._target(ref):
                 ok = False
         return worst, ok
 
     # -- evaluation --------------------------------------------------------
+
+    def _table(self, r):
+        """The cubic table at radii 0 <= r <= r_switch (1-D array), bit for bit
+        what ``CubicSpline.__call__`` returns on the same coefficients.
+
+        The nodes sit on the graded grid r_switch (j/m)^grade, so the interval
+        index comes from inverting the grading instead of a binary search; one
+        comparison each way against the nodes corrects its rounding, giving
+        searchsorted(nodes, r, 'right') - 1 with r_switch in the last interval.
+        The cubic is summed in scipy's order, c3 + c2 s + c1 s^2 + c0 (s^2 s).
+        """
+        x, c = self.table_nodes, self._coef
+        m = len(x) - 1
+        i = ((r / self.r_switch) ** (1.0 / self._grade) * m).astype(np.intp)
+        np.minimum(i, m - 1, out=i)
+        i -= x[i] > r
+        i += x[i + 1] <= r
+        np.minimum(i, m - 1, out=i)
+        s = r - x[i]
+        return c[3][i] + c[2][i] * s + c[1][i] * (s * s) + c[0][i] * (s * s * s)
 
     def _clamp(self, out):
         """Zero negative quadrature noise in ``out`` (in place, counted in
@@ -356,7 +385,7 @@ class StableDensity:
         out = np.empty_like(arr)
         near = arr <= self.r_switch
         if near.any():
-            out[near] = self._spline(arr[near])
+            out[near] = self._table(arr[near])
         if not near.all():
             out[~near] = series_eval(self.alpha, self.d, self._scaled, self.r_switch, arr[~near])
         self._clamp(out)
@@ -415,7 +444,9 @@ def density(alpha, d, abs_tol=1e-10, rel_tol=1e-8):
         hit = _cache.get(key)
     if hit is not None:
         return hit
-    dens = StableDensity(alpha, d, abs_tol=abs_tol, rel_tol=rel_tol)
+    # built from the key's alpha, so the entry does not depend on which
+    # caller's alpha within the rounding reached the cache first
+    dens = StableDensity(key[0], d, abs_tol=abs_tol, rel_tol=rel_tol)
     with _cache_lock:
         _cache.setdefault(key, dens)
     return _cache[key]

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PPoly
 
 from heatlab import stable
 from heatlab.errors import QuadratureError, RegimeError
@@ -37,10 +38,18 @@ def test_value_at_origin_closed_form():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_alpha_one_matches_poisson(d):
+    # the table serves [0, r_switch ~ 1.9] at K <= 40; past r_switch the
+    # series is held to its own truncation bound, which just beyond r_switch
+    # (~3e-12) exceeds the table's error
     dens = density(1.0, d)
-    r = np.linspace(0.0, 15.0, 61)
+    r = np.linspace(0.0, 20.0, 4001)
     closed = poisson_constant(d) / (1.0 + r**2) ** ((d + 1) / 2.0)
-    np.testing.assert_allclose(dens.evaluate(r), closed, atol=1e-10, rtol=1e-8)
+    err = np.abs(dens.evaluate(r) - closed)
+    near = r <= dens.r_switch
+    assert r[near][-1] > 1.89
+    assert err[near].max() <= 2e-12
+    bound = series_bound(1.0, d, dens._scaled, dens.r_switch, r[~near])
+    assert np.all(err[~near] <= bound + 1e-15)
 
 
 @pytest.mark.parametrize("alpha,d", [(0.6, 2), (1.5, 2), (1.5, 3), (1.2, 4)])
@@ -80,8 +89,16 @@ def test_every_alpha_builds_or_raises_in_bounded_time(alpha, d):
     except QuadratureError as exc:
         assert exc.residual > 0
     else:
-        defect, ok = dens._validate(dens._spline)
+        defect, ok = dens._validate()
         assert ok and defect == dens.table_error
+        # the join at r_switch: a short series, meeting the table within the
+        # density's tolerance, with its truncation bound a tenth of it
+        r_s = dens.r_switch
+        target = dens._target(subordination_p1(alpha, d, np.array([r_s]))[0])
+        assert dens.series_K <= stable.MAX_SERIES_TERMS
+        table = dens._table(np.array([r_s]))[0]
+        assert abs(table - series_eval(alpha, d, dens._scaled, r_s, r_s)) <= target
+        assert series_bound(alpha, d, dens._scaled, r_s, r_s) < 0.1 * target
     assert time.perf_counter() - t0 <= 5.0
 
 
@@ -205,10 +222,10 @@ def test_horner_matches_log_form_sum(alpha, d):
     frac=st.floats(0.0, 1.0),
 )
 def test_horner_matches_log_form_sum_property(alpha, d, frac):
-    # Measured against the term magnitudes: for alpha just below 1 the switch
-    # radius is 0.8, where the alternating series cancels ~3.5 digits in any
-    # summation order (alpha=0.913, d=5: both sums sit 5e-13 and 8e-13 from
-    # a 40-digit reference).  Elsewhere the two scales coincide.
+    # Measured against the term magnitudes: for alpha just below 1 the
+    # alternating series cancels up to ~1.5 digits at the switch radius in any
+    # summation order (sum |terms| / |sum| = 29 at alpha=0.8, d=5).
+    # Elsewhere the two scales coincide.
     r_s, K, _, scaled = switch_radius(alpha, d, 1e-10, 1e-8)
     r = r_s * (1.0 + 1e-12) * (1e6 / r_s) ** frac
     val = series_eval(alpha, d, scaled, r_s, r)
@@ -240,6 +257,32 @@ def test_scalar_and_batch_evaluation_agree_bitwise():
         assert dens.value_and_error(x)[0] == b
 
 
+@pytest.mark.parametrize(
+    "alpha,d",
+    [(a, d) for a in (0.5, 0.7, 0.9, 1.0, 1.2, 1.5, 1.8) for d in (2, 3, 5)] + [(0.3, 2)],
+)
+def test_table_lookup_matches_scipy_bitwise(alpha, d):
+    # CubicSpline.__call__ is PPoly.__call__ on the spline's coefficients;
+    # alpha = 0.3, d = 2 needs a second table build, so n is neither 520 nor 700
+    dens = density(alpha, d)
+    x = dens.table_nodes
+    if (alpha, d) == (0.3, 2):
+        assert len(x) not in (520, 700)
+    rng = np.random.default_rng(11)
+    r = np.concatenate(
+        [
+            rng.uniform(0.0, dens.r_switch, 10**5),
+            x,
+            np.nextafter(x[1:], -np.inf),
+            np.nextafter(x[:-1], np.inf),
+            [0.0, dens.r_switch],
+        ]
+    )
+    expected = PPoly.construct_fast(dens._coef, x)(r)
+    np.testing.assert_array_equal(dens._table(r), expected)
+    np.testing.assert_array_equal(dens.evaluate(r), expected)
+
+
 def test_series_branch_memory_is_bounded():
     dens = density(1.0, 2)
     r = dens.r_switch * np.geomspace(1.0 + 1e-12, 50.0, 2**18)
@@ -253,7 +296,7 @@ def test_series_branch_memory_is_bounded():
 
 
 def test_table_that_fails_validation_raises(monkeypatch):
-    monkeypatch.setattr(StableDensity, "_validate", lambda self, spline: (0.25, False))
+    monkeypatch.setattr(StableDensity, "_validate", lambda self: (0.25, False))
     with pytest.raises(QuadratureError) as info:
         StableDensity(1.5, 2)
     assert info.value.residual == 0.25
@@ -287,6 +330,19 @@ def test_constructor_validation():
         StableDensity(0.0, 2)
     with pytest.raises(ValueError):
         StableDensity(1.5, 1)
+
+
+def test_factory_result_does_not_depend_on_call_order(monkeypatch):
+    # 1.5 + 1e-14 shares the cache key of 1.5; whichever comes first, the
+    # cached density is the one built at the key's alpha
+    fresh = StableDensity(1.5, 2)
+    for first, second in [(1.5 + 1e-14, 1.5), (1.5, 1.5 + 1e-14)]:
+        monkeypatch.setattr(stable, "_cache", {})
+        density(first, 2)
+        dens = density(second, 2)
+        assert dens.alpha == 1.5
+        assert dens.evaluate(2.0) == fresh.evaluate(2.0)
+        np.testing.assert_array_equal(dens._coef, fresh._coef)
 
 
 def test_factory_caches_per_key():
