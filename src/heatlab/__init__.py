@@ -40,7 +40,6 @@ from .content import (
     ball_poisson_decomposition,
     bound_check_part_i,
     bound_check_part_ii,
-    deficit,
     heat_content,
     heat_sweep,
     poly_lambda,
@@ -62,7 +61,6 @@ from .kernel import (
     moment_d_closed_form,
     poisson_constant,
     stable_tail_constant,
-    tail_bound_check,
     tail_mass,
     unit_ball_volume,
     unit_sphere_area,

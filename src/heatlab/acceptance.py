@@ -3,7 +3,7 @@
 Each criterion checks one headline identity, law, bound, or plumbing
 guarantee against an independent route (closed form, Monte Carlo, or a
 second quadrature), at a fixed tolerance.  ``run_battery`` executes them in
-order with shared caches and renders a deterministic CSV body (no
+order with one shared context and renders a deterministic CSV body (no
 timestamps, fixed formats) so that two runs with the same seed can be
 compared byte for byte -- which is itself criterion 17.
 """
@@ -57,21 +57,15 @@ class CriterionResult:
 
 @dataclass
 class Context:
-    """Shared state for one battery run: seed, sample sizes, caches."""
+    """Shared state for one battery run: seed, sample sizes, tolerances."""
 
     seed: int = 0
     quick: bool = False
     cfg: QuadratureConfig = field(default_factory=QuadratureConfig)
-    _profiles: dict = field(default_factory=dict)
 
     @property
     def mc_samples(self):
         return 2**17 if self.quick else 10**6
-
-    def profile(self, shape):
-        if shape not in self._profiles:
-            self._profiles[shape] = radial_profile(shape)
-        return self._profiles[shape]
 
 
 def _rel(a, b):
@@ -117,7 +111,7 @@ def criterion_03(ctx):
         bounds_ok = bool(np.all(g_plus >= 0.0) and np.all(g_plus <= vol + 1e-12))
         far = covariance(shape, np.ones(d) * (1.01 * ell / math.sqrt(d)))
         # integral of g over R^d equals |Omega|^2, via the radial profile
-        prof = ctx.profile(shape)
+        prof = radial_profile(shape)
         edges = np.unique(np.concatenate([np.linspace(0.0, ell, 257), np.asarray(prof.kink_radii)]))
         nodes, weights = _gl_nodes_weights(edges)
         integral = float(np.sum(weights * nodes ** (d - 1) * prof.ghat(nodes)))
@@ -165,7 +159,7 @@ def criterion_06(ctx):
     """alpha=1.5 ball: extrapolated deficit/t^(2/3) vs 2 Gamma(1/3)."""
     spec = KernelSpec.stable(1.5, 2)
     ball = Ball(1.0, 2)
-    rep = hc.asymptotic_sweep(spec, ball, t_grid=(1e-2, 1e-3, 1e-4, 1e-5), cfg=ctx.cfg, profile=ctx.profile(ball))
+    rep = hc.asymptotic_sweep(spec, ball, t_grid=(1e-2, 1e-3, 1e-4, 1e-5), cfg=ctx.cfg)
     target = 2.0 * math.gamma(1.0 / 3.0)
     rel = _rel(rep.extrapolated_limit, target)
     return rel <= 0.05, f"extrapolated {rep.extrapolated_limit:.6f} vs 2*Gamma(1/3)={target:.6f}, rel={rel:.2e} (tol 5e-2)"
@@ -179,14 +173,13 @@ def criterion_07(ctx):
     lambda(B)/(2 ln(1/t)) relative to the limit 2.
     """
     ball = Ball(1.0, 2)
-    prof = ctx.profile(ball)
     spec = KernelSpec.stable(1.0, 2)
-    rep = hc.asymptotic_sweep(spec, ball, cfg=ctx.cfg, profile=prof)
+    rep = hc.asymptotic_sweep(spec, ball, cfg=ctx.cfg)
     y_small = rep.scaled_deficits[-1]
     rel = _rel(y_small, 2.0)
     kd = poisson_constant(2)
     poly = KernelSpec.poly_family(d=2, kappa=kd, n=2.0, m=1.5, beta=-2.0, gamma=1.0)
-    bc = hc.bound_check_part_ii(poly, ball, cfg=ctx.cfg, profile=prof)
+    bc = hc.bound_check_part_ii(poly, ball, cfg=ctx.cfg)
     ok = rel <= 0.10 and bc.all_passed
     return bool(ok), (
         f"y(1e-5)={y_small:.5f} rel={rel:.2%} (tol 10%); finite-t bound all_passed={bc.all_passed}"
@@ -200,7 +193,7 @@ def criterion_08(ctx):
     p_quad = alpha_perimeter(ball, 0.5, cfg=ctx.cfg)
     est = mc_alpha_perimeter(ball, 0.5, samples=ctx.mc_samples, seed=ctx.seed)
     z = abs(est.value - p_quad) / max(est.stderr, 1e-300)
-    rep = hc.asymptotic_sweep(spec, ball, cfg=ctx.cfg, profile=ctx.profile(ball))
+    rep = hc.asymptotic_sweep(spec, ball, cfg=ctx.cfg)
     target = stable_tail_constant(0.5, 2) * p_quad
     rel = _rel(rep.extrapolated_limit, target)
     ok = rel <= 0.05 and z <= 3.0
@@ -213,8 +206,7 @@ def criterion_09(ctx):
     worst = 0.0
     msgs = []
     for shape, per in ((Ball(1.0, 2), 2.0 * math.pi), (Box((1.0, 1.0)), 4.0)):
-        prof = ctx.profile(shape)
-        dtil, _ = hc.scaled_deficit(spec, prof, 1e-6, ctx.cfg)
+        dtil, _ = hc.scaled_deficit(spec, radial_profile(shape), 1e-6, ctx.cfg)
         y = dtil / math.sqrt(1e-6)
         target = per / math.sqrt(math.pi)
         rel = _rel(y, target)
@@ -232,7 +224,7 @@ def criterion_10(ctx):
         for d in (2, 3):
             for shape in (Ball(1.0, d), Box((1.0, 2.0)) if d == 2 else Box((1.0, 2.0, 3.0))):
                 spec = KernelSpec.stable(alpha, d)
-                bc = hc.bound_check_part_i(spec, shape, t_grid=t_grid, cfg=ctx.cfg, profile=ctx.profile(shape))
+                bc = hc.bound_check_part_i(spec, shape, t_grid=t_grid, cfg=ctx.cfg)
                 ok &= bc.all_passed
                 margin = max(l / r for l, r in zip(bc.lhs, bc.rhs))
                 worst_margin = max(worst_margin, margin)
@@ -248,7 +240,7 @@ def criterion_11(ctx):
     head = math.log(1.0 + math.sqrt(2.0)) - 1.0 / math.sqrt(2.0)
     lam_closed = math.pi / 2.0 * 2.0 * math.pi * kd + kd * 2.0 * (2.0 * math.pi) * (math.log(2.0) + head)
     lam_err = abs(lam - lam_closed)
-    bc = hc.bound_check_part_ii(poly, ball, t_grid=(0.5, 0.1, 1e-3), cfg=ctx.cfg, profile=ctx.profile(ball))
+    bc = hc.bound_check_part_ii(poly, ball, t_grid=(0.5, 0.1, 1e-3), cfg=ctx.cfg)
     # pointwise bound only: the limsup side-check needs a grid reaching
     # t ~ 1e-5 to be meaningful and is exercised by criterion 7
     pointwise = all(bc.passed)
@@ -262,7 +254,7 @@ def criterion_12(ctx):
     msgs = []
     for d in (2, 3):
         ball = Ball(1.0, d)
-        prof = ctx.profile(ball)
+        prof = radial_profile(ball)
         spec = KernelSpec.poisson(d)
         per = perimeter(ball)
         volb = unit_ball_volume(d)
@@ -308,7 +300,7 @@ def criterion_14(ctx):
     msgs = []
     cases = [(KernelSpec.stable(alpha, 2), t) for alpha in (1.0, 1.5) for t in (0.1, 0.01)]
     for shape in (Ball(1.0, 2), Box((1.0, 1.0))):
-        prof = ctx.profile(shape)
+        prof = radial_profile(shape)
         ests = mc_heat_content(shape, cases, samples=ctx.mc_samples, seed=ctx.seed)
         for (spec, t), est in zip(cases, ests):
             res = hc.heat_content(spec, prof, t, ctx.cfg)
@@ -383,15 +375,13 @@ def run_criterion(cid, ctx) -> CriterionResult:
     return CriterionResult(cid=cid, name=name, passed=passed, detail=detail, seconds=dt)
 
 
-def run_battery(seed=0, quick=False, include_17=True, criteria=None, cfg=None):
+def run_battery(seed=0, quick=False, include_17=True, cfg=None):
     """Run the numbered criteria in order; returns (results, csv_body).
 
     The CSV body holds no timings, so identical seeds give identical bytes.
     """
     ctx = Context(seed=seed, quick=quick, cfg=cfg if cfg is not None else QuadratureConfig())
-    cids = sorted(criteria) if criteria else sorted(_CRITERIA)
-    if not include_17:
-        cids = [c for c in cids if c != 17]
+    cids = [c for c in sorted(_CRITERIA) if include_17 or c != 17]
     results = [run_criterion(cid, ctx) for cid in cids]
     rows = [(r.cid, r.name, "pass" if r.passed else "FAIL", r.detail) for r in results]
     body = csv_table(

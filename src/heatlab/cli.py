@@ -149,15 +149,12 @@ def cmd_kernel_eval(cfg: RunConfig) -> int:
         meta["alpha"] = cfg.alpha
     meta["l1_norm"] = l1_norm(spec, qc)
     meta["l1_norm_closed_form"] = l1_norm_closed_form(spec)
-    if cfg.moment:
-        meta["moment_d"] = moment_d(spec, qc)  # raises in divergent regimes
+    try:
+        meta["moment_d"] = moment_d(spec, qc)
         meta["moment_d_closed_form"] = moment_d_closed_form(spec)
-    else:
-        try:
-            meta["moment_d"] = moment_d(spec, qc)
-            meta["moment_d_closed_form"] = moment_d_closed_form(spec)
-        except RegimeError:
-            pass
+    except RegimeError:
+        if cfg.moment:  # --moment asks for the rows: divergent regimes exit 2
+            raise
     p1 = eval_p1(spec, r, qc)
     if cfg.t is not None:
         rows = [(cfg.t, ri, pi, pti) for ri, pi, pti in zip(r, p1, eval_pt(spec, cfg.t, r, qc))]

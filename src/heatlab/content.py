@@ -40,9 +40,7 @@ from .geometry import (
 )
 from .kernel import (
     GAUSSIAN,
-    POISSON,
     POLY,
-    STABLE,
     KernelSpec,
     QuadratureConfig,
     _check_time,
@@ -243,11 +241,6 @@ def heat_content(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=Non
     return _heat_content_result(spec, profile, t, dtil, err)
 
 
-def deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=None) -> float:
-    """t^{beta+d*gamma} ||p_1||_1 |Omega| - H(t); nonnegative up to quadrature."""
-    return heat_content(spec, profile, t, cfg).deficit
-
-
 # ---------------------------------------------------------------------------
 # limit constants
 
@@ -303,10 +296,10 @@ def theoretical_constant(spec: KernelSpec, shape, cfg=None) -> float:
 # sweeps
 
 
-def _sweep_inputs(shape, t_grid, profile):
+def _sweep_inputs(shape, t_grid):
     """The grid as floats (DEFAULT_T_GRID if None) and the shape's profile."""
     t_grid = tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
-    return t_grid, radial_profile(shape) if profile is None else profile
+    return t_grid, radial_profile(shape)
 
 
 def _sweep_scaled_deficits(spec, profile, t_grid, cfg):
@@ -335,7 +328,7 @@ def _fit_abscissa(spec, t):
     return 1.0 / np.log(1.0 / t)
 
 
-def heat_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=None):
+def heat_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None):
     """One pass over a decreasing grid: (AsymptoticReport, [HeatContentResult]).
 
     D~(t) is computed once per grid point; the report's scaled deficits and
@@ -344,7 +337,7 @@ def heat_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=None):
     is the extrapolated limit.
     """
     cfg = cfg or _DEFAULT_CFG
-    t_grid, profile = _sweep_inputs(shape, t_grid, profile)
+    t_grid, profile = _sweep_inputs(shape, t_grid)
     if len(t_grid) < 3:
         raise ValueError("a sweep needs at least 3 grid points")
     if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
@@ -373,18 +366,18 @@ def heat_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=None):
     return report, results
 
 
-def asymptotic_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=None) -> AsymptoticReport:
+def asymptotic_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None) -> AsymptoticReport:
     """Scaled deficits over a decreasing grid, extrapolated to t -> 0."""
-    return heat_sweep(spec, shape, t_grid=t_grid, cfg=cfg, profile=profile)[0]
+    return heat_sweep(spec, shape, t_grid=t_grid, cfg=cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # bound checks
 
 
-def _bound_check(name, spec, shape, t_grid, cfg, profile, rhs_of, extra) -> BoundCheckReport:
+def _bound_check(name, spec, shape, t_grid, cfg, rhs_of, extra) -> BoundCheckReport:
     """Pointwise D~(t) <= rhs_of(t) + slack, slack twice the quadrature error."""
-    t_grid, profile = _sweep_inputs(shape, t_grid, profile)
+    t_grid, profile = _sweep_inputs(shape, t_grid)
     rhs = [rhs_of(t) for t in t_grid]
     lhs, errs = _sweep_scaled_deficits(spec, profile, t_grid, cfg)
     slack = [2.0 * (e + cfg.abs_tol) + 1e-12 * abs(r) for e, r in zip(errs, rhs)]
@@ -407,7 +400,7 @@ def _bound_check(name, spec, shape, t_grid, cfg, profile, rhs_of, extra) -> Boun
     )
 
 
-def bound_check_part_i(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=None) -> BoundCheckReport:
+def bound_check_part_i(spec: KernelSpec, shape, t_grid=None, cfg=None) -> BoundCheckReport:
     """Checks D~(t) <= t^gamma * w_{d-1} * Per(Omega) * int r^d p_1 for all t.
 
     The right side is finite only when the kernel has a finite d-th radial
@@ -421,7 +414,7 @@ def bound_check_part_i(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=N
     mom = moment_d(spec, cfg)
     rhs_of = lambda t: t**gamma * w * per * mom
     extra = {"moment_d": mom, "perimeter": per}
-    return _bound_check("perimeter-moment bound", spec, shape, t_grid, cfg, profile, rhs_of, extra)
+    return _bound_check("perimeter-moment bound", spec, shape, t_grid, cfg, rhs_of, extra)
 
 
 def poly_lambda(spec: KernelSpec, shape, cfg=None) -> float:
@@ -442,7 +435,7 @@ def poly_lambda(spec: KernelSpec, shape, cfg=None) -> float:
     return vol / ell * unit_sphere_area(d) * kappa + kappa * w * per * (math.log(ell) + head)
 
 
-def bound_check_part_ii(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=None) -> BoundCheckReport:
+def bound_check_part_ii(spec: KernelSpec, shape, t_grid=None, cfg=None) -> BoundCheckReport:
     """Log-regime bound D~(t) <= t^gamma (lambda + kappa w_{d-1} Per gamma ln(1/t)).
 
     Valid for the polynomial family whenever t^gamma < ell; also reports the
@@ -464,7 +457,7 @@ def bound_check_part_ii(spec: KernelSpec, shape, t_grid=None, cfg=None, profile=
         return t**gamma * (lam + env * math.log(1.0 / t))
 
     extra = {"lambda": lam, "envelope_constant": env}
-    rep = _bound_check("log-regime bound", spec, shape, t_grid, cfg, profile, rhs_of, extra)
+    rep = _bound_check("log-regime bound", spec, shape, t_grid, cfg, rhs_of, extra)
     t_min = rep.t_grid[-1]
     limsup_ratio = rep.lhs[-1] / (t_min**gamma * math.log(1.0 / t_min)) / env
     limsup_ok = limsup_ratio <= 1.1

@@ -13,9 +13,10 @@ and, above it, a sum of closed-form integrals over caps of the octant of S^2.
 A generic ``Indicator`` shape has no closed form, so it is served only by the
 Monte Carlo estimators that report a stderr: ``covariance_mc`` here and
 ``oracle.mc_heat_content``.  Every route that would return a bare Monte Carlo
-number for it -- ``radial_profile`` (hence ``alpha_perimeter``), ``perimeter``,
-``perimeter_via_directional``, ``directional_variation``, ``covariance`` and
-``volume`` without a declared volume -- raises ``UnsupportedShapeError``.
+number or a bound in place of the value for it -- ``radial_profile`` (hence
+``alpha_perimeter``), ``perimeter``, ``perimeter_via_directional``,
+``directional_variation``, ``covariance``, ``diameter`` and ``volume`` without
+a declared volume -- raises ``UnsupportedShapeError``.
 """
 
 import math
@@ -74,8 +75,8 @@ class Indicator:
     known exactly (finite, positive and at most the bounding-box volume), and
     ``volume()`` then returns it.  The shape is accepted by ``covariance_mc``
     and ``oracle.mc_heat_content``, which return an estimate with its stderr
-    (``covariance_mc(shape, 0)`` estimates |Omega|), and by ``diameter``;
-    every closed-form or profile-based call raises ``UnsupportedShapeError``.
+    (``covariance_mc(shape, 0)`` estimates |Omega|); every closed-form or
+    profile-based call, ``diameter`` included, raises ``UnsupportedShapeError``.
     """
 
     d: int
@@ -112,15 +113,13 @@ def volume(shape):
 
 
 def diameter(shape):
-    """Diameter of the shape; for Indicator this is the bounding-box diagonal
-    (an upper bound for the true diameter)."""
+    """Diameter of a Ball or Box; an Indicator raises, since its bounding-box
+    diagonal is only an upper bound."""
     if isinstance(shape, Ball):
         return 2.0 * shape.radius
     if isinstance(shape, Box):
         return math.sqrt(sum(s * s for s in shape.sides))
-    lo = np.asarray(shape.bbox_lo, dtype=float)
-    hi = np.asarray(shape.bbox_hi, dtype=float)
-    return float(np.linalg.norm(hi - lo))
+    raise UnsupportedShapeError("no closed-form diameter for Indicator shapes")
 
 
 def perimeter(shape):
@@ -521,9 +520,9 @@ def _variation_batch(shape, U, h_grid):
     return quotients @ w, quotients
 
 
-def directional_variation(shape, u, h_grid=None):
+def directional_variation(shape, u):
     """V_u(Omega) = 2 lim_{r->0+} (g(0) - g(r u)) / r via Richardson-style
-    extrapolation over h_grid (default ell * geomspace(1e-2, 1e-6, 5))."""
+    extrapolation over h = ell * geomspace(1e-2, 1e-6, 5)."""
     u = np.asarray(u, dtype=float)
     if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
@@ -531,8 +530,7 @@ def directional_variation(shape, u, h_grid=None):
         raise UnsupportedShapeError(
             "directional variation needs the closed-form covariance of Ball/Box"
         )
-    if h_grid is None:
-        h_grid = diameter(shape) * np.geomspace(1e-2, 1e-6, 5)
+    h_grid = diameter(shape) * np.geomspace(1e-2, 1e-6, 5)
     val, quotients = _variation_batch(shape, u[None, :], h_grid)
     q = quotients[0]
     # the quotient should settle monotonically; wild non-monotonicity signals
@@ -588,7 +586,7 @@ def perimeter_via_directional(shape):
 # -- alpha-perimeter ----------------------------------------------------------
 
 
-def alpha_perimeter(shape, alpha, profile=None, cfg=None):
+def alpha_perimeter(shape, alpha, cfg=None):
     """P_alpha(Omega) = int_0^inf rho^{-1-alpha} (A_d |Omega| - ghat(rho)) drho.
 
     Finite exactly when alpha in (0,1) for sets of finite perimeter; the
@@ -602,11 +600,8 @@ def alpha_perimeter(shape, alpha, profile=None, cfg=None):
         )
     cfg = cfg if cfg is not None else QuadratureConfig()
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    if profile is None:
-        profile = radial_profile(shape)
+    profile = radial_profile(shape)
     ell = profile.support_radius
-    if abs(ell - diameter(shape)) > 1e-9 * max(1.0, ell):
-        raise ValueError("profile support radius does not match the shape diameter")
     advol = unit_sphere_area(shape.d) * profile.volume
     r_floor = 1e-9 * ell
 
@@ -617,8 +612,7 @@ def alpha_perimeter(shape, alpha, profile=None, cfg=None):
         rho = max(rho, r_floor)
         return (advol - profile.ghat(rho)) / rho
 
-    cuts = sorted({c for c in _profile_breakpoints(shape) if 1e-12 < c < ell})
-    edges = [0.0] + cuts + [ell]
+    edges = [0.0, *profile.kink_radii, ell]
     total = 0.0
     # first segment carries the rho^{-alpha} singularity
     head, err = quad(

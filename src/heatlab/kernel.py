@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaincc, gammaln
+from scipy.special import betainc, betaln, gammaincc, gammaln
 
 from .errors import DivergentMomentError, QuadratureError, RegimeError
 from .stable import _gl_nodes_weights, density
@@ -224,19 +224,22 @@ def _integrate_power_against_table(dens, q):
     return float(weights @ (nodes**q * dens.evaluate(nodes)))
 
 
-def _poly_tail_mass(d, kappa, n, m, R):
-    """int_R^inf r^{d-1} (1+r^n)^{-m} dr * kappa via the binomial series
-    in r^{-n}; requires R > 1 (used with R >= 2) and convergent exponents."""
-    j = np.arange(0, 60, dtype=float)
-    expo = n * m + n * j - d
-    # (-1)^j binom(m+j-1, j): pole-free form of binom(-m, j) for integer m
-    coeff = (-1.0) ** j * np.exp(gammaln(m + j) - gammaln(m) - gammaln(j + 1.0))
-    terms = coeff * R ** (-expo) / expo
-    return kappa * float(terms.sum())
+def _algebraic_tail_mass(d, kappa, n, m, R):
+    """kappa int_R^inf r^{d-1} (1+r^n)^{-m} dr = kappa/n B(a, b) I_x(a, b),
+    a = m - d/n, b = d/n, x = 1/(1 + R^n): u = r^n turns the integral into an
+    incomplete Beta function.  x is formed from R^n only for R <= 1 and from
+    R^{-n} otherwise, so neither power overflows."""
+    a, b = m - d / n, d / n
+    if R <= 1.0:
+        x = 1.0 / (1.0 + R**n)
+    else:
+        v = R**-n
+        x = v / (1.0 + v)
+    return kappa / n * math.exp(betaln(a, b)) * float(betainc(a, b, x))
 
 
 def tail_mass(spec, R, cfg=_DEFAULT_CFG):
-    """int_R^inf r^{d-1} p_1(r) dr, via analytic tails (power series for the
+    """int_R^inf r^{d-1} p_1(r) dr, via analytic tails (incomplete Beta for the
     algebraic families, incomplete Gamma for Gaussian, the stable inverse-power
     series beyond the table)."""
     d = spec.d
@@ -250,9 +253,9 @@ def tail_mass(spec, R, cfg=_DEFAULT_CFG):
             * float(gammaincc(d / 2.0, R * R / 4.0))
         )
     if spec.family == POISSON:
-        return _series_or_quad_tail(d, poisson_constant(d), 2.0, (d + 1) / 2.0, R, cfg)
+        return _algebraic_tail_mass(d, poisson_constant(d), 2.0, (d + 1) / 2.0, R)
     if spec.family == POLY:
-        return _series_or_quad_tail(d, spec.kappa, spec.n, spec.m, R, cfg)
+        return _algebraic_tail_mass(d, spec.kappa, spec.n, spec.m, R)
     dens = _density(spec, cfg)
     if R >= dens.r_switch:
         return dens.tail_mass(R)[0]
@@ -277,14 +280,6 @@ def _quad(f, a, b, cfg, what):
     )
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(val)):
         raise QuadratureError(f"{what} quadrature did not converge", err)
-    return val
-
-
-def _series_or_quad_tail(d, kappa, n, m, R, cfg):
-    Rs = max(R, 2.0)
-    val = _poly_tail_mass(d, kappa, n, m, Rs)
-    if Rs > R:
-        val += _quad(lambda r: kappa * r ** (d - 1) * (1.0 + r**n) ** (-m), R, Rs, cfg, "tail bridge")
     return val
 
 
@@ -340,49 +335,4 @@ def moment_d_closed_form(spec):
         gammaln((d + 1) / 2.0)
         - ((d + 1) / 2.0) * math.log(math.pi)
         + gammaln(1.0 - 1.0 / alpha)
-    )
-
-
-@dataclass(frozen=True)
-class TailBoundReport:
-    """Empirical check of the small-t tail behaviour of a stable kernel."""
-
-    alpha: float
-    d: int
-    t_grid: tuple
-    r_grid: tuple
-    limit_ratios: tuple  # p_t(r) / (t C_{alpha,d} r^{-d-alpha}) at smallest t
-    max_limit_deviation: float
-    envelope_constant: float  # smallest two-sided c for min{t^{-d/a}, t r^{-d-a}}
-
-
-def tail_bound_check(spec, t_grid, r_grid, cfg=_DEFAULT_CFG):
-    """Report (a) convergence of p_t(r)/(t C r^{-d-alpha}) to 1 at the smallest
-    t and (b) the smallest empirical two-sided constant for the
-    min{t^{-d/alpha}, t r^{-d-alpha}} envelope over the sampled grid."""
-    if spec.family != STABLE:
-        raise RegimeError("tail_bound_check applies to the stable family")
-    ts = np.sort(np.asarray(t_grid, dtype=float))
-    rs = np.asarray(r_grid, dtype=float)
-    if np.any(ts <= 0) or np.any(rs <= 0):
-        raise ValueError("tail check requires positive times and radii")
-    C = stable_tail_constant(spec.alpha, spec.d)
-    d, alpha = spec.d, spec.alpha
-    c_env = 1.0
-    for t in ts:
-        p = np.asarray(eval_pt(spec, float(t), rs, cfg))
-        env = np.minimum(t ** (-d / alpha), t * rs ** (-d - alpha))
-        ratio = p / env
-        pos = ratio > 0
-        c_env = max(c_env, float(ratio[pos].max()), float((1.0 / ratio[pos]).max()))
-    t0 = float(ts[0])
-    lim = np.asarray(eval_pt(spec, t0, rs, cfg)) / (t0 * C * rs ** (-d - alpha))
-    return TailBoundReport(
-        alpha=alpha,
-        d=d,
-        t_grid=tuple(float(t) for t in ts),
-        r_grid=tuple(float(r) for r in rs),
-        limit_ratios=tuple(float(x) for x in lim),
-        max_limit_deviation=float(np.max(np.abs(lim - 1.0))),
-        envelope_constant=float(c_env),
     )

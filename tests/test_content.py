@@ -20,7 +20,6 @@ from heatlab.content import (
     bound_check_part_i,
     bound_check_part_ii,
     constant_tag,
-    deficit,
     heat_content,
     poly_lambda,
     regime_of,
@@ -78,9 +77,12 @@ def test_log_regime_scaling_needs_small_t():
 
 
 def test_heat_content_invariants():
-    for spec in (KernelSpec.gaussian(2), KernelSpec.poisson(2), KernelSpec.stable(1.5, 2)):
+    # n < 1: the algebraic tail mass of the poly member is an incomplete Beta
+    # function, not a series in R^{-n}
+    heavy = KernelSpec.poly_family(2, kappa=1.0, n=0.25, m=12.0, beta=-2.0, gamma=1.0)
+    for spec in (KernelSpec.gaussian(2), KernelSpec.poisson(2), KernelSpec.stable(1.5, 2), heavy):
         sc = spec.scaling()
-        for t in (1e-1, 1e-3):
+        for t in (0.5, 1e-1, 1e-3):
             res = heat_content(spec, BALL_PROFILE, t)
             cap = t ** (sc.beta + 2 * sc.gamma) * l1_norm_closed_form(spec) * volume(BALL)
             assert 0.0 <= res.H <= cap + res.quad_error
@@ -91,7 +93,7 @@ def test_heat_content_invariants():
 
 def test_deficit_decreases_with_t():
     spec = KernelSpec.stable(1.5, 2)
-    assert deficit(spec, BALL_PROFILE, 1e-5) < deficit(spec, BALL_PROFILE, 1e-2)
+    assert heat_content(spec, BALL_PROFILE, 1e-5).deficit < heat_content(spec, BALL_PROFILE, 1e-2).deficit
 
 
 def test_positive_time_required():
@@ -140,7 +142,7 @@ def test_scaled_deficit_raises_when_refinement_cannot_settle():
 def test_gaussian_ball_small_t_deficit():
     # leading term Per(B)/sqrt(pi) * sqrt(t) = 2 sqrt(pi t)
     t = 1e-8
-    d = deficit(KernelSpec.gaussian(2), BALL_PROFILE, t)
+    d = heat_content(KernelSpec.gaussian(2), BALL_PROFILE, t).deficit
     assert d == pytest.approx(2.0 * math.sqrt(math.pi * t), rel=1e-3)
 
 
@@ -207,7 +209,7 @@ def test_theoretical_constants_and_tags():
 
 def test_sweep_report_shape_and_extrapolation():
     spec = KernelSpec.gaussian(2)
-    rep = asymptotic_sweep(spec, BALL, t_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6), profile=BALL_PROFILE)
+    rep = asymptotic_sweep(spec, BALL, t_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
     assert rep.regime == REGIME_GAUSSIAN
     assert rep.constant_tag == TAG_LIMIT
     assert len(rep.scaled_deficits) == 5
@@ -219,9 +221,9 @@ def test_sweep_report_shape_and_extrapolation():
 def test_sweep_requires_three_decreasing_points():
     spec = KernelSpec.gaussian(2)
     with pytest.raises(ValueError):
-        asymptotic_sweep(spec, BALL, t_grid=(1e-2, 1e-3), profile=BALL_PROFILE)
+        asymptotic_sweep(spec, BALL, t_grid=(1e-2, 1e-3))
     with pytest.raises(ValueError):
-        asymptotic_sweep(spec, BALL, t_grid=(1e-3, 1e-2, 1e-4), profile=BALL_PROFILE)
+        asymptotic_sweep(spec, BALL, t_grid=(1e-3, 1e-2, 1e-4))
 
 
 def test_default_grid_is_decreasing():
@@ -233,7 +235,7 @@ def test_default_grid_is_decreasing():
 
 def test_moment_bound_holds_on_ball():
     spec = KernelSpec.stable(1.5, 2)
-    rep = bound_check_part_i(spec, BALL, t_grid=(1e-1, 1e-2, 1e-3), profile=BALL_PROFILE)
+    rep = bound_check_part_i(spec, BALL, t_grid=(1e-1, 1e-2, 1e-3))
     assert rep.all_passed
     assert not rep.failures
     assert np.all(np.asarray(rep.lhs) <= np.asarray(rep.rhs))
@@ -241,24 +243,24 @@ def test_moment_bound_holds_on_ball():
 
 def test_moment_bound_needs_finite_moment():
     with pytest.raises(DivergentMomentError):
-        bound_check_part_i(KernelSpec.poisson(2), BALL, profile=BALL_PROFILE)
+        bound_check_part_i(KernelSpec.poisson(2), BALL)
 
 
 def test_envelope_bound_is_poly_only():
     with pytest.raises(RegimeError):
-        bound_check_part_ii(KernelSpec.gaussian(2), BALL, profile=BALL_PROFILE)
+        bound_check_part_ii(KernelSpec.gaussian(2), BALL)
 
 
 def test_envelope_bound_needs_subdiameter_window():
     spec = poly_poisson_spec()
     with pytest.raises(RegimeError):
         # t^gamma beyond the covariance support radius
-        bound_check_part_ii(spec, BALL, t_grid=(3.0, 0.1), profile=BALL_PROFILE)
+        bound_check_part_ii(spec, BALL, t_grid=(3.0, 0.1))
 
 
 def test_envelope_bound_holds_for_cauchy_instance():
     spec = poly_poisson_spec()
-    rep = bound_check_part_ii(spec, BALL, t_grid=(0.5, 0.1, 1e-3, 1e-5), profile=BALL_PROFILE)
+    rep = bound_check_part_ii(spec, BALL, t_grid=(0.5, 0.1, 1e-3, 1e-5))
     assert rep.all_passed
     assert rep.extra["limsup_ratio"] <= 1.1
     assert rep.extra["envelope_constant"] == pytest.approx(2.0, rel=1e-12)

@@ -1,0 +1,59 @@
+"""The package exports only names that something documented or shipped uses."""
+
+import ast
+import inspect
+import re
+from pathlib import Path
+
+import heatlab
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# returned by the entry points rather than called on their own
+RESULT_TYPES = {
+    "AsymptoticReport",
+    "BoundCheckReport",
+    "CovarianceProfile",
+    "HeatContentResult",
+    "McEstimate",
+    "ScalingExponents",
+    "StableDensity",
+}
+
+
+def _identifiers(path):
+    """Every name a module reads, imports or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def _readme_entry_points():
+    """Words inside backticks in the README's "Key entry points" list."""
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("Key entry points")
+    section = readme[start : readme.index("\n## ", start)]
+    return set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", section))))
+
+
+def test_every_export_is_used_by_the_cli_the_battery_or_the_readme():
+    used = _readme_entry_points()
+    for module in ("cli.py", "acceptance.py"):
+        used |= _identifiers(ROOT / "src" / "heatlab" / module)
+    orphans = []
+    for name in heatlab.__all__:
+        obj = getattr(heatlab, name)
+        exempt = (
+            inspect.ismodule(obj)
+            or name in RESULT_TYPES
+            or (isinstance(obj, type) and issubclass(obj, BaseException))
+        )
+        if not exempt and name not in used:
+            orphans.append(name)
+    assert orphans == []

@@ -469,6 +469,9 @@ def test_indicator_has_no_profile():
         radial_profile(shape)
     with pytest.raises(UnsupportedShapeError):
         alpha_perimeter(shape, 0.5)
+    # the bounding-box diagonal is only an upper bound for the diameter
+    with pytest.raises(UnsupportedShapeError):
+        diameter(shape)
 
 
 # -- Monte Carlo covariance ------------------------------------------------------
@@ -568,12 +571,6 @@ def test_alpha_perimeter_regime_domain():
     for bad in (1.0, 1.3, 0.0):
         with pytest.raises(RegimeError):
             alpha_perimeter(Ball(1.0, 2), bad)
-
-
-def test_alpha_perimeter_rejects_mismatched_profile():
-    prof = radial_profile(Ball(1.0, 2))
-    with pytest.raises(ValueError):
-        alpha_perimeter(Ball(2.0, 2), 0.5, profile=prof)
 
 
 # -- shape plumbing ------------------------------------------------------------------

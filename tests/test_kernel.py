@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from heatlab.errors import DivergentMomentError, QuadratureError, RegimeError
 from heatlab.kernel import (
@@ -17,7 +18,6 @@ from heatlab.kernel import (
     moment_d_closed_form,
     poisson_constant,
     stable_tail_constant,
-    tail_bound_check,
     tail_mass,
     unit_ball_volume,
     unit_sphere_area,
@@ -279,17 +279,37 @@ def test_starved_quadrature_raises_instead_of_returning():
     assert info.value.residual > 0.1
     with pytest.raises(QuadratureError):
         l1_norm(KernelSpec.poisson(2), starved)
-    # the [R, 2] bridge ahead of the poly/poisson tail series
-    strict = QuadratureConfig(abs_tol=1e-16, rel_tol=1e-16, max_subdivisions=1)
-    with pytest.raises(QuadratureError):
-        tail_mass(KernelSpec.poisson(2), 0.0, strict)
 
 
-def test_tail_bound_report():
-    spec = KernelSpec.stable(1.5, 2)
-    rep = tail_bound_check(spec, t_grid=(1e-2, 1e-3, 1e-4), r_grid=(2.0, 4.0, 8.0))
-    # p_t(r) / (t C r^{-d-alpha}) -> 1 as t -> 0 at fixed r
-    assert rep.max_limit_deviation < 0.05
-    assert np.all(np.isfinite(rep.limit_ratios))
-    # two-sided envelope constant for min{t^{-d/alpha}, t r^{-d-alpha}}
-    assert 1.0 <= rep.envelope_constant < 10.0
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 1.5, 1.8])
+@pytest.mark.parametrize("d", [2, 3])
+def test_stable_kernel_two_sided_bound_and_tail_limit(alpha, d):
+    # p_t(r) is comparable to min{t^{-d/alpha}, t r^{-d-alpha}} with constants
+    # in [1/100, 100] (worst seen on this grid: 67.7) ...
+    spec = KernelSpec.stable(alpha, d)
+    r = np.geomspace(0.05, 50.0, 61)
+    for t in np.geomspace(1e-4, 1.0, 9):
+        env = np.minimum(t ** (-d / alpha), t * r ** (-d - alpha))
+        ratio = eval_pt(spec, t, r) / env
+        assert np.all((ratio >= 1e-2) & (ratio <= 1e2))
+    # ... and p_t(r) / (t C_{alpha,d} r^{-d-alpha}) -> 1 as t -> 0 at fixed r
+    t, r = 1e-6, np.array([2.0, 4.0, 8.0])
+    limit = eval_pt(spec, t, r) / (t * stable_tail_constant(alpha, d) * r ** (-d - alpha))
+    assert np.all(np.abs(limit - 1.0) <= 1e-5)
+
+
+@pytest.mark.parametrize("n", [0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_algebraic_tail_mass_matches_quad(n, d):
+    # n < 1 is where a series in R^{-n} converged slowly or not at all
+    spec = KernelSpec.poly_family(d, kappa=1.0, n=n, m=(d + 1) / n, beta=-d, gamma=1.0)
+    for R in (0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 5.0, 10.0):
+        ref, _ = quad(lambda r: r ** (d - 1) * eval_p1(spec, r), R, np.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+        assert tail_mass(spec, R) == pytest.approx(ref, rel=1e-12)
+    # r_star = ell / t^gamma can be far beyond the range of a float R^n
+    assert 0.0 <= tail_mass(spec, 1e300) < 1e-100
+
+
+def test_l1_norm_of_heavy_tailed_poly_kernel():
+    spec = KernelSpec.poly_family(2, kappa=1.0, n=0.25, m=12.0, beta=-2.0, gamma=1.0)
+    assert l1_norm(spec) == pytest.approx(l1_norm_closed_form(spec), rel=1e-9)
