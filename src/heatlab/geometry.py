@@ -12,11 +12,14 @@ and, above it, a sum of closed-form integrals over caps of the octant of S^2.
 
 A generic ``Indicator`` shape has no closed form, so it is served only by the
 Monte Carlo estimators that report a stderr: ``covariance_mc`` here and
-``oracle.mc_heat_content``.  Every route that would return a bare Monte Carlo
-number or a bound in place of the value for it -- ``radial_profile`` (hence
-``alpha_perimeter``), ``perimeter``, ``perimeter_via_directional``,
-``directional_variation``, ``covariance``, ``diameter`` and ``volume`` without
-a declared volume -- raises ``UnsupportedShapeError``.
+``oracle.mc_heat_content``.  Both draw each batch of points into buffers
+allocated once per call and work on coordinate columns, with the bits of the
+row-wise form that allocates every batch afresh.  Every route that would
+return a bare Monte Carlo number or a bound in place of the value for it --
+``radial_profile`` (hence ``alpha_perimeter``), ``perimeter``,
+``perimeter_via_directional``, ``directional_variation``, ``covariance``,
+``diameter`` and ``volume`` without a declared volume -- raises
+``UnsupportedShapeError``.
 """
 
 import math
@@ -70,13 +73,14 @@ class Box:
 class Indicator:
     """Generic bounded shape given by a membership predicate.
 
-    ``contains`` maps an (n, d) array of points to a boolean array; the
-    bounding box must cover the support.  ``volume`` may be supplied when
-    known exactly (finite, positive and at most the bounding-box volume), and
-    ``volume()`` then returns it.  The shape is accepted by ``covariance_mc``
-    and ``oracle.mc_heat_content``, which return an estimate with its stderr
-    (``covariance_mc(shape, 0)`` estimates |Omega|); every closed-form or
-    profile-based call, ``diameter`` included, raises ``UnsupportedShapeError``.
+    ``contains`` maps an (n, d) array of points to a bool array of shape
+    (n,), which the estimators check; the bounding box must cover the
+    support.  ``volume`` may be supplied when known exactly (finite, positive
+    and at most the bounding-box volume), and ``volume()`` then returns it.
+    The shape is accepted by ``covariance_mc`` and ``oracle.mc_heat_content``,
+    which return an estimate with its stderr (``covariance_mc(shape,
+    np.zeros(d))`` estimates |Omega|); every closed-form or profile-based
+    call, ``diameter`` included, raises ``UnsupportedShapeError``.
     """
 
     d: int
@@ -108,7 +112,8 @@ def volume(shape):
     if shape.volume is not None:
         return float(shape.volume)
     raise UnsupportedShapeError(
-        "Indicator has no declared volume; covariance_mc(shape, 0) estimates it with a stderr"
+        "Indicator has no declared volume; covariance_mc(shape, np.zeros(d)) estimates it "
+        "with a stderr"
     )
 
 
@@ -185,13 +190,24 @@ def covariance_box(L, y):
     return float(val[0]) if np.asarray(y).ndim == 1 else val
 
 
-def covariance(shape, y):
-    """Closed-form covariance for Ball/Box at displacement y (vector)."""
+def _displacement(shape, y):
+    """y as a float vector of shape (d,); anything else, a scalar or a
+    vector of another length included, raises ValueError instead of
+    broadcasting."""
     y = np.asarray(y, dtype=float)
+    if y.shape != (shape.d,):
+        raise ValueError(f"displacement must have shape ({shape.d},), got {y.shape}")
+    return y
+
+
+def covariance(shape, y):
+    """Closed-form covariance for Ball/Box at displacement y, a vector of
+    shape (d,)."""
     if isinstance(shape, Ball):
+        y = _displacement(shape, y)
         return covariance_ball(shape.d, shape.radius, float(np.linalg.norm(y)))
     if isinstance(shape, Box):
-        return covariance_box(shape.sides, y)
+        return covariance_box(shape.sides, _displacement(shape, y))
     raise UnsupportedShapeError("closed-form covariance exists only for Ball/Box")
 
 
@@ -205,14 +221,71 @@ def _batches(samples, seed):
         yield start, stop, np.random.Generator(np.random.Philox(key=[seed, b]))
 
 
+def _draw(rng, lo, width, out):
+    """Fill ``out`` (n, d) with the uniform points lo + width * rng.random((n, d)),
+    bit for bit: the same draws, scaled in place one coordinate column at a
+    time."""
+    rng.random(out=out)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        col *= width[j]
+        col += lo[j]
+    return out
+
+
 def _membership(shape):
+    """member(x, out=None) -> bool (n,): which rows of the points x (n, d) lie
+    in ``shape``, written into ``out`` when it is given.
+
+    Ball and Box work in scratch columns that the returned function keeps for
+    its later calls, so a batch loop allocates them once.  A Box tests
+    |x_i| <= L_i / 2 column by column.  A Ball sums the squared coordinates
+    with ``einsum`` into its scratch column: a plain column sum would not
+    reproduce einsum's SIMD summation order, and with it, to the last bit,
+    which points on the sphere count as inside.  An Indicator's ``contains``
+    receives the whole array and must return a bool array of shape (n,);
+    anything else raises ValueError.
+    """
     if isinstance(shape, Ball):
         R2 = shape.radius**2
-        return lambda x: np.einsum("ij,ij->i", x, x) <= R2
+        r2 = np.empty(0)
+
+        def member(x, out=None):
+            nonlocal r2
+            if len(r2) < len(x):
+                r2 = np.empty(len(x))
+            return np.less_equal(np.einsum("ij,ij->i", x, x, out=r2[: len(x)]), R2, out=out)
+
+        return member
     if isinstance(shape, Box):
         half = np.asarray(shape.sides, dtype=float) / 2.0
-        return lambda x: np.all(np.abs(x) <= half[None, :], axis=-1)
-    return shape.contains
+        col, hit = np.empty(0), np.empty(0, dtype=bool)
+
+        def member(x, out=None):
+            nonlocal col, hit
+            n = len(x)
+            if len(col) < n:
+                col, hit = np.empty(n), np.empty(n, dtype=bool)
+            out = np.less_equal(np.abs(x[:, 0], out=col[:n]), half[0], out=out)
+            for j in range(1, len(half)):
+                out &= np.less_equal(np.abs(x[:, j], out=col[:n]), half[j], out=hit[:n])
+            return out
+
+        return member
+
+    def member(x, out=None):
+        inside = np.asarray(shape.contains(x))
+        if inside.dtype != bool or inside.shape != (len(x),):
+            raise ValueError(
+                f"Indicator.contains must return a bool array of shape ({len(x)},), "
+                f"got {inside.dtype} {inside.shape}"
+            )
+        if out is None:
+            return inside
+        np.copyto(out, inside)
+        return out
+
+    return member
 
 
 def _bounding_box(shape):
@@ -228,19 +301,33 @@ def _bounding_box(shape):
 def covariance_mc(shape, y, samples=2**20, seed=0):
     """Monte Carlo |Omega ∩ (Omega + y)|: uniform x in the bounding box,
     average 1(x in Omega) 1(x - y in Omega), scaled by the box volume.
-    Returns (estimate, stderr)."""
+    ``y`` is a vector of shape (d,).  Returns (estimate, stderr).
+
+    Each batch of points is drawn into one reused buffer and x - y formed
+    column by column in a second; the estimate is bit-identical to the
+    row-wise form that allocates both per batch."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    y = np.asarray(y, dtype=float)
+    y = _displacement(shape, y)
     if np.isnan(y).any():  # +-inf is valid and gives 0
         raise ValueError("displacement must not be NaN")
     lo, hi = _bounding_box(shape)
+    width = hi - lo
     member = _membership(shape)
-    box_vol = float(np.prod(hi - lo))
+    box_vol = float(np.prod(width))
+    rows = min(int(samples), _MC_BATCH)
+    points, shifted = np.empty((rows, shape.d)), np.empty((rows, shape.d))
+    inside, inside_shifted = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
     hits = 0
     for start, stop, rng in _batches(int(samples), seed):
-        x = lo + (hi - lo) * rng.random((stop - start, len(lo)))
-        hits += int(np.count_nonzero(member(x) & member(x - y[None, :])))
+        n = stop - start
+        x = _draw(rng, lo, width, points[:n])
+        xs = shifted[:n]
+        for j in range(shape.d):
+            np.subtract(x[:, j], y[j], out=xs[:, j])
+        both = member(x, inside[:n])
+        both &= member(xs, inside_shifted[:n])
+        hits += int(np.count_nonzero(both))
     p = hits / samples
     return box_vol * p, box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
 

@@ -11,6 +11,10 @@ The pair estimator draws one pair stream per call and returns one estimate
 per (kernel, t) case evaluated on it.  A case's reduction reads only the
 shared distances and its own kernel values, never another case's, so each
 estimate is bit-identical to the one a call with that case alone returns.
+Its batches are drawn into buffers allocated once per call, and distances,
+values and squares are formed in reused arrays column by column; the
+estimates keep the bits of the row-wise form that allocates every batch
+afresh.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegimeError, SamplingEfficiencyError, UnsupportedShapeError
-from .geometry import Ball, Box, _batches, _bounding_box, _membership
+from .geometry import _MC_BATCH, Ball, Box, _batches, _bounding_box, _draw, _membership
 from .kernel import _check_time, eval_pt, unit_ball_volume, unit_sphere_area
 
 _MIN_EFFICIENCY = 1e-3
@@ -78,29 +82,51 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
         if spec.d != shape.d:
             raise ValueError("kernel and shape dimensions differ")
     lo, hi = _bounding_box(shape)
+    width = hi - lo
     member = _membership(shape)
-    box_vol = float(np.prod(hi - lo))
+    box_vol = float(np.prod(width))
     scale = box_vol * box_vol
     totals = [0.0] * len(cases)
     totals_sq = [0.0] * len(cases)
     accepted = 0
     samples = int(samples)
     first_batch = None
+    rows, d = min(samples, _MC_BATCH), len(lo)
+    points_x, points_y = np.empty((rows, d)), np.empty((rows, d))
+    inside_x, inside_y = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
+    dist, step = np.empty(rows), np.empty(rows)
+    vals_buf, vals_sq_buf = np.empty(rows), np.empty(rows)
     for start, stop, rng in _batches(samples, seed):
         n = stop - start
-        x = lo + (hi - lo) * rng.random((n, len(lo)))
-        y = lo + (hi - lo) * rng.random((n, len(lo)))
-        inside = member(x) & member(y)
-        any_inside = bool(np.any(inside))
-        if any_inside:
-            r = np.linalg.norm(x[inside] - y[inside], axis=1)
+        x = _draw(rng, lo, width, points_x[:n])
+        y = _draw(rng, lo, width, points_y[:n])
+        inside = member(x, inside_x[:n])
+        inside &= member(y, inside_y[:n])
+        # the accepted rows by index: gathers and scatters through an index
+        # array beat a random boolean mask several times over
+        rows_in = np.flatnonzero(inside)
+        m = len(rows_in)
+        if m:
+            # |x - y| with its squares added coordinate by coordinate, the
+            # order in which np.linalg.norm sums a row of fewer than eight
+            # coordinates, then gathered and rooted
+            r2 = np.subtract(x[:, 0], y[:, 0], out=dist[:n])
+            r2 *= r2
+            for j in range(1, d):
+                dj = np.subtract(x[:, j], y[:, j], out=step[:n])
+                dj *= dj
+                r2 += dj
+            r = np.sqrt(np.take(r2, rows_in, out=step[:m]), out=step[:m])
+        vals, vals_sq = vals_buf[:n], vals_sq_buf[:n]
         for i, (spec, t) in enumerate(cases):
-            vals = np.zeros(n)
-            if any_inside:
-                vals[inside] = scale * eval_pt(spec, t, r)
+            vals.fill(0.0)
+            if m:
+                p = eval_pt(spec, t, r)
+                p *= scale
+                vals[rows_in] = p
             totals[i] += float(vals.sum())
-            totals_sq[i] += float((vals * vals).sum())
-        accepted += int(np.count_nonzero(inside))
+            totals_sq[i] += float(np.multiply(vals, vals, out=vals_sq).sum())
+        accepted += m
         if first_batch is None:
             first_batch = (accepted, n)
             if n >= 4096 and accepted < n * _MIN_EFFICIENCY / 10.0:

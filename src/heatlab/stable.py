@@ -187,19 +187,37 @@ def _horner(coef, v):
     return acc
 
 
+# Radii per Horner pass in series_eval: each of the ~K passes then sweeps a
+# 512 KiB block held in cache instead of streaming the whole array.
+_SERIES_BLOCK = 65536
+
+
+def _series_block(alpha, d, scaled, r_ref, r):
+    u = r_ref / r
+    vals = _horner(scaled[:-2], u**alpha)
+    vals *= u**d
+    return vals
+
+
 def series_eval(alpha, d, scaled, r_ref, r):
     """Vectorized partial sum  sum_{k<=K} c_k r^{-d-alpha k}.
 
     ``scaled`` holds c'_1..c'_{K+2} rescaled to ``r_ref`` (see
     ``rescaled_coefficients``); with u = r_ref/r and v = u^alpha the sum is
     u^d sum_{k<=K} c'_k v^k.  Each radius is computed on its own, so a scalar
-    and the same radius inside a batch agree bit for bit.  ``series_bound``
-    gives the truncation bound.
+    and the same radius inside a batch agree bit for bit, and an input longer
+    than ``_SERIES_BLOCK`` is evaluated block by block with the same bits.
+    ``series_bound`` gives the truncation bound.
     """
     arr = np.asarray(r, dtype=float)
-    u = r_ref / np.atleast_1d(arr)
-    vals = _horner(scaled[:-2], u**alpha)
-    vals *= u**d
+    flat = np.atleast_1d(arr)
+    if len(flat) <= _SERIES_BLOCK:
+        vals = _series_block(alpha, d, scaled, r_ref, flat)
+    else:
+        vals = np.empty_like(flat)
+        for i in range(0, len(flat), _SERIES_BLOCK):
+            block = slice(i, i + _SERIES_BLOCK)
+            vals[block] = _series_block(alpha, d, scaled, r_ref, flat[block])
     return float(vals[0]) if arr.ndim == 0 else vals
 
 
@@ -378,18 +396,20 @@ class StableDensity:
     def evaluate(self, r):
         """Vectorized p_1(r); r may be scalar or array, entries >= 0."""
         arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
         if not np.all(arr >= 0):  # also rejects NaN
             raise ValueError("radius must be nonnegative")
-        out = np.empty_like(arr)
-        near = arr <= self.r_switch
-        if near.any():
-            out[near] = self._table(arr[near])
-        if not near.all():
-            out[~near] = series_eval(self.alpha, self.d, self._scaled, self.r_switch, arr[~near])
+        flat = arr.ravel()
+        # one partition by index: on radii in random order, gathers and
+        # scatters through index arrays cost a fraction of boolean masks
+        near = flat <= self.r_switch
+        i_near, i_far = np.flatnonzero(near), np.flatnonzero(~near)
+        out = np.empty_like(flat)
+        if len(i_near):
+            out[i_near] = self._table(flat[i_near])
+        if len(i_far):
+            out[i_far] = series_eval(self.alpha, self.d, self._scaled, self.r_switch, flat[i_far])
         self._clamp(out)
-        return float(out[0]) if scalar else out
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     __call__ = evaluate
 

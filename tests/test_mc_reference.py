@@ -1,0 +1,112 @@
+"""The buffered, column-wise Monte Carlo kernels return the bits of their
+row-wise references, and malformed inputs to them raise."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from heatlab.errors import SamplingEfficiencyError
+from heatlab.geometry import Ball, Box, Indicator, covariance, covariance_mc
+from heatlab.kernel import KernelSpec
+from heatlab.oracle import mc_heat_content
+from heatlab.stable import _SERIES_BLOCK, _horner, density, series_eval
+from mc_reference import covariance_mc_rows, mc_heat_content_rows
+
+
+def _ellipse(x):
+    # off centre, so that g(y) != g(-y)
+    return (x[:, 0] - 0.2) ** 2 + 4.0 * x[:, 1] ** 2 <= 1.0
+
+
+ELLIPSE = Indicator(d=2, contains=_ellipse, bbox_lo=(-0.8, -0.5), bbox_hi=(1.2, 0.5))
+SHAPES = [Ball(1.0, 2), Ball(0.8, 3), Box((1.0, 2.0)), Box((0.5, 1.0, 1.5)), ELLIPSE]
+# one sample, a partial batch, whole batches, a single extra sample and 10^6
+SAMPLES = [1, 1000, 2**17, 262144, 262145, 10**6]
+_COORD = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([math.inf, -math.inf]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from(SHAPES),
+    samples=st.sampled_from(SAMPLES),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_covariance_mc_matches_row_reference(shape, samples, seed, data):
+    y = np.array(data.draw(st.lists(_COORD, min_size=shape.d, max_size=shape.d)))
+    assert covariance_mc(shape, y, samples, seed) == covariance_mc_rows(shape, y, samples, seed)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=6, deadline=None)
+@given(
+    samples=st.sampled_from(SAMPLES),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(1e-3, 1.0),
+)
+def test_mc_heat_content_matches_row_reference(shape, samples, seed, t):
+    # kernels steep in r at several times, so that a distance one ulp off
+    # shows in the sums
+    d = shape.d
+    cases = [
+        (KernelSpec.stable(1.5, d), t),
+        (KernelSpec.stable(1.5, d), 1e-3 * t),
+        (KernelSpec.stable(1.0, d), 0.1 * t),
+        (KernelSpec.gaussian(d), 1e-2 * t),
+        (KernelSpec.poisson(d), 1e-2 * t),
+    ]
+    try:
+        ref = mc_heat_content_rows(shape, cases, samples, seed)
+    except SamplingEfficiencyError as exc:  # e.g. no pair accepted in a single sample
+        with pytest.raises(SamplingEfficiencyError, match=re.escape(str(exc))):
+            mc_heat_content(shape, cases, samples, seed)
+        return
+    assert mc_heat_content(shape, cases, samples, seed) == ref
+
+
+@pytest.mark.parametrize(
+    "size", [_SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1, 3 * _SERIES_BLOCK + 7]
+)
+def test_blocked_series_eval_matches_unblocked(size):
+    dens = density(1.0, 2)
+    r = dens.r_switch * (1.0 + np.abs(np.random.default_rng(size).standard_cauchy(size)))
+    u = dens.r_switch / r
+    unblocked = _horner(dens._scaled[:-2], u**dens.alpha) * u**dens.d
+    blocked = series_eval(dens.alpha, dens.d, dens._scaled, dens.r_switch, r)
+    np.testing.assert_array_equal(blocked, unblocked)
+
+
+def test_density_evaluate_keeps_the_input_shape():
+    dens = density(1.5, 2)
+    r = dens.r_switch * np.linspace(0.0, 3.0, 12)
+    np.testing.assert_array_equal(dens.evaluate(r.reshape(3, 4)), dens.evaluate(r).reshape(3, 4))
+
+
+@pytest.mark.parametrize("shape", [Ball(1.0, 2), Box((1.0, 2.0))])
+@pytest.mark.parametrize("y", [[0.5], [0.5, 0.1, 0.2], 0.5, [[0.5, 0.1]]])
+def test_displacement_must_be_a_vector_of_the_dimension(shape, y):
+    # a 1-vector used to broadcast, giving g at (0.5, 0.5) from covariance_mc
+    # but g at |y| = 0.5 from covariance; a scalar died with IndexError
+    with pytest.raises(ValueError, match="displacement must have shape"):
+        covariance(shape, y)
+    with pytest.raises(ValueError, match="displacement must have shape"):
+        covariance_mc(shape, y, samples=2**10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "contains",
+    [
+        lambda x: _ellipse(x).astype(int),  # 0/1 ints would index rows 0 and 1
+        lambda x: _ellipse(x)[:-1],
+        lambda x: _ellipse(x)[:, None],
+    ],
+)
+def test_indicator_must_return_one_bool_per_point(contains):
+    shape = Indicator(d=2, contains=contains, bbox_lo=ELLIPSE.bbox_lo, bbox_hi=ELLIPSE.bbox_hi)
+    with pytest.raises(ValueError, match="must return a bool array"):
+        covariance_mc(shape, np.zeros(2), samples=2**10, seed=0)
+    with pytest.raises(ValueError, match="must return a bool array"):
+        mc_heat_content(shape, [(KernelSpec.gaussian(2), 0.1)], samples=2**10, seed=0)
