@@ -12,7 +12,8 @@ t^{-gamma}, and the *deficit*
     D(t) = t^{beta+d*gamma} ||p_1||_1 |Omega| - H(t)
          = t^{beta+d*gamma} int_0^inf r^{d-1} p_1(r) (A_d |Omega| - ghat(t^gamma r)) dr
 
-has a nonnegative integrand, so small-t values carry no cancellation.  The
+has a nonnegative integrand.  It is ``CovarianceProfile.ghat_deficit``, in
+closed form, so small-t values carry no cancellation as computed either.  The
 module computes H and the deficit on that route, extrapolates the scaled
 deficit to its small-time limit per regime, evaluates the matching limit
 constants, and runs the two perimeter-type upper-bound checks plus the
@@ -44,6 +45,7 @@ from .kernel import (
     KernelSpec,
     QuadratureConfig,
     _check_time,
+    _refine,
     eval_p1,
     l1_norm_closed_form,
     moment_d,
@@ -56,6 +58,8 @@ from .kernel import tail_mass as _kernel_tail_mass
 from .stable import _gl_nodes_weights
 
 _DEFAULT_CFG = QuadratureConfig()
+
+_LOG_MAX = math.log(np.finfo(float).max)  # the deficit integrand overflows beyond it
 
 # Regime labels for the small-time law of the deficit.
 REGIME_ALPHA_GT_1 = "alpha_gt_1"
@@ -183,48 +187,51 @@ def _deficit_edges(r_star, kinks, level):
     if interior:
         edges = np.unique(np.concatenate([edges, np.asarray(interior)]))
     # drop near-duplicate edges that would make zero-width panels
-    keep = np.concatenate([[True], np.diff(edges) > 1e-14 * max(r_star, 1.0)])
+    keep = np.concatenate([[True], np.diff(edges) > 1e-14 * edges[1:]])
     return edges[keep]
 
 
 def _scaled_deficit_once(spec, profile, t, level, cfg):
-    """One evaluation of D~(t) = int r^{d-1} p_1(r) (A_d|Omega| - ghat(t^g r)) dr."""
+    """One evaluation of D~(t) = int r^{d-1} p_1(r) ghat_deficit(t^g r) dr.
+
+    Raises ``QuadratureError`` rather than leave double range: before
+    r^{max(d, n)} (n: the poly family's exponent) overflows at r* = ell t^-g,
+    and where p_1 underflows on radii whose tail mass, times A_d|Omega|,
+    exceeds rel_tol of the value."""
     d = spec.d
-    gamma = spec.scaling().gamma
-    tg = t**gamma
-    ell = profile.support_radius
+    tg = float(t) ** spec.scaling().gamma
+    r_star = profile.support_radius / tg if tg > 0.0 else math.inf
+    if max(d, spec.n or 0) * math.log(r_star) >= _LOG_MAX:
+        raise QuadratureError(f"t={t:g} is too small: the deficit integrand overflows at r*={r_star:.3g}")
     advol = unit_sphere_area(d) * profile.volume
-    r_star = ell / tg
-    kinks = [k / tg for k in profile.kink_radii]
-    edges = _deficit_edges(r_star, kinks, level)
+    edges = _deficit_edges(r_star, [k / tg for k in profile.kink_radii], level)
     nodes, weights = _gl_nodes_weights(edges)
-    g_def = advol - profile.ghat(tg * nodes)
-    g_def = np.maximum(g_def, 0.0)
     p_vals = eval_p1(spec, nodes, cfg)
-    head = float(np.sum(weights * nodes ** (d - 1) * p_vals * g_def))
-    tail = advol * _kernel_tail_mass(spec, r_star, cfg)
-    return head + tail
+    head = float(np.sum(weights * nodes ** (d - 1) * p_vals * profile.ghat_deficit(tg * nodes)))
+    value = head + advol * _kernel_tail_mass(spec, r_star, cfg)
+    lost = nodes[p_vals < np.finfo(float).tiny]
+    bound = advol * _kernel_tail_mass(spec, float(lost.min()), cfg) if lost.size else 0.0
+    if bound > cfg.rel_tol * value:
+        msg = f"t={t:g}: p_1 underflows from r={lost.min():.3g}, where its tail carries {bound:.2e}"
+        raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
+    return value
 
 
 def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=None):
     """D~(t) = deficit(t) * t^{-(beta+d*gamma)}, with an error estimate.
 
     Refines the panel density until two successive levels agree to the
-    configured tolerances (the returned error is the last inter-level gap);
-    raises QuadratureError if level 8 still disagrees.
+    configured tolerances (``kernel._refine``); the returned error is the last
+    inter-level gap plus abs_tol.  Raises QuadratureError when no level
+    settles or the integrand would leave double range.
     """
     cfg = cfg or _DEFAULT_CFG
     _check_time(t)
     if spec.d != profile.d:
         raise ValueError(f"kernel dimension {spec.d} != profile dimension {profile.d}")
-    prev = _scaled_deficit_once(spec, profile, t, 1, cfg)
-    for level in (2, 4, 8):
-        cur = _scaled_deficit_once(spec, profile, t, level, cfg)
-        err = abs(cur - prev)
-        prev = cur
-        if err <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
-            return cur, err + cfg.abs_tol
-    raise QuadratureError(f"deficit quadrature did not settle by level 8 at t={t:g}", residual=err)
+    once = lambda level: _scaled_deficit_once(spec, profile, t, level, cfg)
+    value, gap = _refine(once, cfg, f"deficit quadrature at t={t:g}")
+    return value, gap + cfg.abs_tol
 
 
 def _heat_content_result(spec, profile, t, dtil, err) -> HeatContentResult:
@@ -476,43 +483,29 @@ def bound_check_part_ii(spec: KernelSpec, shape, t_grid=None, cfg=None) -> Bound
 # Cauchy-kernel ball decomposition (closed-form oracle)
 
 
-def _decomposition_once(d, t, n_panels):
-    # substitute r = (2/t) sin(psi): the (1 - t^2 r^2 / 4)^{(d-1)/2} factor
-    # becomes cos^{d-1}(psi), smooth up to the endpoint
-    psi_edges = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, n_panels)]) * (math.pi / 2.0)
-    nodes, weights = _gl_nodes_weights(psi_edges)
-    s, c = np.sin(nodes), np.cos(nodes)
-    r = (2.0 / t) * s
-    jac = (2.0 / t) * c
-    base = r ** (d - 1) * (1.0 + r * r) ** (-(d + 1) / 2.0) * jac
-    theta_vals = theta(d, np.clip(c, 0.0, 1.0))
-    n1 = float(np.sum(weights * base * theta_vals))
-    n2 = float(np.sum(weights * base * r * c ** (d - 1)))
-    return n1, n2
-
-
 def ball_poisson_decomposition(d: int, t: float, cfg=None):
     """(N1, N2) in the unit-ball Cauchy-kernel identity H = N1 - Per/pi * t * N2.
 
     N1 = 2 A_d A_{d-1} kappa_d int_0^{2/t} r^{d-1} (1+r^2)^{-(d+1)/2}
          Theta(sqrt(1 - t^2 r^2/4)) dr, and
     N2 = int_0^{2/t} r^d (1+r^2)^{-(d+1)/2} (1 - t^2 r^2/4)^{(d-1)/2} dr.
-    Requires 0 < t < 2 (the covariance support).
+    Requires 0 < t < 2 (the covariance support).  60 panels per level, refined
+    until two levels agree (``kernel._refine``).
     """
     cfg = cfg or _DEFAULT_CFG
     if not 0.0 < t < 2.0:
         raise ValueError(f"decomposition needs 0 < t < 2, got {t}")
-    kd = poisson_constant(d)
-    pref = 2.0 * unit_sphere_area(d) * unit_sphere_area(d - 1) * kd
-    prev = None
-    gap = math.inf
-    for n_panels in (60, 120, 240):
-        n1, n2 = _decomposition_once(d, t, n_panels)
-        if prev is not None:
-            gap = max(abs(n1 - prev[0]) * pref, abs(n2 - prev[1]))
-            if gap <= max(cfg.abs_tol, cfg.rel_tol * max(abs(n1) * pref, abs(n2))):
-                break
-        prev = (n1, n2)
-    if gap > 1e-6:
-        raise QuadratureError("ball decomposition quadrature did not settle", residual=gap)
-    return pref * n1, n2
+    pref = 2.0 * unit_sphere_area(d) * unit_sphere_area(d - 1) * poisson_constant(d)
+
+    def once(level):
+        # substitute r = (2/t) sin(psi): the (1 - t^2 r^2 / 4)^{(d-1)/2} factor
+        # becomes cos^{d-1}(psi), smooth up to the endpoint
+        psi_edges = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 60 * level)]) * (math.pi / 2.0)
+        nodes, weights = _gl_nodes_weights(psi_edges)
+        s, c = np.sin(nodes), np.cos(nodes)
+        r = (2.0 / t) * s
+        base = r ** (d - 1) * (1.0 + r * r) ** (-(d + 1) / 2.0) * ((2.0 / t) * c)
+        n1 = float(np.sum(weights * base * theta(d, np.clip(c, 0.0, 1.0))))
+        return pref * n1, float(np.sum(weights * base * r * c ** (d - 1)))
+
+    return _refine(once, cfg, "ball decomposition quadrature")[0]

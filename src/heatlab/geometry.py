@@ -1,8 +1,8 @@
 """Shapes, set covariance, perimeter functionals.
 
-The covariance of a bounded set is g(y) = |Omega ∩ (Omega + y)|; everything
-downstream (heat content, alpha-perimeter, directional variation) consumes its
-spherical average ghat(rho) = int_{S^{d-1}} g(rho u) dH(u).
+The covariance of a bounded set is g(y) = |Omega ∩ (Omega + y)|; the heat
+content and the alpha-perimeter consume the complement A_d |Omega| - ghat(rho)
+of its spherical average ghat(rho) = int_{S^{d-1}} g(rho u) dH(u).
 
 Balls and boxes have closed-form covariance; for a box the spherical average
 reduces per octant to an integral of (L1 - s cos phi)^+ (L2 - s sin phi)^+
@@ -27,11 +27,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc, betaln
 
-from .errors import QuadratureError, RegimeError, UnsupportedShapeError
-from .kernel import QuadratureConfig, unit_ball_volume, unit_sphere_area
+from .errors import RegimeError, UnsupportedShapeError
+from .kernel import QuadratureConfig, _refine, unit_ball_volume, unit_sphere_area
+from .stable import _gl_nodes_weights
 
 
 # -- shapes ----------------------------------------------------------------
@@ -161,20 +161,28 @@ def theta(d, z):
     return float(out) if np.isscalar(z) else out
 
 
+def _lens_deficit(d, s):
+    """w_d - g_B(s) for the unit ball, s in [0, 2], without cancellation:
+    A_{d-1} B((d-1)/2, 3/2) I_{s^2/4}(3/2, (d-1)/2) + s w_{d-1} (1 - s^2/4)^{(d-1)/2},
+    ``theta``'s Beta function taken from the other end."""
+    a = (d - 1) / 2.0
+    q = s * s / 4.0
+    cap = unit_sphere_area(d - 1) * math.exp(betaln(a, 1.5)) * betainc(1.5, a, q)
+    return cap + s * unit_ball_volume(d - 1) * (1.0 - q) ** a
+
+
 def covariance_ball(d, R, a):
     """g_B(a) for a ball of radius R: volume of the lens of two balls at
-    distance a.  Vectorized in a."""
+    distance a, R^d (w_d - ``_lens_deficit``); exactly 0 at and beyond 2R.
+    Vectorized in a."""
     if not R > 0:
         raise ValueError("ball radius must be positive")
     aa = np.asarray(a, dtype=float)
     if not np.all(aa >= 0):  # also rejects NaN
         raise ValueError("covariance argument must be nonnegative")
-    s = np.minimum(aa / R, 2.0)
-    disc = np.maximum(1.0 - s * s / 4.0, 0.0)
-    val = 2.0 * unit_sphere_area(d - 1) * theta(d, np.sqrt(disc)) - s * unit_ball_volume(
-        d - 1
-    ) * disc ** ((d - 1) / 2.0)
-    val = R**d * np.maximum(val, 0.0)
+    s = aa / R
+    lens = np.maximum(unit_ball_volume(d) - _lens_deficit(d, np.minimum(s, 2.0)), 0.0)
+    val = np.where(s < 2.0, R**d * lens, 0.0)
     return float(val) if np.isscalar(a) else val
 
 
@@ -335,43 +343,37 @@ def covariance_mc(shape, y, samples=2**20, seed=0):
 # -- spherical average of the covariance -------------------------------------
 
 
-# cos(phi1) - cos(phi0) at phi1 = pi/2, phi0 = 0: -0.9999999999999999, not -1
-_COS_HALF_PI_M1 = math.cos(math.pi / 2.0) - 1.0
-
-
 def _box_azimuth_integral(s, L1, L2):
-    """int_0^{pi/2} (L1 - s cos phi)^+ (L2 - s sin phi)^+ dphi, closed form.
+    """int_0^{pi/2} (L1 - s cos phi)^+ (L2 - s sin phi)^+ dphi for s > min(L1, L2).
 
     The integrand is supported on (phi0, phi1) with phi0 = arccos(min(L1/s,1)),
     phi1 = arcsin(min(L2/s,1)); expanding the product gives elementary
-    antiderivatives.  For s <= min(L1, L2) the support is the whole quarter
-    circle, and the same operations at phi0 = 0, phi1 = pi/2 need no inverse
-    trigonometry.  Vectorized in s.
+    antiderivatives.  Vectorized in s.
     """
-    s = np.asarray(s, dtype=float)
-    out = np.asarray(
-        L1 * L2 * (math.pi / 2.0) + L1 * s * _COS_HALF_PI_M1 - L2 * s + 0.25 * s * s * 2.0
+    phi0 = np.where(s <= L1, 0.0, np.arccos(np.minimum(L1 / s, 1.0)))
+    phi1 = np.where(s <= L2, math.pi / 2.0, np.arcsin(np.minimum(L2 / s, 1.0)))
+    live = phi1 > phi0
+    p0, p1 = np.where(live, phi0, 0.0), np.where(live, phi1, 0.0)
+    val = (
+        L1 * L2 * (p1 - p0)
+        + L1 * s * (np.cos(p1) - np.cos(p0))
+        - L2 * s * (np.sin(p1) - np.sin(p0))
+        + 0.25 * s * s * (np.cos(2.0 * p0) - np.cos(2.0 * p1))
     )
+    return np.where(live, val, 0.0)
+
+
+def _box_deficit_d2(rho, L1, L2):
+    """A_2 L1 L2 - ghat(rho) for a 2-D box, four symmetric quadrants: for
+    rho <= min(L1, L2), where the support is the whole quarter circle, the
+    rho-dependent part 2 Per rho - 2 rho^2 of the azimuthal integrals; above
+    it, where nothing cancels, A_2 L1 L2 minus them.  Vectorized in rho."""
+    s = np.asarray(rho, dtype=float)
+    out = 4.0 * s * (L1 + L2 - 0.5 * s)
     far = s > min(L1, L2)
     if far.any():
-        sf = s[far]
-        phi0 = np.where(sf <= L1, 0.0, np.arccos(np.minimum(L1 / sf, 1.0)))
-        phi1 = np.where(sf <= L2, math.pi / 2.0, np.arcsin(np.minimum(L2 / sf, 1.0)))
-        live = phi1 > phi0
-        p0, p1 = np.where(live, phi0, 0.0), np.where(live, phi1, 0.0)
-        val = (
-            L1 * L2 * (p1 - p0)
-            + L1 * sf * (np.cos(p1) - np.cos(p0))
-            - L2 * sf * (np.sin(p1) - np.sin(p0))
-            + 0.25 * sf * sf * (np.cos(2.0 * p0) - np.cos(2.0 * p1))
-        )
-        out[far] = np.where(live, val, 0.0)
+        out[far] = unit_sphere_area(2) * (L1 * L2) - 4.0 * _box_azimuth_integral(s[far], L1, L2)
     return out
-
-
-def _box_ghat_d2(rho, L1, L2):
-    """ghat(rho) for a 2-D box: four symmetric quadrants."""
-    return 4.0 * _box_azimuth_integral(rho, L1, L2)
 
 
 # Pieces of the 3-D box ghat above the shortest side: each is r^4 times the
@@ -458,33 +460,31 @@ def _pair_cap(r, Li, Lj, Lk):
     )
 
 
-def _box_ghat_d3(rho, L1, L2, L3):
-    """ghat(rho) for a 3-D box, in closed form.
+def _box_deficit_d3(rho, L1, L2, L3):
+    """A_3 |Omega| - ghat(rho) for a 3-D box and 0 <= rho < ell, in closed form.
 
     ghat = 8 int P dsigma over the part of the positive octant of S^2 where
     every factor of P(u) = prod (L_i - rho u_i) is nonnegative.  For
     rho <= min(L) that is the whole octant, and term by term
         ghat = 4 pi L1 L2 L3 - 2 pi rho (L1 L2 + L1 L3 + L2 L3)
                + (8/3) rho^2 (L1 + L2 + L3) - rho^3,
-    whose linear coefficient is pi Per.  Above the shortest side Lm (sides
-    sorted Lm <= Lj <= Lk), inclusion-exclusion from the slab u_m <= c_m:
-    minus the cap u_j > c_j and the cap u_k > c_k, each taken inside the slab
-    once rho passes its diagonal with Lm, plus the pair cap of j and k above
-    hypot(Lj, Lk); three caps never meet below the diagonal, and ghat is 0 at
-    and beyond it.  Each piece integrates in elementary functions, and each is
-    small where the next kink makes it appear, so the sum keeps its digits up
-    to the diagonal: within 5e-15 ghat(0) of a 30-digit reference for sides
-    in [0.2, 5]^3.
+    whose linear coefficient is pi Per; the complement is the cubic without
+    its constant.  Above the shortest side Lm (sides sorted Lm <= Lj <= Lk),
+    inclusion-exclusion from the slab u_m <= c_m: minus the cap u_j > c_j and
+    the cap u_k > c_k, each taken inside the slab once rho passes its diagonal
+    with Lm, plus the pair cap of j and k above hypot(Lj, Lk); three caps never
+    meet below the diagonal ell, where ghat vanishes.  Each piece integrates in
+    elementary functions, and each is small where the next kink makes it
+    appear, so the sum keeps its digits up to the diagonal (within 5e-15
+    ghat(0) of a 30-digit reference for sides in [0.2, 5]^3), and the
+    complement A_3 |Omega| - ghat there loses nothing.
     """
     rho = np.asarray(rho, dtype=float)
     c1 = 2.0 * math.pi * (L1 * L2 + L1 * L3 + L2 * L3)
     c2 = 8.0 / 3.0 * (L1 + L2 + L3)
-    # constant term: A_3 |Omega| with the bits of A_3 * volume(Box)
-    out = np.asarray(unit_sphere_area(3) * (L1 * L2 * L3) - rho * (c1 - rho * (c2 - rho)))
+    out = np.asarray(rho * (c1 - rho * (c2 - rho)))
     Lm, Lj, Lk = sorted((L1, L2, L3))
-    ell = math.sqrt(L1 * L1 + L2 * L2 + L3 * L3)
-    out[rho >= ell] = 0.0
-    far = (rho > Lm) & (rho < ell)
+    far = rho > Lm
     if far.any():
         r = rho[far]
         A = np.sqrt((r - Lm) * (r + Lm))
@@ -504,7 +504,8 @@ def _box_ghat_d3(rho, L1, L2, L3):
         pair = r > math.hypot(Lj, Lk)
         if pair.any():
             acc[pair] += _pair_cap(r[pair], Lj, Lk, Lm)
-        out[far] = 8.0 * acc / r
+        # A_3 |Omega| with the bits of A_3 * volume(Box)
+        out[far] = unit_sphere_area(3) * (L1 * L2 * L3) - 8.0 * acc / r
     return out
 
 
@@ -519,12 +520,13 @@ _N_POLAR = 48
 class CovarianceProfile:
     """Spherical average ghat(rho) = int_{S^{d-1}} g(rho u) dH(u).
 
-    ``ghat`` evaluates at arbitrary radii in closed form (``angular_method``
-    is always "exact-radial"); it vanishes at and beyond ``support_radius``
-    and equals A_d |Omega| at 0.  Profiles exist for balls and for boxes in
-    d = 2, 3 only; ``radial_profile`` raises ``UnsupportedShapeError`` for an
-    ``Indicator``, whose covariance is estimated, with a stderr, by
-    ``covariance_mc``.
+    The primitive is the complement ``ghat_deficit`` = A_d |Omega| - ghat, in
+    closed form without cancellation (w_{d-1} Per rho as rho -> 0), and
+    ``ghat`` is A_d |Omega| minus it (``angular_method`` is always
+    "exact-radial"); ghat vanishes at and beyond ``support_radius``.  Profiles
+    exist for balls and for boxes in d = 2, 3 only; ``radial_profile`` raises
+    ``UnsupportedShapeError`` for an ``Indicator``, whose covariance is
+    estimated, with a stderr, by ``covariance_mc``.
     """
 
     support_radius: float
@@ -534,38 +536,40 @@ class CovarianceProfile:
     kink_radii: tuple = ()  # radii where ghat loses smoothness (box corners)
     _evaluator: callable = field(default=None, repr=False, compare=False)
 
-    def ghat(self, rho):
+    def ghat_deficit(self, rho):
+        """A_d |Omega| - ghat(rho), in [0, A_d |Omega|]; all of it beyond the support."""
         arr = np.asarray(rho, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         if not np.all(arr >= 0):  # also rejects NaN
             raise ValueError("radius must be nonnegative")
-        out = np.zeros_like(arr)
+        full = unit_sphere_area(self.d) * self.volume
+        out = np.full_like(arr, full)
         inside = arr < self.support_radius
         if inside.any():
-            out[inside] = np.maximum(self._evaluator(arr[inside]), 0.0)
+            out[inside] = np.clip(self._evaluator(arr[inside]), 0.0, full)
         return float(out[0]) if scalar else out
+
+    def ghat(self, rho):
+        return unit_sphere_area(self.d) * self.volume - self.ghat_deficit(rho)
 
 
 def radial_profile(shape):
-    """Wrap an evaluator for ghat, supported on [0, diameter(shape)).
+    """Wrap the complement evaluator of ghat, supported on [0, diameter(shape)).
 
-    Ball: exact radial symmetry.  Box: closed form, from the azimuthal
-    integral for d=2 and from octant cap integrals for d=3 (a cubic for
-    rho <= min(L)).  Indicator: raises ``UnsupportedShapeError``.
+    Ball: exact radial symmetry, ``_lens_deficit``.  Box: closed form, from the
+    azimuthal integral for d=2 and from octant cap integrals for d=3 (a
+    polynomial for rho <= min(L)).  Indicator: raises ``UnsupportedShapeError``.
     """
     d = shape.d
     if isinstance(shape, Ball):
-        evaluator = lambda r: unit_sphere_area(d) * covariance_ball(d, shape.radius, r)
+        R = shape.radius
+        evaluator = lambda r: unit_sphere_area(d) * R**d * _lens_deficit(d, r / R)
+    elif isinstance(shape, Box) and d in (2, 3):
+        complement = _box_deficit_d2 if d == 2 else _box_deficit_d3
+        evaluator = lambda r: complement(r, *shape.sides)
     elif isinstance(shape, Box):
-        if d == 2:
-            L1, L2 = shape.sides
-            evaluator = lambda r: _box_ghat_d2(np.asarray(r, dtype=float), L1, L2)
-        elif d == 3:
-            L1, L2, L3 = shape.sides
-            evaluator = lambda r: _box_ghat_d3(np.asarray(r, dtype=float), L1, L2, L3)
-        else:
-            raise UnsupportedShapeError("box profiles implemented for d in {2, 3}")
+        raise UnsupportedShapeError("box profiles implemented for d in {2, 3}")
     else:
         raise UnsupportedShapeError(
             "no closed-form ghat for Indicator shapes; covariance_mc estimates g with a stderr"
@@ -673,61 +677,46 @@ def perimeter_via_directional(shape):
 # -- alpha-perimeter ----------------------------------------------------------
 
 
+def _graded_edges(breaks, level):
+    """Panel edges on [breaks[0], breaks[-1]], graded geometrically toward
+    every break: from each end of a segment the panels shrink by
+    4^{-1/level}, from half its length down to about 1e-16 of it."""
+    n = int(level * math.log(0.5e16) / math.log(4.0)) + 1
+    frac = 0.5 * 4.0 ** (-np.arange(n) / level)
+    parts = [breaks[:1]]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        parts += [a + (b - a) * frac[::-1], b - (b - a) * frac[1:], [b]]
+    return np.concatenate(parts)
+
+
 def alpha_perimeter(shape, alpha, cfg=None):
     """P_alpha(Omega) = int_0^inf rho^{-1-alpha} (A_d |Omega| - ghat(rho)) drho.
 
-    Finite exactly when alpha in (0,1) for sets of finite perimeter; the
-    integrand behaves like rho^{-alpha} w_{d-1} Per near 0, handled with a
-    weighted (algebraic-singularity) quadrature on the first segment, and the
-    exact power tail A_d |Omega| ell^{-alpha} / alpha beyond the support.
+    Finite exactly when alpha in (0,1) for sets of finite perimeter.
+    Composite Gauss-Legendre-16 integrates ``ghat_deficit`` on panels graded
+    toward 0, each kink and ell, refined until two levels agree
+    (``kernel._refine``).  On the first panel [0, rho0], rho0 ~ 1e-16 of the
+    first break, the integral is the exact w_{d-1} Per rho0^{1-alpha} /
+    (1 - alpha) of the leading term; beyond ell, A_d |Omega| ell^{-alpha} / alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise RegimeError(
             f"alpha-perimeter is finite only for alpha in (0, 1); got alpha={alpha}"
         )
     cfg = cfg if cfg is not None else QuadratureConfig()
-    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     profile = radial_profile(shape)
     ell = profile.support_radius
-    advol = unit_sphere_area(shape.d) * profile.volume
-    r_floor = 1e-9 * ell
+    slope = unit_ball_volume(shape.d - 1) * perimeter(shape)
+    tail = unit_sphere_area(shape.d) * profile.volume * ell ** (-alpha) / alpha
+    breaks = np.array([0.0, *profile.kink_radii, ell])
 
-    def smooth_part(rho):
-        # bounded factor f(rho) = (A_d|Omega| - ghat)/rho of the weighted
-        # integrand, with f(0+) = w_{d-1} Per; the floor keeps the endpoint
-        # evaluation of the weighted rule finite
-        rho = max(rho, r_floor)
-        return (advol - profile.ghat(rho)) / rho
+    def once(level):
+        edges = _graded_edges(breaks, level)
+        nodes, weights = _gl_nodes_weights(edges[1:])
+        body = float(np.sum(weights * nodes ** (-1.0 - alpha) * profile.ghat_deficit(nodes)))
+        return slope * edges[1] ** (1.0 - alpha) / (1.0 - alpha) + body + tail
 
-    edges = [0.0, *profile.kink_radii, ell]
-    total = 0.0
-    # first segment carries the rho^{-alpha} singularity
-    head, err = quad(
-        smooth_part,
-        0.0,
-        edges[1],
-        weight="alg",
-        wvar=(-alpha, 0.0),
-        epsabs=0.1 * abs_tol,
-        epsrel=0.1 * rel_tol,
-        limit=300,
-    )
-    total += head
-    for a, b in zip(edges[1:-1], edges[2:]):
-        part, perr = quad(
-            lambda r: r**-alpha * smooth_part(r),
-            a,
-            b,
-            epsabs=0.1 * abs_tol,
-            epsrel=0.1 * rel_tol,
-            limit=300,
-        )
-        total += part
-        err += perr
-    total += advol * ell ** (-alpha) / alpha
-    if err > 1e-4 * max(abs(total), 1.0):
-        raise QuadratureError("alpha-perimeter quadrature did not converge", err)
-    return total
+    return float(_refine(once, cfg, "alpha-perimeter quadrature")[0])
 
 
 def _profile_breakpoints(shape):

@@ -283,6 +283,20 @@ def _quad(f, a, b, cfg, what):
     return val
 
 
+def _refine(once, cfg, what):
+    """(value, gap) of ``once(level)`` at the first of levels 2, 4, 8 within
+    max(abs_tol, rel_tol |value|) of the level before (largest entry for a
+    tuple); raises ``QuadratureError`` if level 8 still disagrees."""
+    prev = once(1)
+    for level in (2, 4, 8):
+        cur = once(level)
+        gap = float(np.max(np.abs(np.subtract(cur, prev))))
+        if gap <= max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(cur)))):
+            return cur, gap
+        prev = cur
+    raise QuadratureError(f"{what} did not settle by level 8", residual=gap)
+
+
 def l1_norm(spec, cfg=_DEFAULT_CFG):
     """A_d int_0^inf r^{d-1} p_1(r) dr by quadrature with analytic tails."""
     d = spec.d

@@ -209,6 +209,30 @@ def test_kernel_eval_small_alpha_exit_codes(capsys):
     assert "failed validation" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args,t_grid,const",
+    [
+        (
+            ["--family", "stable", "--alpha", "1.5", "--d", "3", "--shape", "box", "--sides", "1,2,3"],
+            "1e-20,1e-30,1e-40",
+            18.760117641676267,
+        ),
+        (
+            ["--family", "gaussian", "--d", "2", "--shape", "ball", "--radius", "1"],
+            "1e-100,1e-200,1e-300",
+            2.0 * math.sqrt(math.pi),
+        ),
+    ],
+)
+def test_heat_sweep_at_deep_small_t_prints_the_constant(capsys, args, t_grid, const):
+    rc, out = run_cli(["heat", "sweep", *args, "--t-grid", t_grid], capsys)
+    assert rc == 0
+    _, header, rows = parse_csv(out)
+    col = header.index("scaled_deficit")
+    for row in rows:
+        assert float(row[col]) == pytest.approx(const, rel=1e-6)
+
+
 def test_heat_sweep_starved_quadrature_exit_code(capsys):
     # tolerances no refinement level can meet: the deficit quadrature raises,
     # which the CLI reports as a numerical failure

@@ -1,10 +1,12 @@
 """Heat content engine: deficit route, regimes, sweeps, bounds, decomposition."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from heatlab import content
 from heatlab.content import (
     DEFAULT_T_GRID,
     HeatContentResult,
@@ -175,6 +177,72 @@ def test_scaled_deficit_reports_error_estimate():
     val, err = scaled_deficit(KernelSpec.stable(1.5, 2), BALL_PROFILE, 1e-3)
     assert val > 0.0
     assert 0.0 < err < 1e-6 * val
+
+
+def test_decomposition_raises_when_levels_disagree(monkeypatch):
+    # Theta off by 2e-4 / (number of nodes): every level gap lies between the
+    # tolerance (3e-8 here) and 1e-6, which used to be returned silently
+    exact = content.theta
+    monkeypatch.setattr(content, "theta", lambda d, c: exact(d, c) * (1.0 + 2e-4 / c.size))
+    with pytest.raises(QuadratureError, match="did not settle") as exc:
+        ball_poisson_decomposition(2, 0.01)
+    assert 3.1e-8 < exc.value.residual < 1e-6
+
+
+# -- deep small t: the complement keeps the digits, double range is guarded ---------
+
+
+def _scaled(spec, shape, t):
+    val, _ = scaled_deficit(spec, radial_profile(shape), t)
+    return val / float(regime_scaling(spec, t))
+
+
+def test_box_d3_deep_small_t_deficit_reaches_its_constant():
+    # near-duplicate panel edges are measured against the local edge: at
+    # t = 1e-30 a gap relative to r* ~ 1e20 dropped the whole head, and the
+    # sweep read 0.0759 and 3.5e-5 at 1e-30 and 1e-40
+    spec, box = KernelSpec.stable(1.5, 3), Box((1.0, 2.0, 3.0))
+    const = theoretical_constant(spec, box)
+    for t in (1e-20, 1e-30, 1e-40):
+        assert _scaled(spec, box, t) == pytest.approx(const, rel=1e-6)
+
+
+@pytest.mark.parametrize("t", [1e-100, 1e-200, 1e-300])
+def test_gaussian_disc_deficit_at_extreme_t_is_per_over_sqrt_pi(t):
+    # advol - ghat(rho) was 0 or an ulp of ghat(0) for rho below ~1e-16
+    want = perimeter(BALL) / math.sqrt(math.pi)
+    assert _scaled(KernelSpec.gaussian(2), BALL, t) == pytest.approx(want, rel=1e-15)
+
+
+def test_stable_disc_deep_small_t_deficits():
+    # alpha = 1.5 read 0.031 at t = 1e-30 before the complement
+    assert _scaled(KernelSpec.stable(1.5, 2), BALL, 1e-30) == pytest.approx(
+        2.0 * math.gamma(1.0 / 3.0), rel=1e-8
+    )
+    spec = KernelSpec.stable(0.5, 2)
+    const = theoretical_constant(spec, BALL)
+    for t in (1e-30, 1e-50):
+        assert _scaled(spec, BALL, t) == pytest.approx(const, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "spec,t",
+    [
+        (KernelSpec.stable(0.5, 2), 1e-70),  # p_1 underflows where its tail still counts
+        (KernelSpec.stable(0.5, 2), 1e-80),  # r^{d-1} p_1 would overflow
+        (KernelSpec.stable(1.5, 2), 1e-300),
+        (KernelSpec.poisson(2), 1e-150),
+        (KernelSpec.poisson(2), 1e-200),
+        (KernelSpec.gaussian(3), 1e-300),
+    ],
+)
+def test_deficit_outside_double_range_raises_without_warning(spec, t):
+    # no NaN, no truncated value, no warning: a typed error
+    prof = radial_profile(Ball(1.0, spec.d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError):
+            scaled_deficit(spec, prof, t)
 
 
 # -- limit constants -----------------------------------------------------------------

@@ -199,23 +199,56 @@ def _reference_azimuth_integral(s, L1, L2):
     return np.where(live, val, 0.0)
 
 
-@pytest.mark.parametrize("sides", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (3.0, 0.5)])
-def test_box_azimuth_integral_matches_general_form_bitwise(sides):
-    L1, L2 = sides
-    m = min(sides)
-    s = np.concatenate(
+D2_SIDES = [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (3.0, 0.5)]
+
+
+def _d2_radii(L1, L2):
+    m = min(L1, L2)
+    return np.concatenate(
         [
             [0.0, 5e-324, 1e-300],
             np.linspace(0.0, m, 1001),
             [m, np.nextafter(m, -np.inf), np.nextafter(m, np.inf), math.hypot(L1, L2)],
+            np.linspace(m, math.hypot(L1, L2), 1001),
         ]
     )
+
+
+@pytest.mark.parametrize("sides", D2_SIDES)
+def test_box_azimuth_integral_matches_general_form_bitwise(sides):
+    # above min(L), where the 2-D complement is A_2 L1 L2 - ghat, bit for bit
+    L1, L2 = sides
+    s = _d2_radii(L1, L2)
+    s = s[s > min(sides)]
     want = _reference_azimuth_integral(s, L1, L2)
     assert geometry._box_azimuth_integral(s, L1, L2).tobytes() == want.tobytes()
-    assert geometry._box_ghat_d2(s, L1, L2).tobytes() == (4.0 * want).tobytes()
+    full = unit_sphere_area(2) * (L1 * L2)
+    assert geometry._box_deficit_d2(s, L1, L2).tobytes() == (full - 4.0 * want).tobytes()
+
+
+@pytest.mark.parametrize("sides", D2_SIDES)
+def test_box_deficit_d2_below_shortest_side_is_elementary(sides):
+    # 2 Per s - 2 s^2 to full relative precision at normal s; the ghat it
+    # gives is within four ulps of ghat(0) of the general form (each side rounds)
+    L1, L2 = sides
+    s = _d2_radii(L1, L2)
+    s = s[s <= min(sides)]
+    got = geometry._box_deficit_d2(s, L1, L2)
+    assert np.all(got >= 0.0)
+    full = unit_sphere_area(2) * (L1 * L2)
+    want = _reference_azimuth_integral(s, L1, L2)
+    np.testing.assert_allclose(full - got, 4.0 * want, rtol=0.0, atol=4.0 * np.spacing(full))
+    normal = s >= np.finfo(float).tiny
+    elementary = 4.0 * (L1 + L2) * s[normal] - 2.0 * s[normal] ** 2
+    np.testing.assert_allclose(got[normal], elementary, rtol=1e-15, atol=0.0)
 
 
 BOX_SIDES = [(1.0, 2.0, 3.0), (3.0, 1.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)]
+
+
+def _box_ghat_d3(rho, *sides):
+    """ghat of a 3-D box through its profile, A_3 |Omega| - ghat_deficit."""
+    return radial_profile(Box(sides)).ghat(np.asarray(rho, dtype=float))
 
 
 def _ghat0(sides):
@@ -237,29 +270,30 @@ def _mp_box_ghat_d3(rho, L1, L2, L3):
         rho, L1, L2, L3 = (mpmath.mpf(x) for x in (rho, L1, L2, L3))
         if rho == 0:
             return float(4 * mpmath.pi * L1 * L2 * L3)
-
-        def azimuth(s):
-            p0 = mpmath.acos(L1 / s) if s > L1 else mpmath.mpf(0)
-            p1 = mpmath.asin(L2 / s) if s > L2 else mpmath.pi / 2
-            if p1 <= p0:
-                return mpmath.mpf(0)
-            return (
-                L1 * L2 * (p1 - p0)
-                + L1 * s * (mpmath.cos(p1) - mpmath.cos(p0))
-                - L2 * s * (mpmath.sin(p1) - mpmath.sin(p0))
-                + s * s * (mpmath.cos(2 * p0) - mpmath.cos(2 * p1)) / 4
-            )
-
         top = min(mpmath.mpf(1), L3 / rho)
         cuts = [mpmath.sqrt(1 - (c / rho) ** 2) for c in (L1, L2, mpmath.hypot(L1, L2)) if c < rho]
         pts = [mpmath.mpf(0)] + sorted(z for z in cuts if 0 < z < top) + [top]
-        f = lambda z: (L3 - rho * z) * azimuth(rho * mpmath.sqrt(1 - z * z))
+        f = lambda z: (L3 - rho * z) * _mp_azimuth(rho * mpmath.sqrt(1 - z * z), L1, L2)
         return float(8 * mpmath.quad(f, pts))
+
+
+def _mp_azimuth(s, L1, L2):
+    """int_0^{pi/2} (L1 - s cos phi)^+ (L2 - s sin phi)^+ dphi in mpmath."""
+    p0 = mpmath.acos(L1 / s) if s > L1 else mpmath.mpf(0)
+    p1 = mpmath.asin(L2 / s) if s > L2 else mpmath.pi / 2
+    if p1 <= p0:
+        return mpmath.mpf(0)
+    return (
+        L1 * L2 * (p1 - p0)
+        + L1 * s * (mpmath.cos(p1) - mpmath.cos(p0))
+        - L2 * s * (mpmath.sin(p1) - mpmath.sin(p0))
+        + s * s * (mpmath.cos(2 * p0) - mpmath.cos(2 * p1)) / 4
+    )
 
 
 def _assert_matches_mp_reference(sides, rho, rtol, atol):
     ell = math.sqrt(sum(s * s for s in sides))
-    got = geometry._box_ghat_d3(rho, *sides)
+    got = _box_ghat_d3(rho, *sides)
     want = np.array([_mp_box_ghat_d3(x, *sides) if x < ell else 0.0 for x in rho])
     np.testing.assert_allclose(got, want, rtol=rtol, atol=atol * _ghat0(sides))
 
@@ -292,7 +326,7 @@ def test_box_d3_ghat_matches_mpmath_reference_property(sides, frac):
 def test_box_d3_ghat_continuous_across_kinks(sides):
     cuts = _cut_radii(sides)[:-1]
     below, at, above = (
-        geometry._box_ghat_d3(x, *sides)
+        _box_ghat_d3(x, *sides)
         for x in (np.nextafter(cuts, 0.0), cuts, np.nextafter(cuts, np.inf))
     )
     atol = 4e-15 * _ghat0(sides)
@@ -304,8 +338,8 @@ def test_box_d3_ghat_continuous_across_kinks(sides):
 def test_box_d3_ghat_vanishes_at_and_beyond_diagonal(sides):
     ell = _cut_radii(sides)[-1]
     beyond = np.array([ell, np.nextafter(ell, np.inf), 1.5 * ell, 10.0 * ell])
-    assert np.all(geometry._box_ghat_d3(beyond, *sides) == 0.0)
-    just_below = geometry._box_ghat_d3(np.array([np.nextafter(ell, 0.0)]), *sides)[0]
+    assert np.all(_box_ghat_d3(beyond, *sides) == 0.0)
+    just_below = _box_ghat_d3(np.array([np.nextafter(ell, 0.0)]), *sides)[0]
     assert abs(just_below) <= 1e-15 * _ghat0(sides)
 
 
@@ -320,7 +354,7 @@ def test_box_d3_ghat_mass_identity(sides):
     mass = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         rho = a + (b - a) * s * s
-        mass += float(np.sum(w * 2.0 * (b - a) * s * rho * rho * geometry._box_ghat_d3(rho, *sides)))
+        mass += float(np.sum(w * 2.0 * (b - a) * s * rho * rho * _box_ghat_d3(rho, *sides)))
     assert mass == pytest.approx(volume(Box(sides)) ** 2, rel=1e-13)
 
 
@@ -365,7 +399,7 @@ def _reference_box_ghat_d3(rho, L1, L2, L3):
 
 
 def _assert_matches_reference(sides, rho, atol=1e-15):
-    got = geometry._box_ghat_d3(rho, *sides)
+    got = _box_ghat_d3(rho, *sides)
     want = _reference_box_ghat_d3(rho, *sides)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=atol * _ghat0(sides))
 
@@ -409,25 +443,26 @@ def test_box_d3_ghat_cubic_matches_all_segment_loop_property(sides, frac):
 def test_box_d3_ghat_continuous_at_shortest_side(sides):
     # the cubic at min(L) against the slab integral one ulp above it
     m = min(sides)
-    at, above = geometry._box_ghat_d3(np.array([m, np.nextafter(m, np.inf)]), *sides)
+    at, above = _box_ghat_d3(np.array([m, np.nextafter(m, np.inf)]), *sides)
     atol = 1e-15 * unit_sphere_area(3) * float(np.prod(sides))
     np.testing.assert_allclose(at, above, rtol=1e-14, atol=atol)
 
 
 @pytest.mark.parametrize("sides", BOX_SIDES)
 def test_box_d3_ghat_slope_at_zero_is_pi_perimeter(sides):
-    # (ghat(0) - ghat(h)) / h -> w_2 Per = pi Per (the paper's expansion).  The
-    # quotient is off by the h^2 term, (8/3) h sum(L), plus the rounding of
-    # ghat(h) to ghat(0)'s ulp divided by h (about 1e-7 relative here).
+    # ghat_deficit(h) / h -> w_2 Per = pi Per (the paper's expansion).  The
+    # quotient is off by the h^2 term, (8/3) h sum(L); the complement carries
+    # no rounding of ghat(0), so the ulp allowance is slack.
     h = 1e-9 * min(sides)
-    g0, gh = geometry._box_ghat_d3(np.array([0.0, h]), *sides)
+    g0 = _ghat0(sides)
     bound = 8.0 / 3.0 * h * sum(sides) + 2.0 * np.spacing(g0) / h
-    assert abs((g0 - gh) / h - math.pi * perimeter(Box(sides))) <= bound
+    deficit = radial_profile(Box(sides)).ghat_deficit(h)
+    assert abs(deficit / h - math.pi * perimeter(Box(sides))) <= bound
 
 
 @pytest.mark.parametrize("sides", [(1.0, 2.0, 3.0), (0.3, 0.7, 1.1), (1.0, 1.0, 1.0), (2.0, 2.0, 0.5)])
 def test_box_d3_ghat_at_zero_is_sphere_area_times_volume(sides):
-    g0 = geometry._box_ghat_d3(np.array([0.0]), *sides)[0]
+    g0 = _box_ghat_d3(np.array([0.0]), *sides)[0]
     assert g0 == unit_sphere_area(3) * volume(Box(sides))
     assert radial_profile(Box(sides)).ghat(0.0) == g0
 
@@ -502,6 +537,87 @@ def test_covariance_mc_rejects_nan_and_zeroes_infinite_displacement(shape):
         covariance_mc(shape, [math.nan, 0.0], samples=2**10, seed=0)
     assert covariance_mc(shape, [math.inf, 0.0], samples=2**10, seed=0) == (0.0, 0.0)
     assert covariance_mc(shape, [0.1, -math.inf], samples=2**10, seed=0) == (0.0, 0.0)
+
+
+# -- the complement ghat_deficit ------------------------------------------------
+
+
+def test_ghat_deficit_matches_elementary_ball_forms():
+    # disc: R^2 (2 arcsin(s/2) + (s/2) sqrt(4 - s^2)); 3-ball: R^3 pi s (12 - s^2) / 12,
+    # both times A_d, with s = rho / R
+    R = 1.7
+    s = np.concatenate([[1e-300, 1e-20, 1e-8], np.linspace(0.0, 2.0, 401)[1:-1], [np.nextafter(2.0, 0.0)]])
+    disc = R**2 * (2.0 * np.arcsin(s / 2.0) + (s / 2.0) * np.sqrt(4.0 - s * s))
+    np.testing.assert_allclose(
+        radial_profile(Ball(R, 2)).ghat_deficit(R * s), unit_sphere_area(2) * disc, rtol=2e-15, atol=0.0
+    )
+    ball = R**3 * math.pi * s * (12.0 - s * s) / 12.0
+    np.testing.assert_allclose(
+        radial_profile(Ball(R, 3)).ghat_deficit(R * s), unit_sphere_area(3) * ball, rtol=2e-15, atol=0.0
+    )
+    assert radial_profile(Ball(R, 2)).ghat_deficit(0.0) == 0.0
+
+
+_PROFILE_SHAPES = st.one_of(
+    st.builds(Ball, st.floats(0.1, 10.0), st.sampled_from([2, 3, 5])),
+    st.builds(lambda sides: Box(sides), st.lists(st.floats(0.1, 10.0), min_size=2, max_size=3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=_PROFILE_SHAPES, frac=st.floats(0.0, 1.5))
+def test_ghat_and_its_deficit_add_to_sphere_area_times_volume(shape, frac):
+    prof = radial_profile(shape)
+    rho = frac * prof.support_radius
+    full = unit_sphere_area(shape.d) * volume(shape)
+    deficit = prof.ghat_deficit(rho)
+    assert 0.0 <= deficit <= full
+    assert abs(prof.ghat(rho) + deficit - full) <= 2.0 * np.spacing(full)
+    if frac >= 1.0:
+        assert prof.ghat(rho) == 0.0 and deficit == full
+
+
+def _mp_alpha_perimeter(complement, breaks, alpha):
+    """30-digit int_0^inf rho^{-1-alpha} complement(rho) drho, complement(rho)
+    = A_d |Omega| beyond breaks[-1].  On [0, breaks[1]] the substitution
+    rho = u^{1/(1-alpha)} absorbs the rho^{-alpha} head: a plain mp.quad from
+    0 misses it (5e-5 off at alpha = 0.9)."""
+    with mpmath.workdps(30):
+        alpha = mpmath.mpf(alpha)
+        breaks = [mpmath.mpf(b) for b in breaks]
+        m = 1 / (1 - alpha)
+        head = m * mpmath.quad(lambda u: complement(u**m) / u**m, [0, breaks[1] ** (1 / m)])
+        body = mpmath.quad(lambda r: r ** (-1 - alpha) * complement(r), breaks[1:])
+        tail = complement(breaks[-1]) * breaks[-1] ** (-alpha) / alpha
+        return float(head + body + tail)
+
+
+ALPHAS = [0.3, 0.5, 0.7, 0.9, 0.99]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_alpha_perimeter_ball_matches_mpmath_reference(d, alpha):
+    if d == 2:
+        complement = lambda r: 2 * mpmath.pi * (2 * mpmath.asin(r / 2) + (r / 2) * mpmath.sqrt(4 - r * r))
+    else:
+        complement = lambda r: 4 * mpmath.pi * mpmath.pi * r * (12 - r * r) / 12
+    want = _mp_alpha_perimeter(complement, [0, 1, 2], alpha)
+    assert alpha_perimeter(Ball(1.0, d), alpha) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_alpha_perimeter_box_d2_matches_mpmath_reference(alpha):
+    # 2 Per rho - 2 rho^2 below the shorter side, A_2 |Omega| - ghat above it
+    L1, L2 = mpmath.mpf(1), mpmath.mpf(2)
+
+    def complement(r):
+        if r <= 1:
+            return 12 * r - 2 * r * r
+        return 4 * mpmath.pi - 4 * _mp_azimuth(r, L1, L2)
+
+    want = _mp_alpha_perimeter(complement, [0, 1, 2, math.sqrt(5.0)], alpha)
+    assert alpha_perimeter(Box((1.0, 2.0)), alpha) == pytest.approx(want, rel=1e-13)
 
 
 # -- directional variation and perimeters ----------------------------------------
