@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .geometry import (
     volume,
 )
 from .kernel import (
+    _DEFAULT_CFG,
     KernelSpec,
     QuadratureConfig,
     eval_p1,
@@ -61,7 +62,7 @@ class Context:
 
     seed: int = 0
     quick: bool = False
-    cfg: QuadratureConfig = field(default_factory=QuadratureConfig)
+    cfg: QuadratureConfig = _DEFAULT_CFG
 
     @property
     def mc_samples(self):
@@ -380,7 +381,7 @@ def run_battery(seed=0, quick=False, include_17=True, cfg=None):
 
     The CSV body holds no timings, so identical seeds give identical bytes.
     """
-    ctx = Context(seed=seed, quick=quick, cfg=cfg if cfg is not None else QuadratureConfig())
+    ctx = Context(seed=seed, quick=quick, cfg=cfg or _DEFAULT_CFG)
     cids = [c for c in sorted(_CRITERIA) if include_17 or c != 17]
     results = [run_criterion(cid, ctx) for cid in cids]
     rows = [(r.cid, r.name, "pass" if r.passed else "FAIL", r.detail) for r in results]

@@ -231,14 +231,15 @@ def cmd_heat_sweep(cfg: RunConfig) -> int:
     meta = {"family": cfg.family, "d": cfg.d, "shape": cfg.shape}
     if cfg.alpha is not None:
         meta["alpha"] = cfg.alpha
-    csv_body = sweep_csv(report, results, meta=meta)
-    json_body = json_report(report, results=[dataclasses.asdict(r) for r in results])
+    summary = lambda: json_report(report, results=[dataclasses.asdict(r) for r in results])
     if cfg.format == "json":
-        _emit(cfg, json_body)
-    elif cfg.out:
+        _emit(cfg, summary())
+        return _EXIT_OK
+    csv_body = sweep_csv(report, results, meta=meta)
+    if cfg.out:
         write_text(cfg.out, csv_body)
         summary_path = cfg.out + ".json"
-        write_text(summary_path, json_body)
+        write_text(summary_path, summary())
         print(f"wrote {cfg.out} and {summary_path}")
     else:
         sys.stdout.write(csv_body)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError, RegimeError
 from .geometry import (
@@ -40,11 +39,12 @@ from .geometry import (
     volume,
 )
 from .kernel import (
+    _DEFAULT_CFG,
     GAUSSIAN,
     POLY,
     KernelSpec,
-    QuadratureConfig,
     _check_time,
+    _radial_integral,
     _refine,
     eval_p1,
     l1_norm_closed_form,
@@ -56,8 +56,6 @@ from .kernel import (
 )
 from .kernel import tail_mass as _kernel_tail_mass
 from .stable import _gl_nodes_weights
-
-_DEFAULT_CFG = QuadratureConfig()
 
 _LOG_MAX = math.log(np.finfo(float).max)  # the deficit integrand overflows beyond it
 
@@ -191,45 +189,44 @@ def _deficit_edges(r_star, kinks, level):
     return edges[keep]
 
 
-def _scaled_deficit_once(spec, profile, t, level, cfg):
-    """One evaluation of D~(t) = int r^{d-1} p_1(r) ghat_deficit(t^g r) dr.
+def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=None):
+    """D~(t) = deficit(t) * t^{-(beta+d*gamma)} = int r^{d-1} p_1(r)
+    ghat_deficit(t^g r) dr, with an error estimate.
 
-    Raises ``QuadratureError`` rather than leave double range: before
-    r^{max(d, n)} (n: the poly family's exponent) overflows at r* = ell t^-g,
-    and where p_1 underflows on radii whose tail mass, times A_d|Omega|,
-    exceeds rel_tol of the value."""
+    Panels on [0, r*], r* = ell t^-g, plus A_d|Omega| times the kernel's tail
+    mass beyond r*, computed once per t.  Refines the panel density until two
+    successive levels agree to the configured tolerances (``kernel._refine``);
+    the returned error is the last inter-level gap plus abs_tol.  Raises
+    QuadratureError when no level settles, and rather than leave double
+    range: before r^{max(d, n)} (n: the poly family's exponent) overflows at
+    r*, and where p_1 underflows on radii whose tail mass, times A_d|Omega|,
+    exceeds rel_tol of the value.
+    """
+    cfg = cfg or _DEFAULT_CFG
+    _check_time(t)
+    if spec.d != profile.d:
+        raise ValueError(f"kernel dimension {spec.d} != profile dimension {profile.d}")
     d = spec.d
     tg = float(t) ** spec.scaling().gamma
     r_star = profile.support_radius / tg if tg > 0.0 else math.inf
     if max(d, spec.n or 0) * math.log(r_star) >= _LOG_MAX:
         raise QuadratureError(f"t={t:g} is too small: the deficit integrand overflows at r*={r_star:.3g}")
     advol = unit_sphere_area(d) * profile.volume
-    edges = _deficit_edges(r_star, [k / tg for k in profile.kink_radii], level)
-    nodes, weights = _gl_nodes_weights(edges)
-    p_vals = eval_p1(spec, nodes, cfg)
-    head = float(np.sum(weights * nodes ** (d - 1) * p_vals * profile.ghat_deficit(tg * nodes)))
-    value = head + advol * _kernel_tail_mass(spec, r_star, cfg)
-    lost = nodes[p_vals < np.finfo(float).tiny]
-    bound = advol * _kernel_tail_mass(spec, float(lost.min()), cfg) if lost.size else 0.0
-    if bound > cfg.rel_tol * value:
-        msg = f"t={t:g}: p_1 underflows from r={lost.min():.3g}, where its tail carries {bound:.2e}"
-        raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
-    return value
+    tail = advol * _kernel_tail_mass(spec, r_star, cfg)
 
+    def once(level):
+        edges = _deficit_edges(r_star, [k / tg for k in profile.kink_radii], level)
+        nodes, weights = _gl_nodes_weights(edges)
+        p_vals = eval_p1(spec, nodes, cfg)
+        head = float(np.sum(weights * nodes ** (d - 1) * p_vals * profile.ghat_deficit(tg * nodes)))
+        value = head + tail
+        lost = nodes[p_vals < np.finfo(float).tiny]
+        bound = advol * _kernel_tail_mass(spec, float(lost.min()), cfg) if lost.size else 0.0
+        if bound > cfg.rel_tol * value:
+            msg = f"t={t:g}: p_1 underflows from r={lost.min():.3g}, where its tail carries {bound:.2e}"
+            raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
+        return value
 
-def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=None):
-    """D~(t) = deficit(t) * t^{-(beta+d*gamma)}, with an error estimate.
-
-    Refines the panel density until two successive levels agree to the
-    configured tolerances (``kernel._refine``); the returned error is the last
-    inter-level gap plus abs_tol.  Raises QuadratureError when no level
-    settles or the integrand would leave double range.
-    """
-    cfg = cfg or _DEFAULT_CFG
-    _check_time(t)
-    if spec.d != profile.d:
-        raise ValueError(f"kernel dimension {spec.d} != profile dimension {profile.d}")
-    once = lambda level: _scaled_deficit_once(spec, profile, t, level, cfg)
     value, gap = _refine(once, cfg, f"deficit quadrature at t={t:g}")
     return value, gap + cfg.abs_tol
 
@@ -428,17 +425,20 @@ def poly_lambda(spec: KernelSpec, shape, cfg=None) -> float:
     """The t-independent coefficient lambda(Omega) in the log-regime bound.
 
     lambda = |Omega| * ell^{-1} * A_d * kappa
-           + kappa * w_{d-1} * Per * (ln ell + int_0^1 r^d (1+r^n)^{-m} dr).
+           + kappa * w_{d-1} * Per * (ln ell + int_0^1 r^d (1+r^n)^{-m} dr),
+
+    the integral being ``kernel._radial_integral`` of r^d p_1 / kappa under
+    ``cfg``.
     """
     cfg = cfg or _DEFAULT_CFG
     if spec.family != POLY:
         raise RegimeError("poly_lambda is defined for the polynomial family only")
-    d, kappa, n, m = spec.d, spec.kappa, spec.n, spec.m
+    d, kappa = spec.d, spec.kappa
     vol = volume(shape)
     ell = diameter(shape)
     w = unit_ball_volume(d - 1)
     per = perimeter(shape)
-    head, _ = quad(lambda r: r**d / (1.0 + r**n) ** m, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+    head = _radial_integral(spec, d, 0.0, 1.0, cfg) / kappa
     return vol / ell * unit_sphere_area(d) * kappa + kappa * w * per * (math.log(ell) + head)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import betainc, betaln
 
 from .errors import RegimeError, UnsupportedShapeError
-from .kernel import QuadratureConfig, _refine, unit_ball_volume, unit_sphere_area
+from .kernel import _DEFAULT_CFG, _graded_edges, _refine, unit_ball_volume, unit_sphere_area
 from .stable import _gl_nodes_weights
 
 
@@ -677,18 +677,6 @@ def perimeter_via_directional(shape):
 # -- alpha-perimeter ----------------------------------------------------------
 
 
-def _graded_edges(breaks, level):
-    """Panel edges on [breaks[0], breaks[-1]], graded geometrically toward
-    every break: from each end of a segment the panels shrink by
-    4^{-1/level}, from half its length down to about 1e-16 of it."""
-    n = int(level * math.log(0.5e16) / math.log(4.0)) + 1
-    frac = 0.5 * 4.0 ** (-np.arange(n) / level)
-    parts = [breaks[:1]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        parts += [a + (b - a) * frac[::-1], b - (b - a) * frac[1:], [b]]
-    return np.concatenate(parts)
-
-
 def alpha_perimeter(shape, alpha, cfg=None):
     """P_alpha(Omega) = int_0^inf rho^{-1-alpha} (A_d |Omega| - ghat(rho)) drho.
 
@@ -703,7 +691,7 @@ def alpha_perimeter(shape, alpha, cfg=None):
         raise RegimeError(
             f"alpha-perimeter is finite only for alpha in (0, 1); got alpha={alpha}"
         )
-    cfg = cfg if cfg is not None else QuadratureConfig()
+    cfg = cfg or _DEFAULT_CFG
     profile = radial_profile(shape)
     ell = profile.support_radius
     slope = unit_ball_volume(shape.d - 1) * perimeter(shape)

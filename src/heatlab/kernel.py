@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc, betaln, gammaincc, gammaln
 
 from .errors import DivergentMomentError, QuadratureError, RegimeError
@@ -82,17 +81,14 @@ class ScalingExponents:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and subdivision limit for the numerical kernel paths."""
+    """Tolerances for the numerical kernel paths."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -214,16 +210,6 @@ def eval_pt(spec, t, r, cfg=_DEFAULT_CFG):
     return scale * eval_p1(spec, np.asarray(r, dtype=float) * stretch, cfg)
 
 
-def _integrate_power_against_table(dens, q):
-    """int_0^{r_switch} r^q p_1(r) dr, exact for the piecewise-cubic table.
-
-    Gauss-Legendre 16 per table interval integrates r^q * (cubic) exactly for
-    q <= 28, far above any moment used here.
-    """
-    nodes, weights = _gl_nodes_weights(dens.table_nodes)
-    return float(weights @ (nodes**q * dens.evaluate(nodes)))
-
-
 def _algebraic_tail_mass(d, kappa, n, m, R):
     """kappa int_R^inf r^{d-1} (1+r^n)^{-m} dr = kappa/n B(a, b) I_x(a, b),
     a = m - d/n, b = d/n, x = 1/(1 + R^n): u = r^n turns the integral into an
@@ -239,9 +225,10 @@ def _algebraic_tail_mass(d, kappa, n, m, R):
 
 
 def tail_mass(spec, R, cfg=_DEFAULT_CFG):
-    """int_R^inf r^{d-1} p_1(r) dr, via analytic tails (incomplete Beta for the
-    algebraic families, incomplete Gamma for Gaussian, the stable inverse-power
-    series beyond the table)."""
+    """int_R^inf r^{d-1} p_1(r) dr: incomplete Beta for the algebraic families,
+    incomplete Gamma for Gaussian; for the stable family the inverse-power
+    series integral beyond r_switch, plus ``_radial_integral`` over the table
+    on [R, r_switch] when R lies below it."""
     d = spec.d
     if not R >= 0:
         raise ValueError("radius must be nonnegative")
@@ -259,28 +246,19 @@ def tail_mass(spec, R, cfg=_DEFAULT_CFG):
     dens = _density(spec, cfg)
     if R >= dens.r_switch:
         return dens.tail_mass(R)[0]
-    # complement against the exact unit L1 norm of the stable density
-    nodes, weights = _gl_nodes_weights(np.linspace(0.0, R, 200))
-    head = float(weights @ (nodes ** (d - 1) * dens.evaluate(nodes)))
-    return 1.0 / unit_sphere_area(d) - head
+    return _radial_integral(spec, d - 1, R, dens.r_switch, cfg) + dens.tail_mass(dens.r_switch)[0]
 
 
-def _quad(f, a, b, cfg, what):
-    """int_a^b f by scipy ``quad`` at a tenth of the cfg tolerances; raises
-    ``QuadratureError`` when its error estimate exceeds max(abs_tol,
-    rel_tol |value|) (``full_output`` keeps scipy from only warning)."""
-    val, err, *_ = quad(
-        f,
-        a,
-        b,
-        epsabs=0.1 * cfg.abs_tol,
-        epsrel=0.1 * cfg.rel_tol,
-        limit=cfg.max_subdivisions,
-        full_output=1,
-    )
-    if err > max(cfg.abs_tol, cfg.rel_tol * abs(val)):
-        raise QuadratureError(f"{what} quadrature did not converge", err)
-    return val
+def _graded_edges(breaks, level):
+    """Panel edges on [breaks[0], breaks[-1]], graded geometrically toward
+    every break: from each end of a segment the panels shrink by
+    4^{-1/level}, from half its length down to about 1e-16 of it."""
+    n = int(level * math.log(0.5e16) / math.log(4.0)) + 1
+    frac = 0.5 * 4.0 ** (-np.arange(n) / level)
+    parts = [breaks[:1]]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        parts += [a + (b - a) * frac[::-1], b - (b - a) * frac[1:], [b]]
+    return np.concatenate(parts)
 
 
 def _refine(once, cfg, what):
@@ -297,16 +275,33 @@ def _refine(once, cfg, what):
     raise QuadratureError(f"{what} did not settle by level 8", residual=gap)
 
 
-def l1_norm(spec, cfg=_DEFAULT_CFG):
-    """A_d int_0^inf r^{d-1} p_1(r) dr by quadrature with analytic tails."""
-    d = spec.d
+def _radial_integral(spec, q, a, b, cfg):
+    """int_a^b r^q p_1(r) dr by composite Gauss-Legendre-16.
+
+    For the stable family with b <= r_switch the panels are the table's
+    intervals clipped to [a, b], on which the rule is exact for r^q times the
+    cubic (q <= 28).  Otherwise the panels are ``_graded_edges([a, b], level)``,
+    refined until two levels agree (``_refine``)."""
     if spec.family == STABLE:
         dens = _density(spec, cfg)
-        head = _integrate_power_against_table(dens, d - 1)
-        radial = head + dens.tail_mass(dens.r_switch)[0]
-        return unit_sphere_area(d) * radial
-    head = _quad(lambda r: r ** (d - 1) * eval_p1(spec, r, cfg), 0.0, _L1_TAIL_SPLIT, cfg, "L1-norm")
-    return unit_sphere_area(d) * (head + tail_mass(spec, _L1_TAIL_SPLIT, cfg))
+        if b <= dens.r_switch:
+            x = dens.table_nodes
+            nodes, weights = _gl_nodes_weights(np.concatenate([[a], x[(x > a) & (x < b)], [b]]))
+            return float(weights @ (nodes**q * dens.evaluate(nodes)))
+
+    def once(level):
+        nodes, weights = _gl_nodes_weights(_graded_edges(np.array([a, b], dtype=float), level))
+        return float(weights @ (nodes**q * eval_p1(spec, nodes, cfg)))
+
+    return _refine(once, cfg, f"radial integral of r^{q:g} p_1 on [{a:g}, {b:g}]")[0]
+
+
+def l1_norm(spec, cfg=_DEFAULT_CFG):
+    """A_d int_0^inf r^{d-1} p_1(r) dr: ``_radial_integral`` up to r_switch
+    (stable) or ``_L1_TAIL_SPLIT`` (the others), plus ``tail_mass`` beyond."""
+    split = _density(spec, cfg).r_switch if spec.family == STABLE else _L1_TAIL_SPLIT
+    head = _radial_integral(spec, spec.d - 1, 0.0, split, cfg)
+    return unit_sphere_area(spec.d) * (head + tail_mass(spec, split, cfg))
 
 
 def l1_norm_closed_form(spec):
@@ -320,19 +315,20 @@ def l1_norm_closed_form(spec):
 
 
 def moment_d(spec, cfg=_DEFAULT_CFG):
-    """int_0^inf r^d p_1(r) dr by quadrature; finite only for alpha in (1, 2]
-    (Gaussian = alpha 2 endpoint).  Divergent regimes raise."""
+    """int_0^inf r^d p_1(r) dr; finite only for alpha in (1, 2] (Gaussian =
+    alpha 2 endpoint).  ``_radial_integral`` on [0, 42] for the Gaussian (the
+    rest is below e^{-441}); for the stable family on the table up to r_switch
+    plus the series' analytic tail moment.  Divergent regimes raise."""
     d = spec.d
     if spec.family == GAUSSIAN:
-        return _quad(lambda r: r**d * eval_p1(spec, r, cfg), 0.0, 42.0, cfg, "moment")
+        return _radial_integral(spec, d, 0.0, 42.0, cfg)
     if spec.family in (POISSON, POLY) or spec.alpha <= 1.0:
         raise DivergentMomentError(
             "the d-th radial moment diverges unless alpha is in (1, 2) "
             "(Gaussian included as the alpha=2 endpoint)"
         )
     dens = _density(spec, cfg)
-    head = _integrate_power_against_table(dens, d)
-    return head + dens.tail_moment(dens.r_switch)[0]
+    return _radial_integral(spec, d, 0.0, dens.r_switch, cfg) + dens.tail_moment(dens.r_switch)[0]
 
 
 def moment_d_closed_form(spec):

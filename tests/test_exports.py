@@ -1,4 +1,5 @@
-"""The package exports only names that something documented or shipped uses."""
+"""The package exports only names that something documented or shipped uses,
+and imports no integrator of its own."""
 
 import ast
 import inspect
@@ -57,3 +58,18 @@ def test_every_export_is_used_by_the_cli_the_battery_or_the_readme():
         if not exempt and name not in used:
             orphans.append(name)
     assert orphans == []
+
+
+def test_no_module_imports_scipy_integrate():
+    # every integral runs on the package's own Gauss-Legendre panels
+    offenders = []
+    for path in sorted((ROOT / "src" / "heatlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [(path.name, n) for n in names if n == "scipy.integrate" or n.startswith("scipy.integrate.")]
+    assert offenders == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from heatlab import kernel
 from heatlab.errors import DivergentMomentError, QuadratureError, RegimeError
 from heatlab.kernel import (
     KernelSpec,
@@ -22,7 +23,7 @@ from heatlab.kernel import (
     unit_ball_volume,
     unit_sphere_area,
 )
-from heatlab.stable import _gl_nodes_weights
+from heatlab.stable import _gl_nodes_weights, density
 
 R_GRID = np.linspace(0.0, 6.0, 25)
 
@@ -267,16 +268,18 @@ def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
+        QuadratureConfig(rel_tol=-1e-8)
 
 
-def test_starved_quadrature_raises_instead_of_returning():
-    # one Gauss-Kronrod panel: scipy's own error estimate (0.31 for the
-    # Gaussian d=3 moment) exceeds the tolerance, so no value comes back
-    starved = QuadratureConfig(max_subdivisions=1)
+def test_starved_quadrature_raises_instead_of_returning(monkeypatch):
+    # the graded rule settles to the last bit by level 4, which meets any
+    # tolerance; on ``level`` uniform panels no two levels agree within 1e-300,
+    # so no value comes back
+    monkeypatch.setattr(kernel, "_graded_edges", lambda breaks, level: np.linspace(breaks[0], breaks[-1], level + 1))
+    starved = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     with pytest.raises(QuadratureError) as info:
         moment_d(KernelSpec.gaussian(3), starved)
-    assert info.value.residual > 0.1
+    assert info.value.residual > 0.0
     with pytest.raises(QuadratureError):
         l1_norm(KernelSpec.poisson(2), starved)
 
@@ -311,5 +314,26 @@ def test_algebraic_tail_mass_matches_quad(n, d):
 
 
 def test_l1_norm_of_heavy_tailed_poly_kernel():
+    # r^{1/4} is not smooth at 0: the panels graded toward 0 resolve it
     spec = KernelSpec.poly_family(2, kappa=1.0, n=0.25, m=12.0, beta=-2.0, gamma=1.0)
-    assert l1_norm(spec) == pytest.approx(l1_norm_closed_form(spec), rel=1e-9)
+    assert l1_norm(spec) == pytest.approx(l1_norm_closed_form(spec), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.8])
+@pytest.mark.parametrize("d", [2, 3])
+def test_stable_tail_mass_from_zero_is_the_l1_norm(alpha, d):
+    # both sum the same table head and the same series tail
+    spec = KernelSpec.stable(alpha, d)
+    assert unit_sphere_area(d) * tail_mass(spec, 0.0) == l1_norm(spec)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.8])
+@pytest.mark.parametrize("d", [2, 3])
+def test_stable_tail_mass_is_continuous_and_nonincreasing_at_the_switch(alpha, d):
+    spec = KernelSpec.stable(alpha, d)
+    r_s = density(alpha, d).r_switch
+    below = tail_mass(spec, float(np.nextafter(r_s, 0.0)))
+    assert 0.0 <= below - tail_mass(spec, r_s) <= 1e-14
+    radii = r_s * (1.0 + np.array([-1e-2, -1e-4, -1e-8, -1e-12, 0.0, 1e-12, 1e-8, 1e-4, 1e-2]))
+    masses = [tail_mass(spec, float(R)) for R in radii]
+    assert all(b <= a for a, b in zip(masses, masses[1:]))
