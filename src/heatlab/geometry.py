@@ -45,8 +45,8 @@ class Ball:
     d: int
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < self.radius < math.inf:  # also rejects NaN
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
         if self.d < 2:
             raise ValueError("dimension must be >= 2")
 
@@ -61,8 +61,8 @@ class Box:
         object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
         if len(self.sides) < 2:
             raise ValueError("box needs at least two sides")
-        if any(s <= 0 for s in self.sides):
-            raise ValueError("box sides must be positive")
+        if not all(0 < s < math.inf for s in self.sides):  # also rejects NaN
+            raise ValueError(f"box sides must be positive and finite, got {self.sides}")
 
     @property
     def d(self):
@@ -92,6 +92,10 @@ class Indicator:
     def __post_init__(self):
         if self.d < 2 or len(self.bbox_lo) != self.d or len(self.bbox_hi) != self.d:
             raise ValueError("bounding box must match the dimension (d >= 2)")
+        if not all(math.isfinite(x) for x in (*self.bbox_lo, *self.bbox_hi)):
+            raise ValueError(
+                f"bounding box corners must be finite, got {self.bbox_lo} and {self.bbox_hi}"
+            )
         if any(h <= l for l, h in zip(self.bbox_lo, self.bbox_hi)):
             raise ValueError("bounding box must have positive extent")
         if self.volume is not None:

@@ -121,14 +121,18 @@ class KernelSpec:
                     "use the gaussian family for alpha=2"
                 )
         elif self.family == POLY:
-            if not (self.kappa and self.kappa > 0 and self.n and self.n > 0 and self.m and self.m > 0):
+            for name in ("kappa", "n", "m", "beta", "gamma"):
+                value = getattr(self, name)
+                if value is None or not math.isfinite(value):
+                    raise ValueError(f"poly family requires a finite {name}, got {value}")
+            if not (self.kappa > 0 and self.n > 0 and self.m > 0):
                 raise ValueError("poly family requires kappa > 0, n > 0, m > 0")
             if abs(self.d - self.n * self.m + 1.0) > 1e-12 * (1.0 + abs(self.n * self.m)):
                 raise ValueError(
                     f"poly family requires d - n*m = -1 exactly, got {self.d - self.n * self.m}"
                 )
-            if self.beta is None or self.gamma is None or not self.gamma > 0:
-                raise ValueError("poly family requires scaling exponents beta and gamma > 0")
+            if not self.gamma > 0:
+                raise ValueError("poly family requires scaling exponent gamma > 0")
 
     @classmethod
     def gaussian(cls, d):

@@ -28,17 +28,18 @@ Two complementary evaluation routes are used:
   give the truncation bound, the spline's end slope and the analytic tail
   integrals.
 
-``StableDensity`` glues the two together behind a cubic-spline table on
-[0, r_switch] whose accuracy is validated at construction time against the
+``StableDensity`` glues the two together behind a clamped cubic-spline table
+on [0, r_switch] whose accuracy is validated at construction time against the
 same integral on a rule twice as fine, so that bulk evaluation (heat-content
-quadrature, Monte Carlo) is vectorized and cheap.
+quadrature, Monte Carlo) is vectorized and cheap.  The spline's node slopes
+come from one tridiagonal solve in numpy (``_clamped_spline``), so the module
+needs nothing of scipy beyond ``scipy.special``.
 """
 
 import math
 import threading
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gammaln
 
 from .errors import QuadratureError, RegimeError
@@ -234,6 +235,43 @@ def series_bound(alpha, d, scaled, r_ref, r):
     return float(err[0]) if arr.ndim == 0 else err
 
 
+def _clamped_spline(x, y, end_slope):
+    """Coefficients c, shape (4, n-1), of the cubic spline through (x_i, y_i)
+    with slope 0 at x_0 (a radial profile is even in r) and ``end_slope`` at
+    x_{n-1}: c[0] s^3 + c[1] s^2 + c[2] s + c[3] on [x_i, x_{i+1}] with
+    s = r - x_i, the layout of scipy's ``PPoly.c``.
+
+    The node slopes s_i solve the tridiagonal system (de Boor, *A Practical
+    Guide to Splines*, ch. IV)
+        dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
+            = 3 (dx_i m_{i-1} + dx_{i-1} m_i),   m_i = (y_{i+1} - y_i) / dx_i,
+    by elimination without row interchanges (stable: the system is
+    diagonally dominant) in LAPACK dgtsv's order, and the cubics are then
+    formed as scipy's ``CubicHermiteSpline`` forms them.  Where dgtsv would
+    interchange no rows, as on the graded grids of ``StableDensity``, the
+    result is bit for bit ``CubicSpline(x, y, bc_type=((1, 0.0),
+    (1, end_slope))).c``.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = len(x)
+    diag = [1.0, *(2 * (dx[:-1] + dx[1:])).tolist(), 1.0]
+    upper = [0.0, *dx[:-1].tolist()]  # row i's entry in column i + 1
+    lower = [*dx[1:].tolist(), 0.0]  # row i + 1's entry in column i
+    b = [0.0, *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(), end_slope]
+    # both sweeps are sequential recurrences: run them on Python floats
+    for i in range(n - 1):
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        b[i + 1] -= fact * b[i]
+    b[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+    s = np.array(b)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 # Longest tail series switch_radius accepts: at ~40 terms a Horner radius
 # costs about as much as a table radius, so near alpha = 1, where the series
 # meets its target at r ~ 1.2 only with K ~ 170, the table is extended instead.
@@ -261,6 +299,14 @@ def switch_radius(alpha, d, abs_tol, rel_tol):
         f"{MAX_SERIES_TERMS} terms at every switch radius up to 60",
         err,
     )
+
+
+def _radii(r):
+    """``r`` as a float array, every entry >= 0 (NaN rejected)."""
+    arr = np.asarray(r, dtype=float)
+    if not np.all(arr >= 0):  # also rejects NaN
+        raise ValueError("radius must be nonnegative")
+    return arr
 
 
 class StableDensity:
@@ -299,7 +345,6 @@ class StableDensity:
         # the spline ends with the partial sum's slope, -sum (d + alpha k) c'_k / r_switch
         expo = self.d + self.alpha * np.arange(1, self.series_K + 1, dtype=float)
         deriv_end = -float(np.sum(expo * self._scaled[: self.series_K])) / self.r_switch
-        bc = ((1, 0.0), (1, deriv_end))
         try:
             peak = p1_at_zero(self.alpha, self.d)
         except OverflowError:
@@ -313,7 +358,7 @@ class StableDensity:
             self.table_nodes = self.r_switch * u**self._grade
             vals = subordination_p1(self.alpha, self.d, self.table_nodes)
             vals[0] = peak
-            self._coef = CubicSpline(self.table_nodes, vals, bc_type=bc).c
+            self._coef = _clamped_spline(self.table_nodes, vals, deriv_end)
             defect, ok = self._validate()
             if ok:
                 break
@@ -358,7 +403,7 @@ class StableDensity:
 
     def _table(self, r):
         """The cubic table at radii 0 <= r <= r_switch (1-D array), bit for bit
-        what ``CubicSpline.__call__`` returns on the same coefficients.
+        what scipy's ``PPoly.__call__`` returns on the same coefficients.
 
         The nodes sit on the graded grid r_switch (j/m)^grade, so the interval
         index comes from inverting the grading instead of a binary search; one
@@ -395,9 +440,7 @@ class StableDensity:
 
     def evaluate(self, r):
         """Vectorized p_1(r); r may be scalar or array, entries >= 0."""
-        arr = np.asarray(r, dtype=float)
-        if not np.all(arr >= 0):  # also rejects NaN
-            raise ValueError("radius must be nonnegative")
+        arr = _radii(r)
         flat = arr.ravel()
         # one partition by index: on radii in random order, gathers and
         # scatters through index arrays cost a fraction of boolean masks
@@ -416,7 +459,7 @@ class StableDensity:
     def value_and_error(self, r):
         """Scalar evaluation with an error estimate (table defect or series
         truncation bound, whichever branch applies)."""
-        r = float(r)
+        r = float(_radii(r))
         if r <= self.r_switch:
             return self.evaluate(r), self.table_error
         args = (self.alpha, self.d, self._scaled, self.r_switch, np.array([r]))

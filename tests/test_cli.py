@@ -354,6 +354,34 @@ def test_tiny_time_overflow_exit_code(alpha, power, capfd):
     assert err.endswith("overflows, got 1e-300\n")
 
 
+_POLY = ["--family", "poly", "--d", "2", "--kappa", "0.1", "--n", "2", "--m", "1.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["heat", "sweep", *_POLY, "--beta=nan", "--gamma", "1", "--shape", "ball", "--radius", "1"],
+         "poly family requires a finite beta, got nan"),
+        (["kernel", "eval", *_POLY, "--beta=-1", "--gamma", "inf", "--r", "1", "--t", "0.5"],
+         "poly family requires a finite gamma, got inf"),
+        (["kernel", "eval", "--family", "poly", "--d", "2", "--kappa", "0.1", "--n", "inf",
+          "--m", "1.5", "--beta=-1", "--gamma", "0.5", "--r", "1"],
+         "poly family requires a finite n, got inf"),
+        (["heat", "sweep", "--family", "gaussian", "--d", "2", "--shape", "box", "--sides", "1,nan"],
+         "box sides must be positive and finite, got (1.0, nan)"),
+        (["heat", "sweep", "--family", "gaussian", "--d", "2", "--shape", "box", "--sides", "1,inf"],
+         "box sides must be positive and finite, got (1.0, inf)"),
+        (["heat", "sweep", "--family", "gaussian", "--d", "2", "--shape", "ball", "--radius", "inf"],
+         "ball radius must be positive and finite, got inf"),
+    ],
+)
+def test_non_finite_kernel_and_shape_parameters_exit_code(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: {message}\n"
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"family": "poisson", "d": 2, "quark": 3}))

@@ -1,9 +1,12 @@
 """The package exports only names that something documented or shipped uses,
-and imports no integrator of its own."""
+and neither imports nor loads scipy's integrators, interpolators or solvers."""
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import heatlab
@@ -61,7 +64,10 @@ def test_every_export_is_used_by_the_cli_the_battery_or_the_readme():
 
 
 def test_no_module_imports_scipy_integrate():
-    # every integral runs on the package's own Gauss-Legendre panels
+    # every integral runs on the package's own Gauss-Legendre panels, and the
+    # stable table's spline on its own tridiagonal solve
+    banned = ("scipy.integrate", "scipy.interpolate")
+    banned_prefixes = tuple(f"{name}." for name in banned)
     offenders = []
     for path in sorted((ROOT / "src" / "heatlab").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -71,5 +77,18 @@ def test_no_module_imports_scipy_integrate():
                 names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            offenders += [(path.name, n) for n in names if n == "scipy.integrate" or n.startswith("scipy.integrate.")]
+            offenders += [(path.name, n) for n in names if n in banned or n.startswith(banned_prefixes)]
     assert offenders == []
+
+
+def test_cli_import_loads_no_scipy_subpackage_beyond_special():
+    # a fresh interpreter, so that no other test's imports are counted
+    heavy = [
+        "scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+        "scipy.fft", "scipy.spatial", "scipy.integrate",
+    ]
+    code = f"import sys, heatlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -716,6 +716,17 @@ def test_shape_validation():
         Indicator(d=2, contains=lambda x: x, bbox_lo=(0.0,), bbox_hi=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_shapes_reject_non_finite_sizes(value):
+    with pytest.raises(ValueError, match=f"ball radius must be positive and finite, got {value}"):
+        Ball(value, 2)
+    with pytest.raises(ValueError, match=rf"box sides must be positive and finite, got \(1.0, {value}\)"):
+        Box((1.0, value))
+    for lo, hi in [((-1.0, value), (1.0, 1.0)), ((-1.0, -1.0), (1.0, value)), ((-value, -1.0), (1.0, 1.0))]:
+        with pytest.raises(ValueError, match="bounding box corners must be finite"):
+            Indicator(d=2, contains=lambda x: x, bbox_lo=lo, bbox_hi=hi)
+
+
 @pytest.mark.parametrize("declared", [-5.0, 0.0, 4.5, math.nan, math.inf])
 def test_indicator_rejects_impossible_declared_volume(declared):
     # the bounding box [-1, 1]^2 has volume 4

@@ -264,6 +264,16 @@ def test_spec_validation():
         KernelSpec.poly_family(2, kappa=-0.1, n=2.0, m=1.5, beta=-1.0, gamma=0.5)
 
 
+@pytest.mark.parametrize("name", ["kappa", "n", "m", "beta", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_poly_spec_rejects_non_finite_parameters(name, value):
+    params = dict(kappa=0.1, n=2.0, m=1.5, beta=-1.0, gamma=0.5)
+    KernelSpec.poly_family(2, **params)
+    params[name] = value
+    with pytest.raises(ValueError, match=f"poly family requires a finite {name}, got {value}"):
+        KernelSpec.poly_family(2, **params)
+
+
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)

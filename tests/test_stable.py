@@ -7,13 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import PPoly
+from scipy.interpolate import CubicSpline, PPoly
 
 from heatlab import stable
 from heatlab.errors import QuadratureError, RegimeError
 from heatlab.kernel import moment_d_closed_form, KernelSpec, poisson_constant, unit_sphere_area
 from heatlab.stable import (
     StableDensity,
+    _clamped_spline,
     _gl_nodes_weights,
     density,
     p1_at_zero,
@@ -283,6 +284,47 @@ def test_table_lookup_matches_scipy_bitwise(alpha, d):
     np.testing.assert_array_equal(dens.evaluate(r), expected)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [round(0.3 + 0.1 * i, 1) for i in range(17)])
+def test_clamped_spline_matches_scipy_bitwise_on_every_table(alpha, d, monkeypatch):
+    # every table a build forms, rejected ones included, against scipy's
+    # clamped CubicSpline on the same nodes, values and end slopes
+    calls = []
+
+    def spy(x, y, end_slope):
+        calls.append((x, y, end_slope, _clamped_spline(x, y, end_slope)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(stable, "_clamped_spline", spy)
+    try:
+        dens = StableDensity(alpha, d)
+    except QuadratureError:
+        dens = None
+    for x, y, end_slope, coef in calls:
+        expected = CubicSpline(x, y, bc_type=((1, 0.0), (1, end_slope))).c
+        np.testing.assert_array_equal(coef, expected)
+    if dens is not None:
+        assert dens._coef is calls[-1][-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    grade=st.floats(1.0, 2.0),
+    spacing=st.floats(1e-3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    end_slope=st.floats(-1e3, 1e3),
+)
+def test_clamped_spline_matches_scipy_bitwise_property(n, grade, spacing, seed, end_slope):
+    # graded grids L (j/m)^grade with every spacing at most `spacing` <= 1, on
+    # which LAPACK's tridiagonal solver interchanges no rows
+    m = n - 1
+    x = (m * spacing / grade) * (np.arange(n) / m) ** grade
+    y = np.random.default_rng(seed).uniform(-1e3, 1e3, n)
+    expected = CubicSpline(x, y, bc_type=((1, 0.0), (1, end_slope))).c
+    np.testing.assert_array_equal(_clamped_spline(x, y, end_slope), expected)
+
+
 def test_series_branch_memory_is_bounded():
     dens = density(1.0, 2)
     r = dens.r_switch * np.geomspace(1.0 + 1e-12, 50.0, 2**18)
@@ -321,6 +363,14 @@ def test_nan_radius_rejected():
     with pytest.raises(ValueError):
         dens.evaluate(np.array([1.0, np.nan]))
     assert dens.evaluate(math.inf) == 0.0
+
+
+@pytest.mark.parametrize("r", [math.nan, -0.1, -math.inf])
+def test_value_and_error_rejects_nan_and_negative_radius(r):
+    dens = density(1.5, 2)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        dens.value_and_error(r)
+    assert dens.value_and_error(math.inf) == (0.0, 0.0)
 
 
 def test_constructor_validation():
