@@ -105,8 +105,6 @@ def make_spec(cfg: RunConfig) -> KernelSpec:
     if cfg.family == "poisson":
         return KernelSpec.poisson(cfg.d)
     if cfg.family == "stable":
-        if cfg.alpha is None:
-            raise ValueError("--family stable requires --alpha")
         return KernelSpec.stable(cfg.alpha, cfg.d)
     if cfg.family == "poly":
         return KernelSpec.poly_family(
@@ -205,8 +203,6 @@ def cmd_perimeter(cfg: RunConfig) -> int:
 
 
 def cmd_alpha_perimeter(cfg: RunConfig) -> int:
-    if cfg.alpha is None:
-        raise ValueError("alpha-perimeter requires --alpha")
     shape = make_shape(cfg)
     rows = [("radial-quadrature", alpha_perimeter(shape, cfg.alpha, cfg=quad_config(cfg)), 0.0)]
     meta = {"shape": cfg.shape, "alpha": cfg.alpha}

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import QuadratureError, RegimeError
+from .errors import QuadratureError, RegimeError, _check_time
 from .geometry import (
     Ball,
     CovarianceProfile,
@@ -42,8 +42,9 @@ from .kernel import (
     _DEFAULT_CFG,
     GAUSSIAN,
     POLY,
+    STABLE,
     KernelSpec,
-    _check_time,
+    _density,
     _radial_integral,
     _refine,
     eval_p1,
@@ -167,24 +168,23 @@ def regime_scaling(spec: KernelSpec, t) -> np.ndarray:
 # deficit quadrature
 
 
-def _deficit_edges(r_star, kinks, level):
-    """Panel edges on [0, r_star]: linear head + geometric body + kink splits.
+def _deficit_edges(r_star, breaks, level):
+    """Panel edges on [0, r_star]: linear head + geometric body + break splits.
 
-    ``level`` doubles the panel density; the kink radii (box corner scales
-    mapped into r-space) are inserted exactly so each panel sees an analytic
-    integrand.
+    ``level`` doubles the panel density; the breaks (box corner scales mapped
+    into r-space, and the stable table's r_switch) are inserted exactly so
+    each panel sees an analytic integrand.
     """
-    n_head = 8 * level
-    ratio = 1.3 ** (1.0 / level)
     head_top = min(1.0, r_star)
-    edges = list(np.linspace(0.0, head_top, n_head + 1))
-    while edges[-1] < r_star:
-        edges.append(min(edges[-1] * ratio, r_star))
-    edges = np.asarray(edges)
-    interior = [k for k in kinks if 0.0 < k < r_star]
-    if interior:
-        edges = np.unique(np.concatenate([edges, np.asarray(interior)]))
-    # drop near-duplicate edges that would make zero-width panels
+    ratio = 1.3 ** (1.0 / level)
+    # the body head_top ratio^k, k = 1, 2, ..., multiplied in sequence as far as r_star
+    grow = np.full(int(math.log(r_star / head_top) / math.log(ratio)) + 3, ratio)
+    grow[0] = head_top
+    body = np.multiply.accumulate(grow)[1:]
+    head = np.linspace(0.0, head_top, 8 * level + 1)
+    interior = [k for k in breaks if 0.0 < k < r_star]
+    edges = np.sort(np.concatenate([head, body[body < r_star], [r_star], interior]))
+    # drop near-duplicate edges that would make zero-width panels (r_star twice if <= 1)
     keep = np.concatenate([[True], np.diff(edges) > 1e-14 * edges[1:]])
     return edges[keep]
 
@@ -193,8 +193,9 @@ def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=N
     """D~(t) = deficit(t) * t^{-(beta+d*gamma)} = int r^{d-1} p_1(r)
     ghat_deficit(t^g r) dr, with an error estimate.
 
-    Panels on [0, r*], r* = ell t^-g, plus A_d|Omega| times the kernel's tail
-    mass beyond r*, computed once per t.  Refines the panel density until two
+    Panels on [0, r*], r* = ell t^-g, split at the profile's kinks over t^g and,
+    for the stable family, at r_switch, plus A_d|Omega| times the kernel's
+    tail mass beyond r*, computed once per t.  Refines the panel density until two
     successive levels agree to the configured tolerances (``kernel._refine``);
     the returned error is the last inter-level gap plus abs_tol.  Raises
     QuadratureError when no level settles, and rather than leave double
@@ -206,16 +207,24 @@ def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=N
     _check_time(t)
     if spec.d != profile.d:
         raise ValueError(f"kernel dimension {spec.d} != profile dimension {profile.d}")
-    d = spec.d
-    tg = float(t) ** spec.scaling().gamma
-    r_star = profile.support_radius / tg if tg > 0.0 else math.inf
+    d, ell, gamma = spec.d, profile.support_radius, spec.scaling().gamma
+    try:
+        tg = float(t) ** gamma
+    except OverflowError:
+        raise ValueError(f"t too large: t**{gamma:g} overflows, got {t}") from None
+    r_star = ell / tg if tg > 0.0 else math.inf
     if max(d, spec.n or 0) * math.log(r_star) >= _LOG_MAX:
-        raise QuadratureError(f"t={t:g} is too small: the deficit integrand overflows at r*={r_star:.3g}")
+        scale = f"shape diameter ell={ell:.3g}, t={t:g}, gamma={gamma:g}"
+        raise QuadratureError(f"the deficit integrand overflows at r* = ell t^-gamma = {r_star:.3g} ({scale})")
     advol = unit_sphere_area(d) * profile.volume
     tail = advol * _kernel_tail_mass(spec, r_star, cfg)
+    # p_1 jumps by the tail series' error at r_switch, so it is a break too
+    breaks = [k / tg for k in profile.kink_radii]
+    if spec.family == STABLE:
+        breaks.append(_density(spec, cfg).r_switch)
 
     def once(level):
-        edges = _deficit_edges(r_star, [k / tg for k in profile.kink_radii], level)
+        edges = _deficit_edges(r_star, breaks, level)
         nodes, weights = _gl_nodes_weights(edges)
         p_vals = eval_p1(spec, nodes, cfg)
         head = float(np.sum(weights * nodes ** (d - 1) * p_vals * profile.ghat_deficit(tg * nodes)))
@@ -342,10 +351,8 @@ def heat_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None):
     """
     cfg = cfg or _DEFAULT_CFG
     t_grid, profile = _sweep_inputs(shape, t_grid)
-    if len(t_grid) < 3:
-        raise ValueError("a sweep needs at least 3 grid points")
-    if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t_grid must be strictly decreasing")
+    if len(t_grid) < 3 or any(b >= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError("a sweep's t_grid must be strictly decreasing with >= 3 entries")
     dtils, errs = _sweep_scaled_deficits(spec, profile, t_grid, cfg)
     results = [_heat_content_result(spec, profile, t, v, e) for t, v, e in zip(t_grid, dtils, errs)]
     s_vals = regime_scaling(spec, np.asarray(t_grid))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc, betaln
 
-from .errors import RegimeError, UnsupportedShapeError
+from .errors import QuadratureError, UnsupportedShapeError, _dimension, _perimeter_index, _radii, _sample_count, _size
 from .kernel import _DEFAULT_CFG, _graded_edges, _refine, unit_ball_volume, unit_sphere_area
 from .stable import _gl_nodes_weights
 
@@ -45,10 +45,9 @@ class Ball:
     d: int
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:  # also rejects NaN
-            raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
-        if self.d < 2:
-            raise ValueError("dimension must be >= 2")
+        _size(self.radius, "ball radius")
+        object.__setattr__(self, "d", _dimension(self.d))
+        _check_measures(self)
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,9 @@ class Box:
 
     def __post_init__(self):
         object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
-        if len(self.sides) < 2:
-            raise ValueError("box needs at least two sides")
-        if not all(0 < s < math.inf for s in self.sides):  # also rejects NaN
-            raise ValueError(f"box sides must be positive and finite, got {self.sides}")
+        _dimension(len(self.sides))
+        _size(self.sides, "box sides")
+        _check_measures(self)
 
     @property
     def d(self):
@@ -90,21 +88,30 @@ class Indicator:
     volume: float = None
 
     def __post_init__(self):
-        if self.d < 2 or len(self.bbox_lo) != self.d or len(self.bbox_hi) != self.d:
-            raise ValueError("bounding box must match the dimension (d >= 2)")
+        object.__setattr__(self, "d", _dimension(self.d))
+        if len(self.bbox_lo) != self.d or len(self.bbox_hi) != self.d:
+            raise ValueError("bounding box must match the dimension")
         if not all(math.isfinite(x) for x in (*self.bbox_lo, *self.bbox_hi)):
             raise ValueError(
                 f"bounding box corners must be finite, got {self.bbox_lo} and {self.bbox_hi}"
             )
-        if any(h <= l for l, h in zip(self.bbox_lo, self.bbox_hi)):
-            raise ValueError("bounding box must have positive extent")
-        if self.volume is not None:
-            box = math.prod(h - l for l, h in zip(self.bbox_lo, self.bbox_hi))
-            if not (math.isfinite(self.volume) and 0.0 < self.volume <= box):
-                raise ValueError(
-                    f"declared volume {self.volume} must be finite, positive and at most "
-                    f"the bounding-box volume {box}"
-                )
+        extent = tuple(h - l for l, h in zip(self.bbox_lo, self.bbox_hi))
+        box = _size(math.prod(_size(extent, "bounding box extent")), "bounding box volume")
+        if self.volume is not None and _size(self.volume, "declared volume") > box:
+            raise ValueError(f"declared volume {self.volume} exceeds the bounding-box volume {box}")
+
+
+def _check_measures(shape):
+    """Raise ValueError unless the volume, perimeter, diameter and ghat(0) = A_d |Omega|
+    of a Ball or Box are positive and finite; one that overflows counts as inf."""
+    values = []
+    for measure in (volume, perimeter, diameter, lambda s: unit_sphere_area(s.d) * volume(s)):
+        try:
+            with np.errstate(over="ignore"):
+                values.append(float(measure(shape)))
+        except OverflowError:
+            values.append(math.inf)
+    _size(tuple(values), f"volume, perimeter, diameter and A_d volume of {shape}")
 
 
 def volume(shape):
@@ -158,9 +165,7 @@ def theta(d, z):
     zz = np.asarray(z, dtype=float)
     if not np.all((zz >= 0) & (zz <= 1)):  # also rejects NaN
         raise ValueError("theta argument must lie in [0, 1]")
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    a, b = (d - 1) / 2.0, 1.5
+    a, b = (_dimension(d) - 1) / 2.0, 1.5
     out = 0.5 * math.exp(betaln(a, b)) * betainc(a, b, zz**2)
     return float(out) if np.isscalar(z) else out
 
@@ -179,12 +184,7 @@ def covariance_ball(d, R, a):
     """g_B(a) for a ball of radius R: volume of the lens of two balls at
     distance a, R^d (w_d - ``_lens_deficit``); exactly 0 at and beyond 2R.
     Vectorized in a."""
-    if not R > 0:
-        raise ValueError("ball radius must be positive")
-    aa = np.asarray(a, dtype=float)
-    if not np.all(aa >= 0):  # also rejects NaN
-        raise ValueError("covariance argument must be nonnegative")
-    s = aa / R
+    s = _radii(a, "covariance argument") / _size(R, "ball radius")
     lens = np.maximum(unit_ball_volume(d) - _lens_deficit(d, np.minimum(s, 2.0)), 0.0)
     val = np.where(s < 2.0, R**d * lens, 0.0)
     return float(val) if np.isscalar(a) else val
@@ -318,8 +318,7 @@ def covariance_mc(shape, y, samples=2**20, seed=0):
     Each batch of points is drawn into one reused buffer and x - y formed
     column by column in a second; the estimate is bit-identical to the
     row-wise form that allocates both per batch."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _sample_count(samples)
     y = _displacement(shape, y)
     if np.isnan(y).any():  # +-inf is valid and gives 0
         raise ValueError("displacement must not be NaN")
@@ -327,11 +326,11 @@ def covariance_mc(shape, y, samples=2**20, seed=0):
     width = hi - lo
     member = _membership(shape)
     box_vol = float(np.prod(width))
-    rows = min(int(samples), _MC_BATCH)
+    rows = min(samples, _MC_BATCH)
     points, shifted = np.empty((rows, shape.d)), np.empty((rows, shape.d))
     inside, inside_shifted = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
     hits = 0
-    for start, stop, rng in _batches(int(samples), seed):
+    for start, stop, rng in _batches(samples, seed):
         n = stop - start
         x = _draw(rng, lo, width, points[:n])
         xs = shifted[:n]
@@ -483,6 +482,9 @@ def _box_deficit_d3(rho, L1, L2, L3):
     ghat(0) of a 30-digit reference for sides in [0.2, 5]^3), and the
     complement A_3 |Omega| - ghat there loses nothing.
     """
+    ell2 = L1 * L1 + L2 * L2 + L3 * L3
+    if not np.finfo(float).tiny <= ell2 * ell2 < math.inf:
+        raise QuadratureError(f"3-D box ghat leaves double range: its caps are of order ell^4={ell2 * ell2:.3g}")
     rho = np.asarray(rho, dtype=float)
     c1 = 2.0 * math.pi * (L1 * L2 + L1 * L3 + L2 * L3)
     c2 = 8.0 / 3.0 * (L1 + L2 + L3)
@@ -542,11 +544,9 @@ class CovarianceProfile:
 
     def ghat_deficit(self, rho):
         """A_d |Omega| - ghat(rho), in [0, A_d |Omega|]; all of it beyond the support."""
-        arr = np.asarray(rho, dtype=float)
+        arr = _radii(rho)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if not np.all(arr >= 0):  # also rejects NaN
-            raise ValueError("radius must be nonnegative")
         full = unit_sphere_area(self.d) * self.volume
         out = np.full_like(arr, full)
         inside = arr < self.support_radius
@@ -691,10 +691,7 @@ def alpha_perimeter(shape, alpha, cfg=None):
     first break, the integral is the exact w_{d-1} Per rho0^{1-alpha} /
     (1 - alpha) of the leading term; beyond ell, A_d |Omega| ell^{-alpha} / alpha.
     """
-    if not 0.0 < alpha < 1.0:
-        raise RegimeError(
-            f"alpha-perimeter is finite only for alpha in (0, 1); got alpha={alpha}"
-        )
+    alpha = _perimeter_index(alpha)
     cfg = cfg or _DEFAULT_CFG
     profile = radial_profile(shape)
     ell = profile.support_radius
@@ -708,7 +705,8 @@ def alpha_perimeter(shape, alpha, cfg=None):
         body = float(np.sum(weights * nodes ** (-1.0 - alpha) * profile.ghat_deficit(nodes)))
         return slope * edges[1] ** (1.0 - alpha) / (1.0 - alpha) + body + tail
 
-    return float(_refine(once, cfg, "alpha-perimeter quadrature")[0])
+    with np.errstate(over="raise", divide="raise"):  # rho^(-1-alpha) past double range
+        return float(_refine(once, cfg, "alpha-perimeter quadrature")[0])
 
 
 def _profile_breakpoints(shape):

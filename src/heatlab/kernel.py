@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaln, gammaincc, gammaln
 
-from .errors import DivergentMomentError, QuadratureError, RegimeError
+from .errors import DivergentMomentError, QuadratureError, _check_time, _dimension, _radii, _size, _stable_index
 from .stable import _gl_nodes_weights, density
 
 GAUSSIAN = "gaussian"
@@ -31,22 +31,18 @@ _FAMILIES = (GAUSSIAN, POISSON, STABLE, POLY)
 
 def unit_ball_volume(d):
     """w_d = pi^{d/2} / Gamma(1 + d/2), the volume of the unit ball."""
-    if d < 1:
-        raise ValueError(f"dimension d={d} must be >= 1")
+    d = _dimension(d, least=1)
     return math.exp((d / 2.0) * math.log(math.pi) - gammaln(1.0 + d / 2.0))
 
 
 def unit_sphere_area(d):
     """A_d = d w_d, the surface area of the unit sphere in R^d."""
-    if d < 1:
-        raise ValueError(f"dimension d={d} must be >= 1")
     return d * unit_ball_volume(d)
 
 
 def poisson_constant(d):
     """kappa_d = Gamma((d+1)/2) / pi^{(d+1)/2}."""
-    if d < 2:
-        raise ValueError(f"dimension d={d} must be >= 2")
+    d = _dimension(d)
     return math.exp(gammaln((d + 1) / 2.0) - ((d + 1) / 2.0) * math.log(math.pi))
 
 
@@ -54,10 +50,7 @@ def stable_tail_constant(alpha, d):
     """C_{alpha,d} = alpha 2^{alpha-1} pi^{-1-d/2} sin(pi alpha/2)
     Gamma((d+alpha)/2) Gamma(alpha/2): the coefficient of the t r^{-d-alpha}
     small-t tail of the stable kernel."""
-    if not 0.0 < alpha < 2.0:
-        raise RegimeError(f"stable index alpha={alpha} outside (0, 2)")
-    if d < 2:
-        raise ValueError(f"dimension d={d} must be >= 2")
+    alpha, d = _stable_index(alpha), _dimension(d)
     return (
         alpha
         * 2.0 ** (alpha - 1.0)
@@ -75,8 +68,7 @@ class ScalingExponents:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("scaling exponent gamma must be positive")
+        _size(self.gamma, "scaling exponent gamma")
 
 
 @dataclass(frozen=True)
@@ -87,8 +79,7 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        _size((self.abs_tol, self.rel_tol), "tolerances")
 
 
 @dataclass(frozen=True)
@@ -112,51 +103,37 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.d < 2:
-            raise ValueError(f"dimension d={self.d} must be >= 2")
+        object.__setattr__(self, "d", _dimension(self.d))
         if self.family == STABLE:
-            if self.alpha is None or not 0.0 < self.alpha < 2.0:
-                raise RegimeError(
-                    f"stable index alpha={self.alpha} outside (0, 2); "
-                    "use the gaussian family for alpha=2"
-                )
+            object.__setattr__(self, "alpha", _stable_index(self.alpha))
         elif self.family == POLY:
             for name in ("kappa", "n", "m", "beta", "gamma"):
                 value = getattr(self, name)
                 if value is None or not math.isfinite(value):
                     raise ValueError(f"poly family requires a finite {name}, got {value}")
-            if not (self.kappa > 0 and self.n > 0 and self.m > 0):
-                raise ValueError("poly family requires kappa > 0, n > 0, m > 0")
+                object.__setattr__(self, name, float(value))
+            _size((self.kappa, self.n, self.m), "poly family kappa, n and m")
             if abs(self.d - self.n * self.m + 1.0) > 1e-12 * (1.0 + abs(self.n * self.m)):
                 raise ValueError(
                     f"poly family requires d - n*m = -1 exactly, got {self.d - self.n * self.m}"
                 )
-            if not self.gamma > 0:
-                raise ValueError("poly family requires scaling exponent gamma > 0")
+            self.scaling()  # gamma > 0
 
     @classmethod
     def gaussian(cls, d):
-        return cls(family=GAUSSIAN, d=int(d), alpha=2.0)
+        return cls(family=GAUSSIAN, d=d, alpha=2.0)
 
     @classmethod
     def poisson(cls, d):
-        return cls(family=POISSON, d=int(d), alpha=1.0)
+        return cls(family=POISSON, d=d, alpha=1.0)
 
     @classmethod
     def stable(cls, alpha, d):
-        return cls(family=STABLE, d=int(d), alpha=float(alpha))
+        return cls(family=STABLE, d=d, alpha=alpha)
 
     @classmethod
     def poly_family(cls, d, kappa, n, m, beta, gamma):
-        return cls(
-            family=POLY,
-            d=int(d),
-            kappa=float(kappa),
-            n=float(n),
-            m=float(m),
-            beta=float(beta),
-            gamma=float(gamma),
-        )
+        return cls(family=POLY, d=d, kappa=kappa, n=n, m=m, beta=beta, gamma=gamma)
 
     def scaling(self):
         if self.family == POLY:
@@ -177,27 +154,18 @@ def _density(spec, cfg):
 
 def eval_p1(spec, r, cfg=_DEFAULT_CFG):
     """p_1(r e_d); r may be a scalar or an array of nonnegative radii."""
-    arr = np.asarray(r, dtype=float)
-    if not np.all(arr >= 0):  # also rejects NaN
-        raise ValueError("radius must be nonnegative")
+    arr = _radii(r)
     scalar = arr.ndim == 0
-    if spec.family == GAUSSIAN:
-        out = (4.0 * math.pi) ** (-spec.d / 2.0) * np.exp(-(arr**2) / 4.0)
-    elif spec.family == POISSON:
-        out = poisson_constant(spec.d) * (1.0 + arr**2) ** (-(spec.d + 1) / 2.0)
-    elif spec.family == POLY:
-        out = spec.kappa * (1.0 + arr**spec.n) ** (-spec.m)
-    else:
-        out = np.asarray(_density(spec, cfg).evaluate(arr))
+    with np.errstate(over="ignore"):  # r^2 or r^n past double range: p_1 is 0 there
+        if spec.family == GAUSSIAN:
+            out = (4.0 * math.pi) ** (-spec.d / 2.0) * np.exp(-(arr**2) / 4.0)
+        elif spec.family == POISSON:
+            out = poisson_constant(spec.d) * (1.0 + arr**2) ** (-(spec.d + 1) / 2.0)
+        elif spec.family == POLY:
+            out = spec.kappa * (1.0 + arr**spec.n) ** (-spec.m)
+        else:
+            out = np.asarray(_density(spec, cfg).evaluate(arr))
     return float(out) if scalar else out
-
-
-def _check_time(t):
-    """Raise ValueError unless 0 < t < inf (NaN included)."""
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if t == math.inf:
-        raise ValueError(f"t must be finite, got {t}")
 
 
 def eval_pt(spec, t, r, cfg=_DEFAULT_CFG):
@@ -233,9 +201,7 @@ def tail_mass(spec, R, cfg=_DEFAULT_CFG):
     incomplete Gamma for Gaussian; for the stable family the inverse-power
     series integral beyond r_switch, plus ``_radial_integral`` over the table
     on [R, r_switch] when R lies below it."""
-    d = spec.d
-    if not R >= 0:
-        raise ValueError("radius must be nonnegative")
+    d, R = spec.d, float(_radii(R))
     if spec.family == GAUSSIAN:
         return (
             (4.0 * math.pi) ** (-d / 2.0)

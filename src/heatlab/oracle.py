@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError, SamplingEfficiencyError, UnsupportedShapeError
+from .errors import SamplingEfficiencyError, UnsupportedShapeError, _check_time, _perimeter_index, _sample_count
 from .geometry import _MC_BATCH, Ball, Box, _batches, _bounding_box, _draw, _membership
-from .kernel import _check_time, eval_pt, unit_ball_volume, unit_sphere_area
+from .kernel import eval_pt, unit_ball_volume, unit_sphere_area
 
 _MIN_EFFICIENCY = 1e-3
 
@@ -41,8 +41,7 @@ class McEstimate:
     seed: int
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        object.__setattr__(self, "samples", _sample_count(self.samples))
         if not self.stderr >= 0.0:
             raise ValueError(f"stderr must be >= 0, got {self.stderr}")
 
@@ -74,8 +73,7 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
     any pair is drawn.  Raises when the bounding-box acceptance rate falls
     below 1e-3.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _sample_count(samples)
     cases = list(cases)
     for spec, t in cases:
         _check_time(t)
@@ -89,7 +87,6 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
     totals = [0.0] * len(cases)
     totals_sq = [0.0] * len(cases)
     accepted = 0
-    samples = int(samples)
     first_batch = None
     rows, d = min(samples, _MC_BATCH), len(lo)
     points_x, points_y = np.empty((rows, d)), np.empty((rows, d))
@@ -196,10 +193,7 @@ def mc_alpha_perimeter(shape, alpha, samples=2**20, seed=0) -> McEstimate:
     unlike naive pair sampling of |x-y|^{-d-alpha}, whose second moment
     diverges along the boundary.
     """
-    if not 0.0 < alpha < 1.0:
-        raise RegimeError(f"alpha-perimeter requires alpha in (0,1), got {alpha}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    alpha, samples = _perimeter_index(alpha), _sample_count(samples)
     if not isinstance(shape, (Ball, Box)):
         raise UnsupportedShapeError("line sampling needs a convex closed-form shape")
     d = shape.d
@@ -210,7 +204,6 @@ def mc_alpha_perimeter(shape, alpha, samples=2**20, seed=0) -> McEstimate:
     pref = unit_sphere_area(d) * unit_ball_volume(d - 1) * T ** (d - 1) / (alpha * (1.0 - alpha))
     total = 0.0
     total_sq = 0.0
-    samples = int(samples)
     for start, stop, rng in _batches(samples, seed):
         n = stop - start
         u = rng.standard_normal((n, d))

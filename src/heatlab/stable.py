@@ -37,12 +37,11 @@ needs nothing of scipy beyond ``scipy.special``.
 """
 
 import math
-import threading
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import QuadratureError, RegimeError
+from .errors import QuadratureError, RegimeError, _dimension, _radii, _stable_index
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -301,29 +300,18 @@ def switch_radius(alpha, d, abs_tol, rel_tol):
     )
 
 
-def _radii(r):
-    """``r`` as a float array, every entry >= 0 (NaN rejected)."""
-    arr = np.asarray(r, dtype=float)
-    if not np.all(arr >= 0):  # also rejects NaN
-        raise ValueError("radius must be nonnegative")
-    return arr
-
-
 class StableDensity:
     """Tabulated radial alpha-stable density on [0, r_switch] with an
     inverse-power series continuation beyond.
 
-    Thread-safe for reads after construction; negative quadrature noise in
+    alpha in (0, 2) and the integer dimension d >= 2 are checked at
+    construction (2.0 passes, 2.5 raises).  Negative quadrature noise in
     [-10*abs_tol, 0) is clamped to 0 and counted in ``clamped``.
     """
 
     def __init__(self, alpha, d, abs_tol=1e-10, rel_tol=1e-8):
-        if not 0.0 < alpha < 2.0:
-            raise RegimeError(f"stable index alpha={alpha} outside (0, 2)")
-        if d < 2:
-            raise ValueError(f"dimension d={d} must be >= 2")
-        self.alpha = float(alpha)
-        self.d = int(d)
+        self.alpha = _stable_index(alpha)
+        self.d = _dimension(d)
         self.abs_tol = float(abs_tol)
         self.rel_tol = float(rel_tol)
         self.clamped = 0
@@ -370,7 +358,6 @@ class StableDensity:
                 defect,
             )
         self.table_error = defect
-        self._lock = threading.Lock()
 
     def _validate(self):
         """Check the table, through the runtime evaluator ``_table``, at probe
@@ -433,8 +420,7 @@ class StableDensity:
                     "negativity floor; quadrature breakdown",
                     float(out.min()),
                 )
-            with self._lock:
-                self.clamped += int(neg.sum())
+            self.clamped += int(neg.sum())
             out[neg] = 0.0
         return out
 
@@ -476,6 +462,8 @@ class StableDensity:
         c'_k / (alpha k - shift) and exponent -shift in place of d, whose bound
         is the larger of the next two neglected term integrals.
         """
+        if not R >= self.r_switch:
+            raise ValueError(f"tail integrals need R >= r_switch={self.r_switch:g}, got {R}")
         expo = self.alpha * np.arange(1, len(self._scaled) + 1, dtype=float) - shift
         args = (self.alpha, -shift, self._scaled / expo, self.r_switch, float(R))
         scale = self.r_switch ** (self.d + shift)
@@ -483,33 +471,23 @@ class StableDensity:
 
     def tail_mass(self, R):
         """(int_R^inf r^{d-1} p_1(r) dr, error bound), valid for R >= r_switch."""
-        if R < self.r_switch:
-            raise ValueError("tail_mass requires R >= r_switch")
         return self._tail_integral(R, 0.0)
 
     def tail_moment(self, R):
         """(int_R^inf r^d p_1(r) dr, error bound); requires alpha > 1."""
         if self.alpha <= 1.0:
             raise RegimeError("radial d-th moment tail diverges for alpha <= 1")
-        if R < self.r_switch:
-            raise ValueError("tail_moment requires R >= r_switch")
         return self._tail_integral(R, 1.0)
 
 
 _cache = {}
-_cache_lock = threading.Lock()
 
 
 def density(alpha, d, abs_tol=1e-10, rel_tol=1e-8):
     """Process-wide cached StableDensity factory."""
-    key = (round(float(alpha), 12), int(d), float(abs_tol), float(rel_tol))
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    # built from the key's alpha, so the entry does not depend on which
-    # caller's alpha within the rounding reached the cache first
-    dens = StableDensity(key[0], d, abs_tol=abs_tol, rel_tol=rel_tol)
-    with _cache_lock:
-        _cache.setdefault(key, dens)
+    key = (round(_stable_index(alpha), 12), _dimension(d), float(abs_tol), float(rel_tol))
+    if key not in _cache:
+        # built from the key's alpha, so the entry does not depend on which
+        # caller's alpha within the rounding reached the cache first
+        _cache[key] = StableDensity(key[0], key[1], abs_tol=abs_tol, rel_tol=rel_tol)
     return _cache[key]

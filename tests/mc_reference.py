@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from heatlab.errors import SamplingEfficiencyError
+from heatlab.errors import SamplingEfficiencyError, _check_time
 from heatlab.geometry import Ball, Box, _batches, _bounding_box
-from heatlab.kernel import _check_time, eval_pt
+from heatlab.kernel import eval_pt
 from heatlab.oracle import _MIN_EFFICIENCY, _finalize
 
 

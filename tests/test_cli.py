@@ -1,11 +1,16 @@
 """Command-line interface: outputs, exit codes, config files, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from heatlab.cli import RunConfig, build_parser, main, parse_config
 from heatlab.content import heat_content
@@ -382,6 +387,49 @@ def test_non_finite_kernel_and_shape_parameters_exit_code(argv, message, capsys)
     assert err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["heat", "sweep", "--family", "stable", "--alpha", "1.5", "--d", "2", "--shape", "ball",
+          "--radius", "1e200"], "of Ball(radius=1e+200, d=2) must be positive and finite"),
+        (["heat", "sweep", "--family", "gaussian", "--d", "2", "--shape", "ball", "--radius", "1e-300"],
+         "of Ball(radius=1e-300, d=2) must be positive and finite"),
+        (["heat", "sweep", "--family", "gaussian", "--d", "2", "--shape", "box", "--sides", "1e-200,1e-200"],
+         "of Box(sides=(1e-200, 1e-200)) must be positive and finite"),
+    ],
+)
+def test_shape_whose_measures_leave_double_range_exit_code(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: volume, perimeter, diameter and A_d volume ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ({"family": "stable", "alpha": 1.5, "d": 2.5, "r_values": [0.5]}, ["kernel", "eval"],
+         "dimension d must be an integer >= 2, got 2.5"),
+        ({"d": 2, "alpha": 0.5, "mc": True, "samples": 2.5}, ["alpha-perimeter"],
+         "samples must be an integer >= 1, got 2.5"),
+    ],
+)
+def test_non_integral_config_counts_exit_code(config, argv, message, tmp_path, capsys):
+    # the flags are int-typed, but a config file can carry any number
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main([*argv, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_deficit_overflow_exit_code_names_the_scale(capsys):
+    argv = ["heat", "sweep", "--family", "gaussian", "--d", "3", "--shape", "box", "--sides", "1e120,1,1"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "r* = ell t^-gamma = 3.16e+120 (shape diameter ell=1e+120, t=0.1, gamma=0.5)" in err
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"family": "poisson", "d": 2, "quark": 3}))
@@ -443,3 +491,76 @@ def test_parser_is_shared_and_parses_each_call_afresh():
     assert (first.group, first.cmd, first.alpha, first.t_grid) == ("heat", "sweep", 1.5, (0.1, 0.01))
     assert second.group == "bounds" and second.alpha is None and second.t_grid is None
     assert not hasattr(second, "cmd")
+
+
+# -- every argument vector ends in an exit code -----------------------------------
+
+# sizes and times: half of them near 1, a quarter anywhere from 1e-320 to
+# 1e308 and a quarter invalid
+_MODERATE = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+_SIZES = st.one_of(
+    _MODERATE,
+    _MODERATE,
+    st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
+    st.sampled_from([math.nan, math.inf, 0.0, -1.0]),
+)
+# radii: +inf is a valid radius, but kernel eval echoes it in its r column
+_RADII = st.one_of(st.floats(-320.0, 308.0).map(lambda e: 10.0**e), st.sampled_from([math.nan, -1.0]))
+_ALPHAS = st.one_of(st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([0.0, 2.0, -1.0, math.nan, math.inf]))
+
+
+def _joined(values):
+    return ",".join(repr(float(v)) for v in values)
+
+
+@st.composite
+def _cli_argv(draw):
+    """An argument vector for ``kernel eval``, ``cov eval`` or ``heat sweep``."""
+    family = draw(st.sampled_from(["gaussian", "poisson", "stable", "poly"]))
+    d = draw(st.integers(1, 12))
+    kernel = [f"--family={family}", f"--d={d}"]
+    if family == "stable":
+        kernel.append(f"--alpha={draw(_ALPHAS)!r}")
+    elif family == "poly":  # d - n m = -1 and beta + d gamma = 0
+        kernel += ["--kappa=0.1", "--n=2", f"--m={(d + 1) / 2!r}", f"--beta={-d}", "--gamma=1"]
+    if draw(st.booleans()):
+        shape = ["--shape=ball", f"--radius={draw(_SIZES)!r}"]
+    else:
+        n_sides = d if d in (2, 3) else draw(st.integers(2, 3))
+        shape = ["--shape=box", "--sides=" + _joined(draw(st.lists(_SIZES, min_size=n_sides, max_size=n_sides)))]
+    command = draw(st.sampled_from(["kernel", "cov", "heat", "heat"]))  # heat twice as often
+    if command == "kernel":
+        return ["kernel", "eval", *kernel, f"--r=0,{draw(_RADII)!r}", f"--t={draw(_SIZES)!r}"]
+    if command == "cov":
+        return ["cov", "eval", f"--d={d}", *shape]
+    t_grid = [draw(_SIZES)]
+    for _ in range(2):  # steps down by factors in [1.8, 1e4]
+        t_grid.append(t_grid[-1] * 10.0 ** -draw(st.floats(0.25, 4.0)))
+    return ["heat", "sweep", *kernel, *shape, "--t-grid=" + _joined(t_grid)]
+
+
+_SWEEP = ["heat", "sweep", "--t-grid=0.1,0.01,0.001"]
+
+
+@settings(deadline=timedelta(seconds=20), suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_cli_argv())
+# each of these once raised out of main or warned of an overflow
+@example(argv=[*_SWEEP, "--family=stable", "--alpha=1.5", "--d=2", "--shape=ball", "--radius=1e+200"])
+@example(argv=[*_SWEEP, "--family=stable", "--alpha=0.5", "--d=2", "--shape=box", "--sides=1.0,1e-190"])
+@example(argv=["heat", "sweep", "--family=stable", "--alpha=0.5", "--d=2", "--shape=ball", "--radius=1.0",
+               "--t-grid=1e+200,1e+100,1.0"])
+@example(argv=["kernel", "eval", "--family=gaussian", "--d=2", "--r=0,1e+155", "--t=1.0"])
+@example(argv=["cov", "eval", "--shape=box", "--sides=1.0,1.0,1e+103"])
+@example(argv=["cov", "eval", "--d=5", "--shape=ball", "--radius=3.162277660168379e+61"])
+def test_every_argument_vector_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the vector
+            code = exc.code
+    event(f"{argv[0]} exit {code}")  # shown by pytest --hypothesis-show-statistics
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE) is None

@@ -245,6 +245,29 @@ def test_deficit_outside_double_range_raises_without_warning(spec, t):
             scaled_deficit(spec, prof, t)
 
 
+@pytest.mark.parametrize("alpha, d", [(1.8, 5), (1.9, 5), (1.95, 5), (1.5, 8)])
+def test_default_grid_ball_sweep_settles_across_r_switch(alpha, d):
+    # p_1 jumps by the tail series' error at r_switch; with no panel edge
+    # there the level gaps stall near 1e-7 and no level settles
+    _, results = content.heat_sweep(KernelSpec.stable(alpha, d), Ball(1.0, d))
+    assert max(r.quad_error for r in results) < 1e-9
+
+
+def test_deficit_at_huge_t_raises_value_error():
+    with pytest.raises(ValueError, match=r"t too large: t\*\*2 overflows, got 1e\+200"):
+        scaled_deficit(KernelSpec.stable(0.5, 2), radial_profile(Ball(1.0, 2)), 1e200)
+
+
+def test_deficit_overflow_names_the_shape_scale():
+    prof = radial_profile(Box((1e120, 1.0, 1.0)))
+    with pytest.raises(QuadratureError) as info:
+        scaled_deficit(KernelSpec.gaussian(3), prof, 0.1)
+    assert str(info.value).startswith(
+        "the deficit integrand overflows at r* = ell t^-gamma = 3.16e+120 (shape diameter ell=1e+120, "
+        "t=0.1, gamma=0.5)"
+    )
+
+
 # -- limit constants -----------------------------------------------------------------
 
 

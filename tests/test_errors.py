@@ -1,0 +1,121 @@
+"""The validation layer: every public entry point checks its dimension,
+stable index, sample count and sizes through the helpers of heatlab.errors,
+and so accepts and rejects the same values with the same message."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from heatlab.errors import RegimeError
+from heatlab.geometry import Ball, Box, Indicator, covariance_ball, covariance_mc, theta
+from heatlab.kernel import (
+    KernelSpec,
+    poisson_constant,
+    stable_tail_constant,
+    unit_ball_volume,
+    unit_sphere_area,
+)
+from heatlab.oracle import McEstimate, mc_alpha_perimeter, mc_heat_content
+from heatlab.stable import StableDensity, density
+
+_SQUARE = dict(contains=lambda x: np.ones(len(x), dtype=bool), bbox_lo=(0.0, 0.0), bbox_hi=(1.0, 1.0))
+
+# (entry point of d, attribute holding d or None)
+_BY_DIMENSION = {
+    "KernelSpec.gaussian": (KernelSpec.gaussian, "d"),
+    "KernelSpec.poisson": (KernelSpec.poisson, "d"),
+    "KernelSpec.stable": (lambda d: KernelSpec.stable(1.5, d), "d"),
+    "KernelSpec.poly_family": (lambda d: KernelSpec.poly_family(d, 0.1, 2.0, (d + 1) / 2, -d, 1.0), "d"),
+    "StableDensity": (lambda d: StableDensity(1.5, d), "d"),
+    "density": (lambda d: density(1.5, d), "d"),
+    "Ball": (lambda d: Ball(1.0, d), "d"),
+    "Indicator": (lambda d: Indicator(d=d, **_SQUARE) if d == 2 else Indicator(d=d, contains=None,
+                  bbox_lo=(0.0,) * 3, bbox_hi=(1.0,) * 3), "d"),
+    "theta": (lambda d: theta(d, 0.5), None),
+    "poisson_constant": (poisson_constant, None),
+    "stable_tail_constant": (lambda d: stable_tail_constant(0.5, d), None),
+    "unit_ball_volume": (unit_ball_volume, None),
+    "unit_sphere_area": (unit_sphere_area, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BY_DIMENSION))
+def test_dimension_is_an_integer_everywhere(name):
+    call, attr = _BY_DIMENSION[name]
+    for d in (2.5, 2.7, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"dimension d must be an integer >= [12], got {d}"):
+            call(d)
+    # an integral float or NumPy integer is the integer itself
+    for d in (2.0, np.int64(3)):
+        value = call(d)
+        if attr is None:
+            assert value == call(int(d))
+        else:
+            assert getattr(value, attr) == int(d) and type(getattr(value, attr)) is int
+
+
+def test_unit_ball_and_sphere_take_d_minus_one():
+    assert unit_ball_volume(1) == 2.0 and unit_sphere_area(1) == 2.0
+    with pytest.raises(ValueError, match="dimension d must be an integer >= 1, got 0"):
+        unit_sphere_area(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda a: StableDensity(a, 2), lambda a: density(a, 2), lambda a: stable_tail_constant(a, 2)],
+    ids=["StableDensity", "density", "stable_tail_constant"],
+)
+@pytest.mark.parametrize("alpha", [0.0, 2.0, -1.0, math.nan, math.inf])
+def test_stable_index_is_checked_with_the_message_of_kernel_spec(call, alpha):
+    message = f"stable index alpha={alpha} outside (0, 2); use the gaussian family for alpha=2"
+    with pytest.raises(RegimeError) as info:
+        call(alpha)
+    assert str(info.value) == message
+
+
+_BALL = Ball(1.0, 2)
+_GAUSSIAN = [(KernelSpec.gaussian(2), 0.1)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: covariance_mc(_BALL, np.zeros(2), samples=n),
+        lambda n: mc_heat_content(_BALL, _GAUSSIAN, samples=n),
+        lambda n: mc_alpha_perimeter(_BALL, 0.5, samples=n),
+        lambda n: McEstimate(value=1.0, stderr=0.0, samples=n, seed=0),
+    ],
+    ids=["covariance_mc", "mc_heat_content", "mc_alpha_perimeter", "McEstimate"],
+)
+def test_sample_count_is_an_integer(call):
+    # 2.5 samples once drew 2 points and divided their hits by 2.5
+    for n in (2.5, 0.5, 0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"samples must be an integer >= 1, got {n}"):
+            call(n)
+    assert call(64.0) == call(64)
+
+
+@pytest.mark.parametrize(
+    "make, shown",
+    [
+        (lambda: Ball(1e200, 2), "Ball(radius=1e+200, d=2)"),  # radius**d overflows
+        (lambda: Ball(1e-300, 2), "Ball(radius=1e-300, d=2)"),  # the volume underflows to 0
+        (lambda: Ball(10**61.5, 5), "Ball(radius=3.162277660168379e+61, d=5)"),  # A_d |Omega| overflows
+        (lambda: Box((1e-200, 1e-200)), "Box(sides=(1e-200, 1e-200))"),
+        (lambda: Box((1e200, 1e200)), "Box(sides=(1e+200, 1e+200))"),
+    ],
+)
+def test_shape_measures_are_positive_and_finite(make, shown):
+    with pytest.raises(ValueError, match=f"volume, perimeter, diameter and A_d volume of {re.escape(shown)}"):
+        make()
+
+
+def test_sizes_are_positive_and_finite():
+    with pytest.raises(ValueError, match="ball radius must be positive and finite, got inf"):
+        covariance_ball(2, math.inf, 1.0)
+    with pytest.raises(ValueError, match=r"bounding box extent must be positive and finite, got \(inf, 1.0\)"):
+        Indicator(d=2, contains=None, bbox_lo=(-1e308, 0.0), bbox_hi=(1e308, 1.0))
+    with pytest.raises(ValueError, match="declared volume must be positive and finite, got nan"):
+        Indicator(d=2, **_SQUARE, volume=math.nan)

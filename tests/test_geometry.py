@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heatlab import geometry
-from heatlab.errors import RegimeError, UnsupportedShapeError
+from heatlab.errors import QuadratureError, RegimeError, UnsupportedShapeError
 from heatlab.geometry import (
     Ball,
     Box,
@@ -725,6 +725,22 @@ def test_shapes_reject_non_finite_sizes(value):
     for lo, hi in [((-1.0, value), (1.0, 1.0)), ((-1.0, -1.0), (1.0, value)), ((-value, -1.0), (1.0, 1.0))]:
         with pytest.raises(ValueError, match="bounding box corners must be finite"):
             Indicator(d=2, contains=lambda x: x, bbox_lo=lo, bbox_hi=hi)
+
+
+@pytest.mark.parametrize("sides", [(1e-80, 1e-80, 1e-80), (1.0, 1.0, 1e90), (1e100, 1e100, 1e100)])
+def test_box_ghat_outside_double_range_raises(sides):
+    # the cap integrals are of order ell^4: past double range they read
+    # NaN or inf, and as subnormals they lose their digits
+    prof = radial_profile(Box(sides))
+    with pytest.raises(QuadratureError, match="3-D box ghat leaves double range"):
+        prof.ghat(np.array([0.0, prof.support_radius / 2]))
+
+
+@pytest.mark.parametrize("short", [1e-190, 1e-308])
+def test_alpha_perimeter_of_a_box_past_double_range_raises(short):
+    # rho^(-1-alpha) overflows on the panels graded toward the short side
+    with pytest.raises(FloatingPointError):
+        alpha_perimeter(Box((1.0, short)), 0.5)
 
 
 @pytest.mark.parametrize("declared", [-5.0, 0.0, 4.5, math.nan, math.inf])

@@ -205,6 +205,16 @@ def test_eval_p1_rejects_nan_radius(spec):
     assert eval_p1(spec, math.inf) == 0.0
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [KernelSpec.gaussian(2), KernelSpec.poisson(3), KernelSpec.poly_family(2, 0.1, 2.0, 1.5, -2.0, 1.0)],
+)
+def test_eval_p1_is_zero_where_r_squared_overflows(spec):
+    # r^2 (or r^n) leaves double range; p_1 is 0 there, with no overflow warning
+    assert eval_p1(spec, 1e155) == 0.0
+    assert list(eval_p1(spec, np.array([1e155, 1e300]))) == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, -math.inf])
 def test_eval_pt_rejects_nonpositive_and_nan_time(t):
     with pytest.raises(ValueError, match=f"t must be positive, got {t}"):
