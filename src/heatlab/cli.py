@@ -1,9 +1,23 @@
 """Command-line interface: configure a kernel/shape, run sweeps and checks.
 
-Subcommands:  kernel eval | cov eval | perimeter | alpha-perimeter |
-heat sweep | bounds | verify.  Options may come from a JSON config file
-(--config) with individual flags overriding it.  Exit codes: 0 ok,
-2 configuration/regime error, 3 numerical failure, 4 verification failure.
+Each command takes only the flags it reads:
+
+  kernel eval      KERNEL TOLS OUTPUT --r --t --moment
+  cov eval         SHAPE OUTPUT --rho
+  perimeter        SHAPE OUTPUT
+  alpha-perimeter  SHAPE TOLS OUTPUT --alpha --mc --samples --seed
+  heat sweep       KERNEL SHAPE TOLS OUTPUT --t-grid
+  bounds           KERNEL SHAPE TOLS OUTPUT --t-grid --which
+  verify           --seed --quick --abs-tol --rel-tol --out
+
+with KERNEL = --family --alpha --d --kappa --n --m --beta --gamma, SHAPE =
+--shape --radius --sides --d, TOLS = --abs-tol --rel-tol and OUTPUT = --out
+--format.  Every command also takes --config, a JSON file keyed by the flags'
+destination names (t_grid, r_values, rho_values, abs_tol, ...); flags override
+its values.  A flag or config key the command does not read exits 2, and so
+does an abbreviated flag.  A box's dimension is its number of sides, and a --d
+that differs exits 2.  Exit codes: 0 ok, 2 configuration/regime error,
+3 numerical failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -13,7 +27,6 @@ import dataclasses
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,66 +53,7 @@ _EXIT_NUMERICAL = 3
 _EXIT_VERIFY = 4
 
 
-@dataclass
-class RunConfig:
-    """Declarative run description; JSON-round-trippable."""
-
-    family: str = "gaussian"
-    alpha: float = None
-    d: int = 2
-    kappa: float = None
-    n: float = None
-    m: float = None
-    beta: float = None
-    gamma: float = None
-    shape: str = "ball"
-    radius: float = 1.0
-    sides: tuple = None
-    t: float = None
-    t_grid: tuple = None
-    r_values: tuple = None
-    rho_values: tuple = None
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    samples: int = 10**6
-    seed: int = 0
-    out: str = None
-    format: str = "csv"
-    quick: bool = False
-    which: str = "i"
-    mc: bool = False
-    moment: bool = False
-
-    def to_dict(self):
-        out = dataclasses.asdict(self)
-        for key in ("sides", "t_grid", "r_values", "rho_values"):
-            if out[key] is not None:
-                out[key] = list(out[key])
-        return out
-
-    @classmethod
-    def from_dict(cls, data):
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
-        for key in ("sides", "t_grid", "r_values", "rho_values"):
-            val = getattr(cfg, key)
-            if val is not None:
-                setattr(cfg, key, tuple(float(v) for v in val))
-        return cfg
-
-    def serialize(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def parse_config(path) -> RunConfig:
-    with open(path) as fh:
-        return RunConfig.from_dict(json.load(fh))
-
-
-def make_spec(cfg: RunConfig) -> KernelSpec:
+def make_spec(cfg) -> KernelSpec:
     if cfg.family == "gaussian":
         return KernelSpec.gaussian(cfg.d)
     if cfg.family == "poisson":
@@ -113,17 +67,19 @@ def make_spec(cfg: RunConfig) -> KernelSpec:
     raise ValueError(f"unknown kernel family {cfg.family!r}")
 
 
-def make_shape(cfg: RunConfig):
+def make_shape(cfg):
     if cfg.shape == "ball":
         return Ball(radius=cfg.radius, d=cfg.d)
     if cfg.shape == "box":
         if not cfg.sides:
             raise ValueError("--shape box requires --sides")
+        if cfg.d != len(cfg.sides):
+            raise ValueError(f"--d {cfg.d} differs from the {len(cfg.sides)} box sides {tuple(cfg.sides)}")
         return Box(sides=tuple(cfg.sides))
     raise ValueError(f"unknown shape {cfg.shape!r} (ball or box)")
 
 
-def quad_config(cfg: RunConfig) -> QuadratureConfig:
+def quad_config(cfg) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
 
 
@@ -138,7 +94,7 @@ def _emit(cfg, body):
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_kernel_eval(cfg: RunConfig) -> int:
+def cmd_kernel_eval(cfg) -> int:
     spec = make_spec(cfg)
     qc = quad_config(cfg)
     r = np.asarray(cfg.r_values if cfg.r_values is not None else np.linspace(0.0, 5.0, 21), dtype=float)
@@ -168,7 +124,7 @@ def cmd_kernel_eval(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def cmd_cov_eval(cfg: RunConfig) -> int:
+def cmd_cov_eval(cfg) -> int:
     shape = make_shape(cfg)
     profile = radial_profile(shape)
     if cfg.rho_values is not None:
@@ -190,7 +146,7 @@ def cmd_cov_eval(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def cmd_perimeter(cfg: RunConfig) -> int:
+def cmd_perimeter(cfg) -> int:
     shape = make_shape(cfg)
     rows = [("directional", perimeter_via_directional(shape)), ("closed_form", perimeter(shape))]
     body = (
@@ -202,7 +158,7 @@ def cmd_perimeter(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def cmd_alpha_perimeter(cfg: RunConfig) -> int:
+def cmd_alpha_perimeter(cfg) -> int:
     shape = make_shape(cfg)
     rows = [("radial-quadrature", alpha_perimeter(shape, cfg.alpha, cfg=quad_config(cfg)), 0.0)]
     meta = {"shape": cfg.shape, "alpha": cfg.alpha}
@@ -219,7 +175,7 @@ def cmd_alpha_perimeter(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def cmd_heat_sweep(cfg: RunConfig) -> int:
+def cmd_heat_sweep(cfg) -> int:
     spec = make_spec(cfg)
     shape = make_shape(cfg)
     qc = quad_config(cfg)
@@ -242,7 +198,7 @@ def cmd_heat_sweep(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
+def cmd_bounds(cfg) -> int:
     spec = make_spec(cfg)
     shape = make_shape(cfg)
     qc = quad_config(cfg)
@@ -260,7 +216,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
     return _EXIT_OK if report.all_passed else _EXIT_VERIFY
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg) -> int:
     results, body = run_battery(seed=cfg.seed, quick=cfg.quick, cfg=quad_config(cfg))
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -283,68 +239,85 @@ def _float_list(text):
     return tuple(float(v) for v in text.split(","))
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--family", choices=("gaussian", "poisson", "stable", "poly"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--n", type=float)
-    p.add_argument("--m", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--shape", choices=("ball", "box"))
-    p.add_argument("--radius", type=float)
-    p.add_argument("--sides", type=_float_list, metavar="L1,L2[,L3]")
-    p.add_argument("--t", type=float)
-    p.add_argument("--t-grid", dest="t_grid", type=_float_list, metavar="T1,T2,...")
-    p.add_argument("--r", dest="r_values", type=_float_list, metavar="R1,R2,...")
-    p.add_argument("--rho", dest="rho_values", type=_float_list, metavar="P1,P2,...")
-    p.add_argument("--abs-tol", dest="abs_tol", type=float)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--quick", action="store_const", const=True)
-    p.add_argument("--which", choices=("i", "ii"))
-    p.add_argument("--mc", action="store_const", const=True)
-    p.add_argument("--moment", action="store_const", const=True)
+# add_argument keywords for every flag; each defaults to None, so a flag not
+# given leaves the config file's value, or else the _DEFAULTS entry, in place
+_OPTIONS = {
+    **{f: dict(type=float) for f in ("--alpha", "--kappa", "--n", "--m", "--beta", "--gamma", "--radius", "--t")},
+    **{f: dict(type=float) for f in ("--abs-tol", "--rel-tol")},
+    **{f: dict(type=int) for f in ("--d", "--samples", "--seed")},
+    **{f: dict(action="store_const", const=True) for f in ("--quick", "--mc", "--moment")},
+    "--family": dict(choices=("gaussian", "poisson", "stable", "poly")),
+    "--shape": dict(choices=("ball", "box")),
+    "--format": dict(choices=("csv", "json")),
+    "--which": dict(choices=("i", "ii")),
+    "--sides": dict(type=_float_list, metavar="L1,L2[,L3]"),
+    "--t-grid": dict(type=_float_list, metavar="T1,T2,..."),
+    "--r": dict(dest="r_values", type=_float_list, metavar="R1,R2,..."),
+    "--rho": dict(dest="rho_values", type=_float_list, metavar="P1,P2,..."),
+    "--out": dict(),
+}
+# d has none: a box takes its number of sides, everything else 2
+_DEFAULTS = {"family": "gaussian", "shape": "ball", "radius": 1.0, "abs_tol": 1e-10, "rel_tol": 1e-8,
+             "samples": 10**6, "seed": 0, "format": "csv", "quick": False, "which": "i", "mc": False, "moment": False}
+
+_KERNEL = ("--family", "--alpha", "--d", "--kappa", "--n", "--m", "--beta", "--gamma")
+_SHAPE = ("--shape", "--radius", "--sides", "--d")
+_TOLS = ("--abs-tol", "--rel-tol")
+_OUTPUT = ("--out", "--format")
+
+_GROUPS = {"kernel": "kernel tables and norms", "cov": "set-covariance profiles", "heat": "heat content sweeps"}
+# (group, command): (help, the flags the command reads besides --config)
+_COMMANDS = {
+    ("kernel", "eval"): ("tabulate p_1 / p_t with norm rows", (*_KERNEL, *_TOLS, *_OUTPUT, "--r", "--t", "--moment")),
+    ("cov", "eval"): ("tabulate the radial profile ghat", (*_SHAPE, *_OUTPUT, "--rho")),
+    ("perimeter", None): ("perimeter via directional variation", (*_SHAPE, *_OUTPUT)),
+    ("alpha-perimeter", None): (
+        "nonlocal alpha-perimeter",
+        (*_SHAPE, *_TOLS, *_OUTPUT, "--alpha", "--mc", "--samples", "--seed"),
+    ),
+    ("heat", "sweep"): ("asymptotic sweep over a t grid", (*_KERNEL, *_SHAPE, *_TOLS, *_OUTPUT, "--t-grid")),
+    ("bounds", None): ("perimeter-type bound checks", (*_KERNEL, *_SHAPE, *_TOLS, *_OUTPUT, "--t-grid", "--which")),
+    ("verify", None): ("run the acceptance battery", ("--seed", "--quick", *_TOLS, "--out")),
+}
 
 
 @functools.cache
 def build_parser():
     """The CLI parser, built once per process (``parse_args`` does not mutate it)."""
-    parser = argparse.ArgumentParser(prog="heatlab", description=__doc__)
+    parser = argparse.ArgumentParser(prog="heatlab", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="group", required=True)
-
-    kernel = sub.add_parser("kernel", help="kernel tables and norms")
-    ksub = kernel.add_subparsers(dest="cmd", required=True)
-    _add_common(ksub.add_parser("eval", help="tabulate p_1 / p_t with norm rows"))
-
-    cov = sub.add_parser("cov", help="set-covariance profiles")
-    csub = cov.add_subparsers(dest="cmd", required=True)
-    _add_common(csub.add_parser("eval", help="tabulate the radial profile ghat"))
-
-    _add_common(sub.add_parser("perimeter", help="perimeter via directional variation"))
-    _add_common(sub.add_parser("alpha-perimeter", help="nonlocal alpha-perimeter"))
-
-    heat = sub.add_parser("heat", help="heat content sweeps")
-    hsub = heat.add_subparsers(dest="cmd", required=True)
-    _add_common(hsub.add_parser("sweep", help="asymptotic sweep over a t grid"))
-
-    _add_common(sub.add_parser("bounds", help="perimeter-type bound checks"))
-    _add_common(sub.add_parser("verify", help="run the acceptance battery"))
+    groups = {}
+    for (group, cmd), (help_text, flags) in _COMMANDS.items():
+        parent, name = sub, group
+        if cmd is not None:
+            if group not in groups:
+                group_parser = sub.add_parser(group, help=_GROUPS[group], allow_abbrev=False)
+                groups[group] = group_parser.add_subparsers(dest="cmd", required=True)
+            parent, name = groups[group], cmd
+        p = parent.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for flag in dict.fromkeys(flags):
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = parse_config(args.config) if getattr(args, "config", None) else RunConfig()
-    for f in dataclasses.fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            setattr(cfg, f.name, val)
-    return cfg
+def _resolve_config(args, command):
+    """Fill each of ``args`` that no flag set from the --config file, else from _DEFAULTS;
+    d, which has no default, is a box's number of sides or else 2."""
+    reads = set(vars(args)) - {"group", "cmd", "config"}
+    given = {}
+    if args.config:
+        with open(args.config) as fh:
+            given = json.load(fh)
+        unread = sorted(set(given) - reads)
+        if unread:
+            raise ValueError(f"{command} reads no config key {unread}")
+    for dest in reads:
+        if getattr(args, dest) is None:
+            setattr(args, dest, given.get(dest, _DEFAULTS.get(dest)))
+    if "d" in reads and args.d is None:
+        args.d = len(args.sides) if getattr(args, "shape", None) == "box" and args.sides else 2
+    return args
 
 
 _DISPATCH = {
@@ -363,8 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     key = (args.group, getattr(args, "cmd", None))
     try:
-        cfg = _resolve_config(args)
-        return _DISPATCH[key](cfg)
+        return _DISPATCH[key](_resolve_config(args, " ".join(filter(None, key))))
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import QuadratureError, RegimeError, _check_time
+from .errors import QuadratureError, RegimeError, _check_time, _t_grid
 from .geometry import (
     Ball,
     CovarianceProfile,
@@ -108,9 +108,7 @@ class AsymptoticReport:
     monotone: bool = True
 
     def __post_init__(self):
-        tg = np.asarray(self.t_grid, dtype=float)
-        if tg.ndim != 1 or len(tg) < 2 or np.any(np.diff(tg) >= 0.0):
-            raise ValueError("t_grid must be strictly decreasing with >= 2 entries")
+        _t_grid(self.t_grid, 2)
 
 
 @dataclass(frozen=True)
@@ -243,7 +241,11 @@ def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=N
 def _heat_content_result(spec, profile, t, dtil, err) -> HeatContentResult:
     """H(t), the deficit and its error bar from the scaled deficit D~(t)."""
     sc = spec.scaling()
-    pref = t ** (sc.beta + spec.d * sc.gamma)
+    power = sc.beta + spec.d * sc.gamma
+    try:
+        pref = t**power
+    except OverflowError:
+        raise ValueError(f"t too {'large' if t > 1.0 else 'small'}: t**{power:g} overflows, got {t}") from None
     total = l1_norm_closed_form(spec) * profile.volume
     return HeatContentResult(t=t, H=pref * (total - dtil), deficit=pref * dtil, quad_error=pref * err)
 
@@ -309,10 +311,9 @@ def theoretical_constant(spec: KernelSpec, shape, cfg=None) -> float:
 # sweeps
 
 
-def _sweep_inputs(shape, t_grid):
-    """The grid as floats (DEFAULT_T_GRID if None) and the shape's profile."""
-    t_grid = tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
-    return t_grid, radial_profile(shape)
+def _sweep_inputs(shape, t_grid, least):
+    """The checked grid (DEFAULT_T_GRID if None) of >= ``least`` times and the shape's profile."""
+    return _t_grid(DEFAULT_T_GRID if t_grid is None else t_grid, least), radial_profile(shape)
 
 
 def _sweep_scaled_deficits(spec, profile, t_grid, cfg):
@@ -350,9 +351,7 @@ def heat_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None):
     is the extrapolated limit.
     """
     cfg = cfg or _DEFAULT_CFG
-    t_grid, profile = _sweep_inputs(shape, t_grid)
-    if len(t_grid) < 3 or any(b >= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("a sweep's t_grid must be strictly decreasing with >= 3 entries")
+    t_grid, profile = _sweep_inputs(shape, t_grid, 3)
     dtils, errs = _sweep_scaled_deficits(spec, profile, t_grid, cfg)
     results = [_heat_content_result(spec, profile, t, v, e) for t, v, e in zip(t_grid, dtils, errs)]
     s_vals = regime_scaling(spec, np.asarray(t_grid))
@@ -388,7 +387,7 @@ def asymptotic_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None) -> Asymptot
 
 def _bound_check(name, spec, shape, t_grid, cfg, rhs_of, extra) -> BoundCheckReport:
     """Pointwise D~(t) <= rhs_of(t) + slack, slack twice the quadrature error."""
-    t_grid, profile = _sweep_inputs(shape, t_grid)
+    t_grid, profile = _sweep_inputs(shape, t_grid, 1)
     rhs = [rhs_of(t) for t in t_grid]
     lhs, errs = _sweep_scaled_deficits(spec, profile, t_grid, cfg)
     slack = [2.0 * (e + cfg.abs_tol) + 1e-12 * abs(r) for e, r in zip(errs, rhs)]
@@ -466,13 +465,19 @@ def bound_check_part_ii(spec: KernelSpec, shape, t_grid=None, cfg=None) -> Bound
     env = spec.kappa * w * perimeter(shape) * gamma
 
     def rhs_of(t):
-        if t**gamma >= ell:
+        try:
+            tg = t**gamma
+        except OverflowError:
+            tg = math.inf
+        if tg >= ell:
             raise RegimeError(f"bound requires t^gamma < ell; violated at t={t:g}")
-        return t**gamma * (lam + env * math.log(1.0 / t))
+        return tg * (lam + env * math.log(1.0 / t))
 
     extra = {"lambda": lam, "envelope_constant": env}
     rep = _bound_check("log-regime bound", spec, shape, t_grid, cfg, rhs_of, extra)
     t_min = rep.t_grid[-1]
+    if t_min >= 1.0:
+        raise RegimeError(f"the limsup side-check needs a smallest t below 1, got t={t_min:g}")
     limsup_ratio = rep.lhs[-1] / (t_min**gamma * math.log(1.0 / t_min)) / env
     limsup_ok = limsup_ratio <= 1.1
     failures = rep.failures

@@ -97,3 +97,13 @@ def _check_time(t):
     """Raise ValueError unless 0 < t < inf (NaN included)."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be {'finite' if t == math.inf else 'positive'}, got {t}")
+
+
+def _t_grid(t_grid, least):
+    """The grid as a tuple of valid times, strictly decreasing, with >= ``least`` entries."""
+    grid = tuple(float(t) for t in t_grid)
+    for t in grid:
+        _check_time(t)
+    if len(grid) < least or any(b >= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"t_grid must be strictly decreasing with >= {least} entries, got {grid}")
+    return grid

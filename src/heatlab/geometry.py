@@ -103,7 +103,7 @@ class Indicator:
 
 def _check_measures(shape):
     """Raise ValueError unless the volume, perimeter, diameter and ghat(0) = A_d |Omega|
-    of a Ball or Box are positive and finite; one that overflows counts as inf."""
+    of a Ball or Box are finite normal doubles; one that overflows counts as inf."""
     values = []
     for measure in (volume, perimeter, diameter, lambda s: unit_sphere_area(s.d) * volume(s)):
         try:
@@ -112,6 +112,10 @@ def _check_measures(shape):
         except OverflowError:
             values.append(math.inf)
     _size(tuple(values), f"volume, perimeter, diameter and A_d volume of {shape}")
+    tiny = np.finfo(float).tiny
+    for name, value in zip(("volume", "perimeter", "diameter", "A_d volume"), values):
+        if value < tiny:
+            raise ValueError(f"{name} of {shape} is {value:.3g}, subnormal (below {tiny:.3g})")
 
 
 def volume(shape):
@@ -372,7 +376,8 @@ def _box_deficit_d2(rho, L1, L2):
     rho-dependent part 2 Per rho - 2 rho^2 of the azimuthal integrals; above
     it, where nothing cancels, A_2 L1 L2 minus them.  Vectorized in rho."""
     s = np.asarray(rho, dtype=float)
-    out = 4.0 * s * (L1 + L2 - 0.5 * s)
+    with np.errstate(over="ignore"):  # only where rho > min(L1, L2), which is overwritten below
+        out = 4.0 * s * (L1 + L2 - 0.5 * s)
     far = s > min(L1, L2)
     if far.any():
         out[far] = unit_sphere_area(2) * (L1 * L2) - 4.0 * _box_azimuth_integral(s[far], L1, L2)

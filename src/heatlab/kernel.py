@@ -179,7 +179,9 @@ def eval_pt(spec, t, r, cfg=_DEFAULT_CFG):
         raise ValueError(
             f"t too small: t**{sc.beta:g} or t**{-sc.gamma:g} overflows, got {t}"
         ) from None
-    return scale * eval_p1(spec, np.asarray(r, dtype=float) * stretch, cfg)
+    with np.errstate(over="ignore"):  # a radius past double range is +inf, where p_1 is 0
+        radii = np.asarray(r, dtype=float) * stretch
+    return scale * eval_p1(spec, radii, cfg)
 
 
 def _algebraic_tail_mass(d, kappa, n, m, R):

@@ -202,6 +202,9 @@ def mc_alpha_perimeter(shape, alpha, samples=2**20, seed=0) -> McEstimate:
     lo, hi = _bounding_box(shape)
     T = float(np.sqrt(np.sum(np.maximum(lo**2, hi**2))))
     pref = unit_sphere_area(d) * unit_ball_volume(d - 1) * T ** (d - 1) / (alpha * (1.0 - alpha))
+    peak = pref * (2.0 * T) ** (1.0 - alpha)  # a chord is at most 2T long
+    if not peak * peak * samples < np.finfo(float).max:
+        raise FloatingPointError(f"{samples} squared chord values up to {peak:.3g} overflow their sum")
     total = 0.0
     total_sq = 0.0
     for start, stop, rng in _batches(samples, seed):

@@ -258,6 +258,13 @@ def test_deficit_at_huge_t_raises_value_error():
         scaled_deficit(KernelSpec.stable(0.5, 2), radial_profile(Ball(1.0, 2)), 1e200)
 
 
+def test_poly_prefactor_overflow_raises_value_error():
+    # beta + d gamma = 3: t**3 leaves double range before the deficit does
+    spec = KernelSpec.poly_family(2, kappa=0.1, n=2.0, m=1.5, beta=1.0, gamma=1.0)
+    with pytest.raises(ValueError, match=r"t too large: t\*\*3 overflows, got 1e\+150"):
+        heat_content(spec, BALL_PROFILE, 1e150)
+
+
 def test_deficit_overflow_names_the_shape_scale():
     prof = radial_profile(Box((1e120, 1.0, 1.0)))
     with pytest.raises(QuadratureError) as info:
@@ -317,6 +324,21 @@ def test_sweep_requires_three_decreasing_points():
         asymptotic_sweep(spec, BALL, t_grid=(1e-3, 1e-2, 1e-4))
 
 
+@pytest.mark.parametrize("t_grid", [(1e-5, 1e-3, 0.1), (0.01, 0.01), ()])
+def test_bound_checks_require_a_strictly_decreasing_grid(t_grid):
+    # the envelope's limsup side-check reads the last grid point as the smallest t
+    with pytest.raises(ValueError, match="t_grid must be strictly decreasing with >= 1 entries"):
+        bound_check_part_ii(poly_poisson_spec(), BALL, t_grid=t_grid)
+    with pytest.raises(ValueError, match="t_grid must be strictly decreasing with >= 1 entries"):
+        bound_check_part_i(KernelSpec.gaussian(2), BALL, t_grid=t_grid)
+
+
+def test_envelope_limsup_needs_a_smallest_time_below_one():
+    # ln(1/t) vanishes at t = 1, where the limsup ratio would divide by zero
+    with pytest.raises(RegimeError, match="the limsup side-check needs a smallest t below 1, got t=1"):
+        bound_check_part_ii(poly_poisson_spec(), BALL, t_grid=(1.0,))
+
+
 def test_default_grid_is_decreasing():
     assert all(a > b for a, b in zip(DEFAULT_T_GRID, DEFAULT_T_GRID[1:]))
 
@@ -347,6 +369,12 @@ def test_envelope_bound_needs_subdiameter_window():
     with pytest.raises(RegimeError):
         # t^gamma beyond the covariance support radius
         bound_check_part_ii(spec, BALL, t_grid=(3.0, 0.1))
+
+
+def test_envelope_bound_window_holds_where_t_to_the_gamma_overflows():
+    spec = KernelSpec.poly_family(2, kappa=0.1, n=2.0, m=1.5, beta=-2.0, gamma=2.0)
+    with pytest.raises(RegimeError, match=r"t\^gamma < ell; violated at t=1e\+200"):
+        bound_check_part_ii(spec, BALL, t_grid=(1e200, 0.1))
 
 
 def test_envelope_bound_holds_for_cauchy_instance():

@@ -8,8 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from heatlab.errors import RegimeError
-from heatlab.geometry import Ball, Box, Indicator, covariance_ball, covariance_mc, theta
+from heatlab.content import AsymptoticReport
+from heatlab.errors import RegimeError, _t_grid
+from heatlab.geometry import Ball, Box, Indicator, covariance_ball, covariance_mc, theta, volume
 from heatlab.kernel import (
     KernelSpec,
     poisson_constant,
@@ -112,6 +113,24 @@ def test_shape_measures_are_positive_and_finite(make, shown):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Ball(1e-160, 2), "volume of Ball(radius=1e-160, d=2) is 3.14e-320, subnormal"),
+        (lambda: Box((1e-160, 1e-160, 1.0)), "volume of Box(sides=(1e-160, 1e-160, 1.0)) is 1e-320, subnormal"),
+    ],
+)
+def test_shape_measures_are_normal_doubles(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_shape_measures_just_above_the_normal_floor_are_kept():
+    # volume pi 1e-300 and 1e-300: above the least normal double, 2.2e-308
+    assert volume(Ball(1e-150, 2)) == math.pi * 1e-300
+    assert volume(Box((1e-150, 1e-150, 1.0))) == 1e-300
+
+
 def test_sizes_are_positive_and_finite():
     with pytest.raises(ValueError, match="ball radius must be positive and finite, got inf"):
         covariance_ball(2, math.inf, 1.0)
@@ -119,3 +138,30 @@ def test_sizes_are_positive_and_finite():
         Indicator(d=2, contains=None, bbox_lo=(-1e308, 0.0), bbox_hi=(1e308, 1.0))
     with pytest.raises(ValueError, match="declared volume must be positive and finite, got nan"):
         Indicator(d=2, **_SQUARE, volume=math.nan)
+
+
+@pytest.mark.parametrize(
+    "grid, least, message",
+    [
+        ((0.1, 0.01), 3, "t_grid must be strictly decreasing with >= 3 entries, got (0.1, 0.01)"),
+        ((0.01, 0.01), 1, "t_grid must be strictly decreasing with >= 1 entries, got (0.01, 0.01)"),
+        ((1e-5, 1e-3, 0.1), 1, "t_grid must be strictly decreasing with >= 1 entries, got (1e-05, 0.001, 0.1)"),
+        ((), 1, "t_grid must be strictly decreasing with >= 1 entries, got ()"),
+        ((0.1, math.nan, 0.01), 3, "t must be positive, got nan"),
+        ((math.inf, 0.1), 2, "t must be finite, got inf"),
+        ((0.1, 0.0), 1, "t must be positive, got 0.0"),
+    ],
+)
+def test_t_grid_is_checked_entry_by_entry_then_as_a_decreasing_grid(grid, least, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _t_grid(grid, least)
+
+
+def test_t_grid_returns_floats_and_guards_the_sweep_report():
+    assert _t_grid(np.array([0.1, 0.01]), 2) == (0.1, 0.01)
+    assert _t_grid([1, 0.5], 1) == (1.0, 0.5)
+    report = dict(regime="gaussian", scaled_deficits=(1.0, 1.0), extrapolated_limit=1.0,
+                  theoretical_constant=1.0, rel_error_at_smallest_t=0.0)
+    AsymptoticReport(t_grid=(0.1, 0.01), **report)
+    with pytest.raises(ValueError, match="t must be positive, got nan"):
+        AsymptoticReport(t_grid=(0.1, math.nan), **report)

@@ -226,6 +226,13 @@ def test_box_azimuth_integral_matches_general_form_bitwise(sides):
     assert geometry._box_deficit_d2(s, L1, L2).tobytes() == (full - 4.0 * want).tobytes()
 
 
+def test_box_d2_ghat_of_a_long_thin_box_stays_finite_without_warning():
+    # near the diameter 1e154 the short-radius form 4 s (L1 + L2 - s/2) would overflow
+    prof = radial_profile(Box((1.0, 1e154)))
+    g = prof.ghat(np.linspace(0.0, prof.support_radius, 9))
+    assert np.all(np.isfinite(g)) and g[0] == unit_sphere_area(2) * 1e154 and g[-1] == 0.0
+
+
 @pytest.mark.parametrize("sides", D2_SIDES)
 def test_box_deficit_d2_below_shortest_side_is_elementary(sides):
     # 2 Per s - 2 s^2 to full relative precision at normal s; the ghat it
@@ -738,9 +745,10 @@ def test_box_ghat_outside_double_range_raises(sides):
 
 @pytest.mark.parametrize("short", [1e-190, 1e-308])
 def test_alpha_perimeter_of_a_box_past_double_range_raises(short):
-    # rho^(-1-alpha) overflows on the panels graded toward the short side
+    # rho^(-1-alpha) overflows on the panels graded toward the short side; the
+    # long side 4 keeps the volume 4 short a normal double
     with pytest.raises(FloatingPointError):
-        alpha_perimeter(Box((1.0, short)), 0.5)
+        alpha_perimeter(Box((4.0, short)), 0.5)
 
 
 @pytest.mark.parametrize("declared", [-5.0, 0.0, 4.5, math.nan, math.inf])

@@ -215,6 +215,12 @@ def test_eval_p1_is_zero_where_r_squared_overflows(spec):
     assert list(eval_p1(spec, np.array([1e155, 1e300]))) == [0.0, 0.0]
 
 
+def test_eval_pt_is_zero_where_the_stretched_radius_overflows():
+    # beta = 0, so t**beta stays 1 while r t^-gamma = 1e202 * 1e106.5 leaves double range
+    spec = KernelSpec.poly_family(2, 0.1, 2.0, 1.5, 0.0, 0.5)
+    assert list(eval_pt(spec, 1e-213, np.array([0.0, 1e202]))) == [0.1, 0.0]
+
+
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, -math.inf])
 def test_eval_pt_rejects_nonpositive_and_nan_time(t):
     with pytest.raises(ValueError, match=f"t must be positive, got {t}"):

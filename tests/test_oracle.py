@@ -175,6 +175,14 @@ def test_alpha_perimeter_estimate_reproducible():
     assert (a.value, a.stderr) == (b.value, b.stderr)
 
 
+def test_alpha_perimeter_estimate_whose_squares_overflow_raises():
+    # per-line values reach A_d w_{d-1} T^{d-1} (2T)^{1-alpha} / (alpha (1-alpha)) ~ 3e154
+    with pytest.raises(FloatingPointError, match="1 squared chord values up to 2.85e\\+154 overflow their sum"):
+        mc_alpha_perimeter(Ball(1e55, 3), 0.25, samples=1, seed=1)
+    est = mc_alpha_perimeter(Ball(1e50, 3), 0.25, samples=5, seed=1)
+    assert math.isfinite(est.value) and math.isfinite(est.stderr)
+
+
 def test_alpha_perimeter_estimator_domain():
     with pytest.raises(RegimeError):
         mc_alpha_perimeter(BALL, 1.3, samples=2**10, seed=0)
