@@ -282,11 +282,11 @@ _COMMANDS = {
 
 
 @functools.cache
-def build_parser():
-    """The CLI parser, built once per process (``parse_args`` does not mutate it)."""
+def _parsers():
+    """The CLI parser and each command's subparser, keyed as ``_COMMANDS``."""
     parser = argparse.ArgumentParser(prog="heatlab", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="group", required=True)
-    groups = {}
+    groups, commands = {}, {}
     for (group, cmd), (help_text, flags) in _COMMANDS.items():
         parent, name = sub, group
         if cmd is not None:
@@ -298,7 +298,41 @@ def build_parser():
         p.add_argument("--config", help="JSON config file; flags override its values")
         for flag in dict.fromkeys(flags):
             p.add_argument(flag, **_OPTIONS[flag])
-    return parser
+        commands[group, cmd] = p
+    return parser, commands
+
+
+def build_parser():
+    """The CLI parser, built once per process (``parse_args`` does not mutate it)."""
+    return _parsers()[0]
+
+
+# each config key's add_argument keywords
+_KEY_OPTIONS = {opts.get("dest", flag[2:].replace("-", "_")): opts for flag, opts in _OPTIONS.items()}
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_value(key, value):
+    """``value`` of config key ``key`` if it is of the kind its flag takes (a list
+    as the flag's tuple of floats), else ``ValueError`` naming the key.  An
+    int-typed key takes any number: the command's own checks reject 2.5."""
+    opts = _KEY_OPTIONS[key]
+    if "choices" in opts:
+        ok, kind = value in opts["choices"], f"one of {list(opts['choices'])}"
+    elif opts.get("action") == "store_const":
+        ok, kind = isinstance(value, bool), "true or false"
+    elif opts.get("type") is _float_list:
+        ok, kind = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+    elif "type" in opts:
+        ok, kind = _is_number(value), "a number"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ValueError(f"key {key!r} must be {kind}, got {json.dumps(value)}")
+    return tuple(map(float, value)) if opts.get("type") is _float_list else value
 
 
 def _resolve_config(args, command):
@@ -309,9 +343,12 @@ def _resolve_config(args, command):
     if args.config:
         with open(args.config) as fh:
             given = json.load(fh)
+        if not isinstance(given, dict):
+            raise ValueError(f"{args.config} must hold a JSON object, got {json.dumps(given)}")
         unread = sorted(set(given) - reads)
         if unread:
             raise ValueError(f"{command} reads no config key {unread}")
+        given = {key: _config_value(key, value) for key, value in given.items()}
     for dest in reads:
         if getattr(args, dest) is None:
             setattr(args, dest, given.get(dest, _DEFAULTS.get(dest)))
@@ -332,9 +369,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _parsers()
+    args, unknown = parser.parse_known_args(argv)
     key = (args.group, getattr(args, "cmd", None))
+    if unknown:  # against the command's usage, which lists the flags it takes; exits 2
+        commands[key].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return _DISPATCH[key](_resolve_config(args, " ".join(filter(None, key))))
     except RegimeError as exc:

@@ -22,13 +22,14 @@ return a bare Monte Carlo number or a bound in place of the value for it --
 ``UnsupportedShapeError``.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, betaln
 
+from . import _special
 from .errors import QuadratureError, UnsupportedShapeError, _dimension, _perimeter_index, _radii, _sample_count, _size
 from .kernel import _DEFAULT_CFG, _graded_edges, _refine, unit_ball_volume, unit_sphere_area
 from .stable import _gl_nodes_weights
@@ -169,19 +170,25 @@ def theta(d, z):
     zz = np.asarray(z, dtype=float)
     if not np.all((zz >= 0) & (zz <= 1)):  # also rejects NaN
         raise ValueError("theta argument must lie in [0, 1]")
-    a, b = (_dimension(d) - 1) / 2.0, 1.5
-    out = 0.5 * math.exp(betaln(a, b)) * betainc(a, b, zz**2)
+    out = _special.theta(_dimension(d), zz)
     return float(out) if np.isscalar(z) else out
 
 
+@functools.cache
+def _lens_weights(d):
+    """(A_{d-1}, w_{d-1}): the weights of ``_lens_deficit``'s two terms."""
+    return unit_sphere_area(d - 1), unit_ball_volume(d - 1)
+
+
 def _lens_deficit(d, s):
-    """w_d - g_B(s) for the unit ball, s in [0, 2], without cancellation:
-    A_{d-1} B((d-1)/2, 3/2) I_{s^2/4}(3/2, (d-1)/2) + s w_{d-1} (1 - s^2/4)^{(d-1)/2},
-    ``theta``'s Beta function taken from the other end."""
-    a = (d - 1) / 2.0
-    q = s * s / 4.0
-    cap = unit_sphere_area(d - 1) * math.exp(betaln(a, 1.5)) * betainc(1.5, a, q)
-    return cap + s * unit_ball_volume(d - 1) * (1.0 - q) ** a
+    """w_d - g_B(s) for the unit ball, s in [0, 2], as a sum of positive terms:
+    A_{d-1} B_q(3/2, (d-1)/2) + s w_{d-1} (1 - q)^{(d-1)/2} with
+    q = s^2/4 = sin^2 phi, ``theta``'s Beta function taken from the other end."""
+    area, vol = _lens_weights(d)
+    sin_phi = 0.5 * s
+    cos_phi = np.sqrt((1.0 - sin_phi) * (1.0 + sin_phi))
+    phi = None if d % 2 else np.arcsin(sin_phi)  # read for even d only
+    return area * _special.sine_beta(3, d - 1, sin_phi, cos_phi, phi) + vol * s * cos_phi ** (d - 1)
 
 
 def covariance_ball(d, R, a):
@@ -572,8 +579,8 @@ def radial_profile(shape):
     """
     d = shape.d
     if isinstance(shape, Ball):
-        R = shape.radius
-        evaluator = lambda r: unit_sphere_area(d) * R**d * _lens_deficit(d, r / R)
+        R, scale = shape.radius, unit_sphere_area(d) * shape.radius**d
+        evaluator = lambda r: scale * _lens_deficit(d, r / R)
     elif isinstance(shape, Box) and d in (2, 3):
         complement = _box_deficit_d2 if d == 2 else _box_deficit_d3
         evaluator = lambda r: complement(r, *shape.sides)

@@ -32,15 +32,15 @@ Two complementary evaluation routes are used:
 on [0, r_switch] whose accuracy is validated at construction time against the
 same integral on a rule twice as fine, so that bulk evaluation (heat-content
 quadrature, Monte Carlo) is vectorized and cheap.  The spline's node slopes
-come from one tridiagonal solve in numpy (``_clamped_spline``), so the module
-needs nothing of scipy beyond ``scipy.special``.
+come from one tridiagonal solve in numpy (``_clamped_spline``), and its Gamma
+functions from ``math``, so the module needs nothing of scipy.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
+from ._special import lgamma
 from .errors import QuadratureError, RegimeError, _dimension, _radii, _stable_index
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -48,8 +48,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 def p1_at_zero(alpha, d):
     """Closed form p_1(0) = A_d Gamma(d/alpha) / (alpha (2 pi)^d)."""
-    log_ad = math.log(2.0) + (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0)
-    return math.exp(log_ad + gammaln(d / alpha) - math.log(alpha) - d * math.log(2 * math.pi))
+    return math.gamma(d / alpha) / (alpha * math.gamma(d / 2.0) * 2.0 ** (d - 1) * math.pi ** (d / 2.0))
 
 
 def _gl_nodes_weights(edges):
@@ -125,9 +124,9 @@ def series_coefficients(alpha, d, kmax=220):
     k = np.arange(1, kmax + 1, dtype=float)
     logmag = (
         alpha * k * math.log(2.0)
-        + gammaln((d + alpha * k) / 2.0)
-        + gammaln(1.0 + alpha * k / 2.0)
-        - gammaln(k + 1.0)
+        + lgamma((d + alpha * k) / 2.0)
+        + lgamma(1.0 + alpha * k / 2.0)
+        - lgamma(k + 1.0)
         - (d / 2.0 + 1.0) * math.log(math.pi)
     )
     sinfac = np.sin(k * math.pi * alpha / 2.0)

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from datetime import timedelta
 from pathlib import Path
 
@@ -522,6 +523,45 @@ def test_abbreviated_or_foreign_flags_exit_code(argv, capsys):
     assert out == "" and "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_foreign_flag_is_reported_against_the_command_usage(command, capsys):
+    foreign = sorted(set(_VALUE) - FLAGS[command])[0]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *_flag(foreign)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    usage, _, message = err.partition(f"heatlab {' '.join(command)}: error: ")
+    assert out == "" and usage.startswith(f"usage: heatlab {' '.join(command)} [-h] [--config CONFIG]")
+    assert all(flag in usage for flag in FLAGS[command])
+    assert message == f"unrecognized arguments: {_flag(foreign)[0]}\n"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"shape": "box", "sides": 3}, "key 'sides' must be a list of numbers, got 3"),
+        ({"radius": "1"}, 'key \'radius\' must be a number, got "1"'),
+        ({"d": True}, "key 'd' must be a number, got true"),
+        ({"t_grid": [0.1, "0.01"]}, 'key \'t_grid\' must be a list of numbers, got [0.1, "0.01"]'),
+        ({"shape": "cube"}, "key 'shape' must be one of ['ball', 'box'], got \"cube\""),
+        ({"out": 3}, "key 'out' must be a string, got 3"),
+    ],
+)
+def test_config_value_of_the_wrong_kind_exit_code(config, message, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["heat", "sweep", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: {message}\n"
+
+
+def test_config_file_that_is_no_object_exit_code(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(["family", "d"]))
+    assert main(["kernel", "eval", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f'config error: {path} must hold a JSON object, got ["family", "d"]\n'
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -689,6 +729,27 @@ _RADII = st.one_of(st.floats(-320.0, 308.0).map(lambda e: 10.0**e), st.sampled_f
 _ALPHAS = st.one_of(st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([0.0, 2.0, -1.0, math.nan, math.inf]))
 
 
+# config values of the wrong kind for each kind of flag
+_WRONG_KIND = {
+    "number": ["1", True, None, [1.0], {}],
+    "list": [3, "1,2", [True], ["0.1"], None],
+    "switch": [1, "yes", None],
+    "choice": ["nope", 1, True, None],
+    "string": [1, False, []],
+}
+_KEY = {"--r": "r_values", "--rho": "rho_values"}
+
+
+def _kind(flag):
+    if _VALUE[flag] is None:
+        return "switch"
+    if flag in ("--sides", "--t-grid", "--r", "--rho"):
+        return "list"
+    if flag in ("--family", "--shape", "--format", "--which"):
+        return "choice"
+    return "string" if flag == "--out" else "number"
+
+
 def _joined(values):
     return ",".join(repr(float(v)) for v in values)
 
@@ -736,6 +797,10 @@ def _cli_argv(draw):
         argv = ["bounds", *kernel, *shape, f"--which={which}", _t_grid(draw, draw(st.integers(1, 3)))]
     if draw(st.integers(0, 4)) == 0:
         argv += _flag(draw(st.sampled_from(sorted(set(_VALUE) - FLAGS[_command(argv)]))))
+    if draw(st.integers(0, 4)) == 0:
+        flag = draw(st.sampled_from(sorted(FLAGS[_command(argv)])))
+        wrong = draw(st.sampled_from(_WRONG_KIND[_kind(flag)]))
+        argv += ["--config", json.dumps({_KEY.get(flag, flag[2:].replace("-", "_")): wrong})]
     return argv
 
 
@@ -765,18 +830,28 @@ _SWEEP = ["heat", "sweep", "--t-grid=0.1,0.01,0.001"]
 # a flag of another command: exit 2 where the parent ran on without it
 @example(argv=["heat", "sweep", "--family=gaussian", "--d=2", "--shape=ball", "--radius=1.0", "--t=0.5"])
 @example(argv=["cov", "eval", "--shape=box", "--sides=1.0,2.0", "--family=stable", "--alpha=7.0"])
+# a config value of the wrong kind exits 2 where the parent raised out of main
+@example(argv=["heat", "sweep", "--config", '{"shape": "box", "sides": 3}'])
 def test_every_argument_vector_ends_in_an_exit_code(argv):
+    # a drawn --config value is the file's JSON text, written out here
+    config = json.loads(argv[argv.index("--config") + 1]) if "--config" in argv else {}
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if config:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(config))
+            argv = [str(path) if arg.startswith("{") else arg for arg in argv]
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the vector
             code = exc.code
-    foreign = {arg.partition("=")[0] for arg in argv if arg.startswith("--")} - FLAGS[_command(argv)]
-    event(f"{argv[0]} exit {code}{' (foreign flag)' if foreign else ''}")  # pytest --hypothesis-show-statistics
+    foreign = {arg.partition("=")[0] for arg in argv if arg.startswith("--")} - FLAGS[_command(argv)] - {"--config"}
+    event(f"{argv[0]} exit {code}{' (foreign flag)' if foreign else ''}{' (wrong config)' if config else ''}")
     # bounds exits 4 when a bound fails on the drawn grid
-    allowed = (2,) if foreign else (0, 2, 3, 4) if argv[0] == "bounds" else (0, 2, 3)
+    allowed = (2,) if foreign or config else (0, 2, 3, 4) if argv[0] == "bounds" else (0, 2, 3)
     assert code in allowed, (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if config and not foreign:  # the message names the key
+        assert any(err.getvalue().startswith(f"config error: key {key!r} must be ") for key in config), err.getvalue()
     if code == 0:
         assert re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE) is None
