@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import content as hc
-from .errors import DivergentMomentError, HeatlabError, RegimeError
+from .errors import DivergentMomentError, HeatlabError, RegimeError, _seed
 from .geometry import (
     Ball,
     Box,
@@ -381,6 +381,7 @@ def run_battery(seed=0, quick=False, include_17=True, cfg=None):
 
     The CSV body holds no timings, so identical seeds give identical bytes.
     """
+    seed = _seed(seed)
     ctx = Context(seed=seed, quick=quick, cfg=cfg or _DEFAULT_CFG)
     cids = [c for c in sorted(_CRITERIA) if include_17 or c != 17]
     results = [run_criterion(cid, ctx) for cid in cids]

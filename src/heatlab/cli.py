@@ -32,7 +32,7 @@ import numpy as np
 
 from . import content as hc
 from .acceptance import run_battery
-from .errors import QuadratureError, RegimeError, SamplingEfficiencyError, UnsupportedShapeError
+from .errors import QuadratureError, RegimeError, SamplingEfficiencyError, UnsupportedShapeError, _seed
 from .geometry import Ball, Box, alpha_perimeter, perimeter, perimeter_via_directional, radial_profile
 from .kernel import (
     KernelSpec,
@@ -354,6 +354,8 @@ def _resolve_config(args, command):
             setattr(args, dest, given.get(dest, _DEFAULTS.get(dest)))
     if "d" in reads and args.d is None:
         args.d = len(args.sides) if getattr(args, "shape", None) == "box" and args.sides else 2
+    if "seed" in reads:  # also where alpha-perimeter runs without --mc
+        args.seed = _seed(args.seed)
     return args
 
 

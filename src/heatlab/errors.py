@@ -46,9 +46,9 @@ class SamplingEfficiencyError(HeatlabError, RuntimeError):
 
 
 def _integer(value, least, what):
-    """``value`` as an int >= ``least``: 2.0 and np.int64(3) pass, 2.5, NaN and inf raise."""
+    """``value`` as an int >= ``least``: 2.0, np.int64(3) and 2**63 - 1 pass, 2.5, NaN and inf raise."""
     try:
-        if float(value) == int(value) >= least:
+        if int(value) == value >= least:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -62,6 +62,15 @@ def _dimension(d, least=2):
 
 def _sample_count(samples):
     return _integer(samples, 1, "samples")
+
+
+def _seed(seed):
+    """seed as an int in [0, 2^63), a Philox key word numpy takes as it is:
+    -3 would wrap to 2^64 - 3 and 2.5 truncate to 2."""
+    seed = _integer(seed, 0, "seed")
+    if seed >= 2**63:
+        raise ValueError(f"seed must be < 2**63, got {seed}")
+    return seed
 
 
 def _stable_index(alpha):

@@ -12,11 +12,11 @@ and, above it, a sum of closed-form integrals over caps of the octant of S^2.
 
 A generic ``Indicator`` shape has no closed form, so it is served only by the
 Monte Carlo estimators that report a stderr: ``covariance_mc`` here and
-``oracle.mc_heat_content``.  Both draw each batch of points into buffers
-allocated once per call and work on coordinate columns, with the bits of the
-row-wise form that allocates every batch afresh.  Every route that would
-return a bare Monte Carlo number or a bound in place of the value for it --
-``radial_profile`` (hence ``alpha_perimeter``), ``perimeter``,
+``oracle.mc_heat_content``.  Both work on coordinate columns, in buffers that
+outlive the call (``_scratch``) and in sub-blocks of ``_MC_BLOCK`` points, with
+the bits of the row-wise form that allocates every batch afresh.  Every route
+that would return a bare Monte Carlo number or a bound in place of the value
+for it -- ``radial_profile`` (hence ``alpha_perimeter``), ``perimeter``,
 ``perimeter_via_directional``, ``directional_variation``, ``covariance``,
 ``diameter`` and ``volume`` without a declared volume -- raises
 ``UnsupportedShapeError``.
@@ -24,13 +24,14 @@ return a bare Monte Carlo number or a bound in place of the value for it --
 
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _special
-from .errors import QuadratureError, UnsupportedShapeError, _dimension, _perimeter_index, _radii, _sample_count, _size
+from .errors import QuadratureError, UnsupportedShapeError, _dimension, _perimeter_index, _radii, _sample_count, _seed, _size
 from .kernel import _DEFAULT_CFG, _graded_edges, _refine, unit_ball_volume, unit_sphere_area
 from .stable import _gl_nodes_weights
 
@@ -235,6 +236,26 @@ def covariance(shape, y):
 
 
 _MC_BATCH = 262144
+# points per sub-block: its arrays, 256 KiB a coordinate, stay in cache
+_MC_BLOCK = 32768
+_scratch_buffers = threading.local()
+
+
+def _scratch(name, shape, dtype=float):
+    """This thread's buffer ``name``, viewed as an uninitialised array of ``shape``.
+
+    The buffer outlives the call and grows only when a view needs more, so a
+    run of Monte Carlo calls reuses memory that is already paged in rather
+    than mapping (and faulting in) fresh pages for every batch of every call.
+    Each name holds one dtype, and a caller must be done with a view before
+    it asks for the same name again.
+    """
+    size = math.prod(shape)
+    buf = getattr(_scratch_buffers, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_scratch_buffers, name, buf)
+    return buf[:size].reshape(shape)
 
 
 def _batches(samples, seed):
@@ -326,10 +347,12 @@ def covariance_mc(shape, y, samples=2**20, seed=0):
     average 1(x in Omega) 1(x - y in Omega), scaled by the box volume.
     ``y`` is a vector of shape (d,).  Returns (estimate, stderr).
 
-    Each batch of points is drawn into one reused buffer and x - y formed
-    column by column in a second; the estimate is bit-identical to the
-    row-wise form that allocates both per batch."""
-    samples = _sample_count(samples)
+    Each batch is drawn and tested in sub-blocks of ``_MC_BLOCK`` points, one
+    after another from the batch's stream, so they are the batch's points in
+    order; x - y is formed column by column.  The hit count is an exact
+    integer, so the estimate is bit-identical to the row-wise form that
+    draws and allocates a whole batch at once."""
+    samples, seed = _sample_count(samples), _seed(seed)
     y = _displacement(shape, y)
     if np.isnan(y).any():  # +-inf is valid and gives 0
         raise ValueError("displacement must not be NaN")
@@ -337,19 +360,20 @@ def covariance_mc(shape, y, samples=2**20, seed=0):
     width = hi - lo
     member = _membership(shape)
     box_vol = float(np.prod(width))
-    rows = min(samples, _MC_BATCH)
-    points, shifted = np.empty((rows, shape.d)), np.empty((rows, shape.d))
-    inside, inside_shifted = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
+    rows = min(samples, _MC_BLOCK)
+    points, shifted = _scratch("x", (rows, shape.d)), _scratch("y", (rows, shape.d))
+    inside, inside_shifted = _scratch("in_x", (rows,), bool), _scratch("in_y", (rows,), bool)
     hits = 0
     for start, stop, rng in _batches(samples, seed):
-        n = stop - start
-        x = _draw(rng, lo, width, points[:n])
-        xs = shifted[:n]
-        for j in range(shape.d):
-            np.subtract(x[:, j], y[j], out=xs[:, j])
-        both = member(x, inside[:n])
-        both &= member(xs, inside_shifted[:n])
-        hits += int(np.count_nonzero(both))
+        for first in range(start, stop, _MC_BLOCK):
+            n = min(_MC_BLOCK, stop - first)
+            x = _draw(rng, lo, width, points[:n])
+            xs = shifted[:n]
+            for j in range(shape.d):
+                np.subtract(x[:, j], y[j], out=xs[:, j])
+            both = member(x, inside[:n])
+            both &= member(xs, inside_shifted[:n])
+            hits += int(np.count_nonzero(both))
     p = hits / samples
     return box_vol * p, box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
 

@@ -11,10 +11,14 @@ The pair estimator draws one pair stream per call and returns one estimate
 per (kernel, t) case evaluated on it.  A case's reduction reads only the
 shared distances and its own kernel values, never another case's, so each
 estimate is bit-identical to the one a call with that case alone returns.
-Its batches are drawn into buffers allocated once per call, and distances,
-values and squares are formed in reused arrays column by column; the
-estimates keep the bits of the row-wise form that allocates every batch
-afresh.
+
+Both estimators draw each batch into buffers that outlive the call
+(``geometry._scratch``) and work through it in sub-blocks of ``_MC_BLOCK``
+points: distances, kernel values and chords are formed one cache-sized
+sub-block at a time and written into a batch-long array of values, whose
+sums run over the whole zero-padded batch as before.  Every operation is
+elementwise or per point, so the estimates keep the bits of the row-wise
+form that allocates every batch afresh.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SamplingEfficiencyError, UnsupportedShapeError, _check_time, _perimeter_index, _sample_count
-from .geometry import _MC_BATCH, Ball, Box, _batches, _bounding_box, _draw, _membership
+from .errors import SamplingEfficiencyError, UnsupportedShapeError, _check_time, _perimeter_index, _sample_count, _seed
+from .geometry import _MC_BLOCK, Ball, Box, _batches, _bounding_box, _draw, _membership, _scratch
 from .kernel import eval_pt, unit_ball_volume, unit_sphere_area
 
 _MIN_EFFICIENCY = 1e-3
@@ -73,7 +77,7 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
     any pair is drawn.  Raises when the bounding-box acceptance rate falls
     below 1e-3.
     """
-    samples = _sample_count(samples)
+    samples, seed = _sample_count(samples), _seed(seed)
     cases = list(cases)
     for spec, t in cases:
         _check_time(t)
@@ -88,41 +92,48 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
     totals_sq = [0.0] * len(cases)
     accepted = 0
     first_batch = None
-    rows, d = min(samples, _MC_BATCH), len(lo)
-    points_x, points_y = np.empty((rows, d)), np.empty((rows, d))
-    inside_x, inside_y = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
-    dist, step = np.empty(rows), np.empty(rows)
-    vals_buf, vals_sq_buf = np.empty(rows), np.empty(rows)
+    block, d = min(samples, _MC_BLOCK), len(lo)
+    inside_x, inside_y = _scratch("in_x", (block,), bool), _scratch("in_y", (block,), bool)
+    dist, step = _scratch("dist", (block,)), _scratch("step", (block,))
     for start, stop, rng in _batches(samples, seed):
         n = stop - start
-        x = _draw(rng, lo, width, points_x[:n])
-        y = _draw(rng, lo, width, points_y[:n])
-        inside = member(x, inside_x[:n])
-        inside &= member(y, inside_y[:n])
-        # the accepted rows by index: gathers and scatters through an index
-        # array beat a random boolean mask several times over
-        rows_in = np.flatnonzero(inside)
-        m = len(rows_in)
-        if m:
+        x = _draw(rng, lo, width, _scratch("x", (n, d)))
+        y = _draw(rng, lo, width, _scratch("y", (n, d)))
+        # the accepted rows by index and their distances, a sub-block at a
+        # time: gathers and scatters through an index array beat a random
+        # boolean mask several times over
+        rows_in, r = _scratch("rows", (n,), np.intp), _scratch("r", (n,))
+        m = 0
+        for first in range(0, n, _MC_BLOCK):
+            xb, yb = x[first : first + _MC_BLOCK], y[first : first + _MC_BLOCK]
+            k = len(xb)
+            inside = member(xb, inside_x[:k])
+            inside &= member(yb, inside_y[:k])
+            hit = np.flatnonzero(inside)
             # |x - y| with its squares added coordinate by coordinate, the
             # order in which np.linalg.norm sums a row of fewer than eight
             # coordinates, then gathered and rooted
-            r2 = np.subtract(x[:, 0], y[:, 0], out=dist[:n])
+            r2 = np.subtract(xb[:, 0], yb[:, 0], out=dist[:k])
             r2 *= r2
             for j in range(1, d):
-                dj = np.subtract(x[:, j], y[:, j], out=step[:n])
+                dj = np.subtract(xb[:, j], yb[:, j], out=step[:k])
                 dj *= dj
                 r2 += dj
-            r = np.sqrt(np.take(r2, rows_in, out=step[:m]), out=step[:m])
-        vals, vals_sq = vals_buf[:n], vals_sq_buf[:n]
+            got = r[m : m + len(hit)]
+            np.sqrt(np.take(r2, hit, out=got), out=got)
+            np.add(hit, first, out=rows_in[m : m + len(hit)])
+            m += len(hit)
+        rows_in, r = rows_in[:m], r[:m]
+        vals = _scratch("vals", (n,))
         for i, (spec, t) in enumerate(cases):
             vals.fill(0.0)
-            if m:
-                p = eval_pt(spec, t, r)
+            for j in range(0, m, _MC_BLOCK):
+                p = eval_pt(spec, t, r[j : j + _MC_BLOCK])
                 p *= scale
-                vals[rows_in] = p
+                vals[rows_in[j : j + _MC_BLOCK]] = p
             totals[i] += float(vals.sum())
-            totals_sq[i] += float(np.multiply(vals, vals, out=vals_sq).sum())
+            vals *= vals
+            totals_sq[i] += float(vals.sum())
         accepted += m
         if first_batch is None:
             first_batch = (accepted, n)
@@ -137,22 +148,24 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
     return [_finalize(s, sq, samples, seed) for s, sq in zip(totals, totals_sq)]
 
 
-def _perp_points(u, rng, n, d):
-    """Uniform points on the radius-1 disk (segment for d=2) of u-perp."""
-    if d == 2:
+def _perp_points(u, uniforms):
+    """Uniform points on the radius-1 disk (segment for d=2) of u-perp, from one
+    uniform per point (d=2) or two, radius then angle (d=3): ``uniforms`` has
+    shape (d - 1, n)."""
+    if u.shape[1] == 2:
         perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
-        s = 2.0 * rng.random(n) - 1.0
-        return s[:, None] * perp, np.abs(s)
+        s = 2.0 * uniforms[0] - 1.0
+        return s[:, None] * perp
     # d == 3: per-sample orthonormal frame via the least-aligned axis
+    n = len(u)
     e = np.zeros((n, 3))
     e[np.arange(n), np.argmin(np.abs(u), axis=1)] = 1.0
     b1 = np.cross(u, e)
     b1 /= np.linalg.norm(b1, axis=1, keepdims=True)
     b2 = np.cross(u, b1)
-    rad = np.sqrt(rng.random(n))
-    phi = 2.0 * math.pi * rng.random(n)
-    w = rad[:, None] * (np.cos(phi)[:, None] * b1 + np.sin(phi)[:, None] * b2)
-    return w, rad
+    rad = np.sqrt(uniforms[0])
+    phi = 2.0 * math.pi * uniforms[1]
+    return rad[:, None] * (np.cos(phi)[:, None] * b1 + np.sin(phi)[:, None] * b2)
 
 
 def _chord_lengths(shape, q, u):
@@ -192,8 +205,12 @@ def mc_alpha_perimeter(shape, alpha, samples=2**20, seed=0) -> McEstimate:
     diam^{1-alpha}, so the variance is finite for every alpha in (0,1) --
     unlike naive pair sampling of |x-y|^{-d-alpha}, whose second moment
     diverges along the boundary.
+
+    A batch draws its n directions, then its n (d=2) or 2n (d=3) uniforms,
+    into reused buffers; the chords and values are then formed in sub-blocks
+    of ``_MC_BLOCK`` lines.
     """
-    alpha, samples = _perimeter_index(alpha), _sample_count(samples)
+    alpha, samples, seed = _perimeter_index(alpha), _sample_count(samples), _seed(seed)
     if not isinstance(shape, (Ball, Box)):
         raise UnsupportedShapeError("line sampling needs a convex closed-form shape")
     d = shape.d
@@ -209,12 +226,17 @@ def mc_alpha_perimeter(shape, alpha, samples=2**20, seed=0) -> McEstimate:
     total_sq = 0.0
     for start, stop, rng in _batches(samples, seed):
         n = stop - start
-        u = rng.standard_normal((n, d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        w_unit, _ = _perp_points(u, rng, n, d)
-        q = T * w_unit
-        L = _chord_lengths(shape, q, u)
-        vals = pref * np.where(L > 0.0, L ** (1.0 - alpha), 0.0)
+        u = rng.standard_normal(out=_scratch("x", (n, d)))
+        uniforms = rng.random(out=_scratch("y", (d - 1, n)))
+        vals = _scratch("vals", (n,))
+        for first in range(0, n, _MC_BLOCK):
+            lines = slice(first, first + _MC_BLOCK)
+            ub = u[lines]
+            ub /= np.linalg.norm(ub, axis=1, keepdims=True)
+            q = T * _perp_points(ub, uniforms[:, lines])
+            L = _chord_lengths(shape, q, ub)
+            vals[lines] = pref * np.where(L > 0.0, L ** (1.0 - alpha), 0.0)
         total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        vals *= vals
+        total_sq += float(vals.sum())
     return _finalize(total, total_sq, samples, seed)

@@ -72,6 +72,9 @@ def _trapezoid_step(q):
     return 0.25 / max(1.0, math.sqrt(q / 2.0))
 
 
+_P1_BLOCK = 2**18
+
+
 def subordination_p1(alpha, d, r, refine=1):
     """p_1 at the radii ``r`` (1-D array) from the subordination integral, as
     sum_j w_j exp(-r^2 b_j) over fixed (phi, s) columns sized for max(r).
@@ -81,6 +84,14 @@ def subordination_p1(alpha, d, r, refine=1):
     where s* is the leftmost peak of the s-integrand (at the largest
     r^2 / (4 a)).  The s step resolves both Gamma-like factors, e^{ps - e^s}
     and, in u = kappa s, e^{(p/kappa) u - c e^u}, and is divided by ``refine``.
+
+    The exponents r^2 b_j are formed, exponentiated and reduced against the
+    weights in row blocks of about ``_P1_BLOCK`` = 2^18 elements (2 MiB), so
+    the exp and the matrix-vector product work on a block that stays in
+    cache.  A block holds a multiple of 4 rows: BLAS's dgemv forms the dot
+    products of 4 rows at a time and the rows left over with another kernel,
+    whose last bit can differ, so with 4-row blocks only the last <= 3 radii
+    of the whole input take the other kernel, whatever the block size.
     """
     r = np.asarray(r, dtype=float)
     beta = alpha / 2.0
@@ -106,8 +117,8 @@ def subordination_p1(alpha, d, r, refine=1):
     weights = np.exp(np.add.outer(log_w, p * s - np.exp(s))).ravel()
     neg_b = -np.exp(np.add.outer(-math.log(4.0) - log_a, kappa * s)).ravel()
     out = np.empty_like(r)
-    # (n_r, n_columns) exponent matrix; chunk to keep memory modest
-    chunk = max(1, int(4e6 // neg_b.size))
+    # (rows, n_columns) exponent blocks of ~_P1_BLOCK elements, rows a multiple of 4
+    chunk = max(1, _P1_BLOCK // neg_b.size // 4) * 4
     for i in range(0, r.size, chunk):
         block = np.multiply.outer(r[i : i + chunk] ** 2, neg_b)
         np.exp(block, out=block)

@@ -832,6 +832,10 @@ _SWEEP = ["heat", "sweep", "--t-grid=0.1,0.01,0.001"]
 @example(argv=["cov", "eval", "--shape=box", "--sides=1.0,2.0", "--family=stable", "--alpha=7.0"])
 # a config value of the wrong kind exits 2 where the parent raised out of main
 @example(argv=["heat", "sweep", "--config", '{"shape": "box", "sides": 3}'])
+# a seed that is no Philox key word exits 2: -3 failed criterion 3 in numpy's
+# seeding (exit 4), and 2.5 ran as seed 2
+@example(argv=["verify", "--quick", "--seed=-3"])
+@example(argv=["alpha-perimeter", "--mc", "--config", '{"seed": 2.5}'])
 def test_every_argument_vector_ends_in_an_exit_code(argv):
     # a drawn --config value is the file's JSON text, written out here
     config = json.loads(argv[argv.index("--config") + 1]) if "--config" in argv else {}
@@ -851,7 +855,12 @@ def test_every_argument_vector_ends_in_an_exit_code(argv):
     allowed = (2,) if foreign or config else (0, 2, 3, 4) if argv[0] == "bounds" else (0, 2, 3)
     assert code in allowed, (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if config and not foreign:  # the message names the key
-        assert any(err.getvalue().startswith(f"config error: key {key!r} must be ") for key in config), err.getvalue()
+    if config and not foreign:  # the message names the key: its kind, or else the value's own check
+        assert any(
+            err.getvalue().startswith((f"config error: key {key!r} must be ", f"config error: {key} must be "))
+            for key in config
+        ), err.getvalue()
+    if "--seed=-3" in argv:
+        assert code == 2 and err.getvalue().startswith("config error: seed must be "), err.getvalue()
     if code == 0:
         assert re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE) is None

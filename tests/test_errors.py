@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from heatlab.acceptance import run_battery
 from heatlab.content import AsymptoticReport
 from heatlab.errors import RegimeError, _t_grid
 from heatlab.geometry import Ball, Box, Indicator, covariance_ball, covariance_mc, theta, volume
@@ -96,6 +97,29 @@ def test_sample_count_is_an_integer(call):
         with pytest.raises(ValueError, match=f"samples must be an integer >= 1, got {n}"):
             call(n)
     assert call(64.0) == call(64)
+
+
+_SEEDED = {
+    "covariance_mc": lambda s: covariance_mc(_BALL, np.zeros(2), samples=64, seed=s),
+    "mc_heat_content": lambda s: mc_heat_content(_BALL, _GAUSSIAN, samples=64, seed=s),
+    "mc_alpha_perimeter": lambda s: mc_alpha_perimeter(_BALL, 0.5, samples=64, seed=s),
+    "run_battery": lambda s: run_battery(seed=s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_seed_is_a_philox_key_word(name):
+    # -3 keyed the stream as 2**64 - 3 (run_battery failed in numpy's seeding)
+    # and 2.5 ran as seed 2
+    call = _SEEDED[name]
+    for seed in (-3, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+            call(seed)
+    with pytest.raises(ValueError, match=re.escape(f"seed must be < 2**63, got {2**63}")):
+        call(2**63)
+    if name != "run_battery":  # a whole battery is too slow here
+        assert call(7.0) == call(np.int64(7)) == call(7)
+        call(2**63 - 1)  # no double holds it, yet it is an integer
 
 
 @pytest.mark.parametrize(

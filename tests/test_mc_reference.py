@@ -1,8 +1,12 @@
 """The buffered, column-wise Monte Carlo kernels return the bits of their
-row-wise references, and malformed inputs to them raise."""
+row-wise references, a repeated call allocates no batch-sized memory, and
+malformed inputs to them raise."""
 
 import math
 import re
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 from heatlab.errors import SamplingEfficiencyError
 from heatlab.geometry import Ball, Box, Indicator, covariance, covariance_mc
 from heatlab.kernel import KernelSpec
-from heatlab.oracle import mc_heat_content
+from heatlab.oracle import mc_alpha_perimeter, mc_heat_content
 from heatlab.stable import _SERIES_BLOCK, _horner, density, series_eval
-from mc_reference import covariance_mc_rows, mc_heat_content_rows
+from mc_reference import covariance_mc_rows, mc_alpha_perimeter_rows, mc_heat_content_rows
 
 
 def _ellipse(x):
@@ -65,6 +69,73 @@ def test_mc_heat_content_matches_row_reference(shape, samples, seed, t):
             mc_heat_content(shape, cases, samples, seed)
         return
     assert mc_heat_content(shape, cases, samples, seed) == ref
+
+
+@pytest.mark.parametrize("shape", [Ball(1.0, 2), Ball(0.8, 3), Box((1.0, 2.0)), Box((0.5, 1.0, 1.5))])
+@settings(max_examples=5, deadline=None)
+@given(
+    samples=st.sampled_from([1, 1000, 2**17, 262145, 10**6]),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.05, 0.95),
+)
+def test_mc_alpha_perimeter_matches_row_reference(shape, samples, seed, alpha):
+    assert mc_alpha_perimeter(shape, alpha, samples, seed) == mc_alpha_perimeter_rows(shape, alpha, samples, seed)
+
+
+# A repeated call reuses its batch buffers and works in cache-sized
+# sub-blocks, so it allocates far less than one 2 MiB batch-long array per
+# coordinate; allocating whole batches afresh took 15-63 MiB per call.
+_REPEAT_BOUND = 8 * 2**20
+
+
+def _peak_of_repeat(call):
+    """tracemalloc peak, in bytes, of ``call()`` made a second time."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_covariance_mc_memory_is_bounded():
+    y = np.array([0.3, 0.2, 0.1])
+    assert _peak_of_repeat(lambda: covariance_mc(Box((1.0, 2.0, 3.0)), y, 2**20, 1)) <= _REPEAT_BOUND
+
+
+@pytest.mark.parametrize("shape", [Ball(1.0, 2), Box((1.0, 1.0))])
+def test_mc_heat_content_memory_is_bounded(shape):
+    # the four cases of acceptance criterion 14
+    cases = [(KernelSpec.stable(alpha, 2), t) for alpha in (1.0, 1.5) for t in (0.1, 0.01)]
+    assert _peak_of_repeat(lambda: mc_heat_content(shape, cases, 2**20, 1)) <= _REPEAT_BOUND
+
+
+def test_mc_alpha_perimeter_memory_is_bounded():
+    assert _peak_of_repeat(lambda: mc_alpha_perimeter(Box((1.0, 2.0, 3.0)), 0.5, 2**20, 1)) <= _REPEAT_BOUND
+
+
+def test_threads_draw_into_their_own_buffers():
+    # the reused buffers are per thread: estimators running at once in more
+    # threads than cores return the bits of the same calls made one by one
+    def calls(seed):
+        return (
+            covariance_mc(Box((1.0, 2.0, 3.0)), np.array([0.3, 0.2, 0.1]), 2**17 + 5, seed),
+            mc_heat_content(Ball(1.0, 2), [(KernelSpec.gaussian(2), 0.1)], 2**17 + 5, seed),
+            mc_alpha_perimeter(Box((1.0, 2.0)), 0.5, 2**17 + 5, seed),
+        )
+
+    seeds = range(6)
+    expected = [calls(seed) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+            futures = [pool.submit(calls, seed) for seed in seeds]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
 
 
 @pytest.mark.parametrize(

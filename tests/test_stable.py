@@ -337,6 +337,18 @@ def test_series_branch_memory_is_bounded():
     assert peak <= 64 * 2**20
 
 
+def test_table_build_memory_is_bounded():
+    # the exponents go through exp and dgemv in ~2^18-element (2 MiB) row
+    # blocks; 4e6-element blocks took 61 MiB here
+    tracemalloc.start()
+    try:
+        StableDensity(1.5, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
 def test_table_that_fails_validation_raises(monkeypatch):
     monkeypatch.setattr(StableDensity, "_validate", lambda self: (0.25, False))
     with pytest.raises(QuadratureError) as info:
