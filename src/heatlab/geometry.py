@@ -281,38 +281,31 @@ def _membership(shape):
     """member(x, out=None) -> bool (n,): which rows of the points x (n, d) lie
     in ``shape``, written into ``out`` when it is given.
 
-    Ball and Box work in scratch columns that the returned function keeps for
-    its later calls, so a batch loop allocates them once.  A Box tests
-    |x_i| <= L_i / 2 column by column.  A Ball sums the squared coordinates
-    with ``einsum`` into its scratch column: a plain column sum would not
-    reproduce einsum's SIMD summation order, and with it, to the last bit,
-    which points on the sphere count as inside.  An Indicator's ``contains``
-    receives the whole array and must return a bool array of shape (n,);
-    anything else raises ValueError.
+    Ball and Box work in this thread's ``_scratch`` columns ``member_r2``,
+    ``member_col`` and ``member_hit``, so a run of batches allocates them
+    once.  A Box tests |x_i| <= L_i / 2 column by column.  A Ball sums the
+    squared coordinates with ``einsum`` into its scratch column: a plain
+    column sum would not reproduce einsum's SIMD summation order, and with it,
+    to the last bit, which points on the sphere count as inside.  An
+    Indicator's ``contains`` receives the whole array and must return a bool
+    array of shape (n,); anything else raises ValueError.
     """
     if isinstance(shape, Ball):
         R2 = shape.radius**2
-        r2 = np.empty(0)
 
         def member(x, out=None):
-            nonlocal r2
-            if len(r2) < len(x):
-                r2 = np.empty(len(x))
-            return np.less_equal(np.einsum("ij,ij->i", x, x, out=r2[: len(x)]), R2, out=out)
+            r2 = np.einsum("ij,ij->i", x, x, out=_scratch("member_r2", (len(x),)))
+            return np.less_equal(r2, R2, out=out)
 
         return member
     if isinstance(shape, Box):
         half = np.asarray(shape.sides, dtype=float) / 2.0
-        col, hit = np.empty(0), np.empty(0, dtype=bool)
 
         def member(x, out=None):
-            nonlocal col, hit
-            n = len(x)
-            if len(col) < n:
-                col, hit = np.empty(n), np.empty(n, dtype=bool)
-            out = np.less_equal(np.abs(x[:, 0], out=col[:n]), half[0], out=out)
+            col, hit = _scratch("member_col", (len(x),)), _scratch("member_hit", (len(x),), bool)
+            out = np.less_equal(np.abs(x[:, 0], out=col), half[0], out=out)
             for j in range(1, len(half)):
-                out &= np.less_equal(np.abs(x[:, j], out=col[:n]), half[j], out=hit[:n])
+                out &= np.less_equal(np.abs(x[:, j], out=col), half[j], out=hit)
             return out
 
         return member

@@ -150,7 +150,7 @@ class KernelSpec:
 
 _DEFAULT_CFG = QuadratureConfig()
 
-# Radius where l1_norm hands the non-stable families from quadrature to
+# Radius where l1_norm hands the closed-form families from quadrature to
 # their analytic tail mass.
 _L1_TAIL_SPLIT = 10.0
 
@@ -209,9 +209,7 @@ def tail_mass(spec, R, cfg=_DEFAULT_CFG):
     """int_R^inf r^{d-1} p_1(r) dr: Gamma(d/2, R^2/4) / (2 pi^{d/2}) for the
     Gaussian; kappa_d/2 B_x(1/2, d/2) at x = 1/(1 + R^2) = sin^2(arccot R) for
     the Poisson kernel; the continued fraction of ``_algebraic_tail_mass`` for
-    the poly family; for the stable family the inverse-power series integral
-    beyond r_switch, plus ``_radial_integral`` over the table on [R, r_switch]
-    when R lies below it."""
+    the poly family; ``StableDensity.radial_integral`` for the stable family."""
     d, R = spec.d, float(_radii(R))
     if spec.family == GAUSSIAN:
         return upper_gamma(d, 0.5 * R, 0.5 * math.pi ** (-d / 2.0))
@@ -221,10 +219,7 @@ def tail_mass(spec, R, cfg=_DEFAULT_CFG):
         return 0.5 * poisson_constant(d) * sine_beta(1, d, 1.0 / h, cos_phi, math.atan2(1.0, R))
     if spec.family == POLY:
         return _algebraic_tail_mass(d, spec.kappa, spec.n, spec.m, R)
-    dens = _density(spec, cfg)
-    if R >= dens.r_switch:
-        return dens.tail_mass(R)[0]
-    return _radial_integral(spec, d - 1, R, dens.r_switch, cfg) + dens.tail_mass(dens.r_switch)[0]
+    return _density(spec, cfg).radial_integral(d - 1, R)[0]
 
 
 def _graded_edges(breaks, level):
@@ -254,18 +249,10 @@ def _refine(once, cfg, what):
 
 
 def _radial_integral(spec, q, a, b, cfg):
-    """int_a^b r^q p_1(r) dr by composite Gauss-Legendre-16.
-
-    For the stable family with b <= r_switch the panels are the table's
-    intervals clipped to [a, b], on which the rule is exact for r^q times the
-    cubic (q <= 28).  Otherwise the panels are ``_graded_edges([a, b], level)``,
-    refined until two levels agree (``_refine``)."""
-    if spec.family == STABLE:
-        dens = _density(spec, cfg)
-        if b <= dens.r_switch:
-            x = dens.table_nodes
-            nodes, weights = _gl_nodes_weights(np.concatenate([[a], x[(x > a) & (x < b)], [b]]))
-            return float(weights @ (nodes**q * dens.evaluate(nodes)))
+    """int_a^b r^q p_1(r) dr for a closed-form family by composite
+    Gauss-Legendre-16 on ``_graded_edges([a, b], level)``, refined until two
+    levels agree (``_refine``).  The stable family integrates its table and
+    series itself (``StableDensity.radial_integral``)."""
 
     def once(level):
         nodes, weights = _gl_nodes_weights(_graded_edges(np.array([a, b], dtype=float), level))
@@ -275,11 +262,13 @@ def _radial_integral(spec, q, a, b, cfg):
 
 
 def l1_norm(spec, cfg=_DEFAULT_CFG):
-    """A_d int_0^inf r^{d-1} p_1(r) dr: ``_radial_integral`` up to r_switch
-    (stable) or ``_L1_TAIL_SPLIT`` (the others), plus ``tail_mass`` beyond."""
-    split = _density(spec, cfg).r_switch if spec.family == STABLE else _L1_TAIL_SPLIT
-    head = _radial_integral(spec, spec.d - 1, 0.0, split, cfg)
-    return unit_sphere_area(spec.d) * (head + tail_mass(spec, split, cfg))
+    """A_d int_0^inf r^{d-1} p_1(r) dr: A_d ``tail_mass`` from 0 for the
+    stable family; for the others ``_radial_integral`` up to
+    ``_L1_TAIL_SPLIT`` plus ``tail_mass`` beyond."""
+    if spec.family == STABLE:
+        return unit_sphere_area(spec.d) * tail_mass(spec, 0.0, cfg)
+    head = _radial_integral(spec, spec.d - 1, 0.0, _L1_TAIL_SPLIT, cfg)
+    return unit_sphere_area(spec.d) * (head + tail_mass(spec, _L1_TAIL_SPLIT, cfg))
 
 
 def l1_norm_closed_form(spec):
@@ -294,8 +283,8 @@ def l1_norm_closed_form(spec):
 def moment_d(spec, cfg=_DEFAULT_CFG):
     """int_0^inf r^d p_1(r) dr; finite only for alpha in (1, 2] (Gaussian =
     alpha 2 endpoint).  ``_radial_integral`` on [0, 42] for the Gaussian (the
-    rest is below e^{-441}); for the stable family on the table up to r_switch
-    plus the series' analytic tail moment.  Divergent regimes raise."""
+    rest is below e^{-441}); ``StableDensity.radial_integral`` from 0 for the
+    stable family.  Divergent regimes raise."""
     d = spec.d
     if spec.family == GAUSSIAN:
         return _radial_integral(spec, d, 0.0, 42.0, cfg)
@@ -304,8 +293,7 @@ def moment_d(spec, cfg=_DEFAULT_CFG):
             "the d-th radial moment diverges unless alpha is in (1, 2) "
             "(Gaussian included as the alpha=2 endpoint)"
         )
-    dens = _density(spec, cfg)
-    return _radial_integral(spec, d, 0.0, dens.r_switch, cfg) + dens.tail_moment(dens.r_switch)[0]
+    return _density(spec, cfg).radial_integral(d, 0.0)[0]
 
 
 def moment_d_closed_form(spec):

@@ -25,8 +25,8 @@ Two complementary evaluation routes are used:
   radius r_s, c'_k = c_k r_s^{-d-alpha k}, so that beyond r_s the partial sum
   is (r_s/r)^d sum_{k<=K} c'_k v^k with v = (r_s/r)^alpha <= 1, evaluated by
   Horner's rule in O(K) in-place array updates per batch.  The same c'_k
-  give the truncation bound, the spline's end slope and the analytic tail
-  integrals.
+  give the truncation bound, the spline's end slope and the tail of
+  ``StableDensity.radial_integral``.
 
 ``StableDensity`` glues the two together behind a clamped cubic-spline table
 on [0, r_switch] whose accuracy is validated at construction time against the
@@ -186,15 +186,15 @@ def rescaled_coefficients(alpha, d, coeffs, r_ref, n):
     return sign[:n] * np.exp(np.minimum(_term_logmags(alpha, d, logmag[:n], r_ref), 700.0))
 
 
-def _horner(coef, v):
+def _horner(coef, v, out):
     """sum_{k=1}^{len(coef)} coef[k-1] v^k by Horner's rule, for an array v,
-    updating one accumulator array in place."""
-    acc = np.full_like(v, coef[-1])
+    accumulated in place in ``out``, which it returns."""
+    out.fill(coef[-1])
     for c in coef[-2::-1]:
-        acc *= v
-        acc += c
-    acc *= v
-    return acc
+        out *= v
+        out += c
+    out *= v
+    return out
 
 
 # Radii per Horner pass in series_eval: each of the ~K passes then sweeps a
@@ -202,32 +202,23 @@ def _horner(coef, v):
 _SERIES_BLOCK = 65536
 
 
-def _series_block(alpha, d, scaled, r_ref, r):
-    u = r_ref / r
-    vals = _horner(scaled[:-2], u**alpha)
-    vals *= u**d
-    return vals
-
-
 def series_eval(alpha, d, scaled, r_ref, r):
     """Vectorized partial sum  sum_{k<=K} c_k r^{-d-alpha k}.
 
     ``scaled`` holds c'_1..c'_{K+2} rescaled to ``r_ref`` (see
     ``rescaled_coefficients``); with u = r_ref/r and v = u^alpha the sum is
-    u^d sum_{k<=K} c'_k v^k.  Each radius is computed on its own, so a scalar
-    and the same radius inside a batch agree bit for bit, and an input longer
-    than ``_SERIES_BLOCK`` is evaluated block by block with the same bits.
-    ``series_bound`` gives the truncation bound.
+    u^d sum_{k<=K} c'_k v^k, accumulated in the output a block of
+    ``_SERIES_BLOCK`` radii at a time.  Each radius is computed on its own,
+    so a scalar and the same radius inside a batch of any length agree bit
+    for bit.  ``series_bound`` gives the truncation bound.
     """
     arr = np.asarray(r, dtype=float)
     flat = np.atleast_1d(arr)
-    if len(flat) <= _SERIES_BLOCK:
-        vals = _series_block(alpha, d, scaled, r_ref, flat)
-    else:
-        vals = np.empty_like(flat)
-        for i in range(0, len(flat), _SERIES_BLOCK):
-            block = slice(i, i + _SERIES_BLOCK)
-            vals[block] = _series_block(alpha, d, scaled, r_ref, flat[block])
+    vals = np.empty_like(flat)
+    for i in range(0, len(flat), _SERIES_BLOCK):
+        u = r_ref / flat[i : i + _SERIES_BLOCK]
+        block = _horner(scaled[:-2], u**alpha, vals[i : i + _SERIES_BLOCK])
+        block *= u**d
     return float(vals[0]) if arr.ndim == 0 else vals
 
 
@@ -461,33 +452,41 @@ class StableDensity:
         args = (self.alpha, self.d, self._scaled, self.r_switch, np.array([r]))
         return float(self._clamp(series_eval(*args))[0]), float(series_bound(*args)[0])
 
-    # -- analytic tail integrals -------------------------------------------
+    # -- radial integrals ----------------------------------------------------
 
-    def _tail_integral(self, R, shift):
-        """(int_R^inf r^{d-1+shift} S_K(r) dr, error bound) for the partial sum S_K.
+    def radial_integral(self, q, a):
+        """(int_a^inf r^q p_1(r) dr, truncation bound of its series part) for
+        a >= 0; raises ``RegimeError`` unless alpha > s = q + 1 - d, where the
+        integral converges.
 
-        Term by term this is sum_k c_k R^{shift-alpha k} / (alpha k - shift)
-        = r_s^{d+shift} u^{-shift} sum_k c'_k v^k / (alpha k - shift) with
-        u = r_s/R and v = u^alpha: the series of ``series_eval`` with weights
-        c'_k / (alpha k - shift) and exponent -shift in place of d, whose bound
-        is the larger of the next two neglected term integrals.
+        The head on [a, r_switch], when a lies below r_switch, is composite
+        Gauss-Legendre-16 on the table's intervals clipped to it, exact for
+        r^q times the cubic (integer q <= 28).  The tail from b = max(a,
+        r_switch) integrates the partial sum term by term,
+        sum_k c_k b^{s-alpha k} / (alpha k - s) = r_s^{d+s} u^{-s} sum_k
+        c'_k v^k / (alpha k - s) with u = r_s/b and v = u^alpha: the series of
+        ``series_eval`` with weights c'_k / (alpha k - s) and exponent -s in
+        place of d, whose bound is the larger of the next two neglected term
+        integrals.  From a = inf the integral is (0.0, 0.0).
         """
-        if not R >= self.r_switch:
-            raise ValueError(f"tail integrals need R >= r_switch={self.r_switch:g}, got {R}")
+        a = float(_radii(a, "lower limit a"))
+        shift = float(q + 1 - self.d)
+        if self.alpha <= shift:
+            raise RegimeError(
+                f"int r^{q} p_1 dr diverges at infinity for alpha={self.alpha} <= q + 1 - d = {shift:g}"
+            )
+        if a == math.inf:
+            return 0.0, 0.0
         expo = self.alpha * np.arange(1, len(self._scaled) + 1, dtype=float) - shift
-        args = (self.alpha, -shift, self._scaled / expo, self.r_switch, float(R))
+        args = (self.alpha, -shift, self._scaled / expo, self.r_switch, max(a, self.r_switch))
         scale = self.r_switch ** (self.d + shift)
-        return scale * series_eval(*args), scale * series_bound(*args)
-
-    def tail_mass(self, R):
-        """(int_R^inf r^{d-1} p_1(r) dr, error bound), valid for R >= r_switch."""
-        return self._tail_integral(R, 0.0)
-
-    def tail_moment(self, R):
-        """(int_R^inf r^d p_1(r) dr, error bound); requires alpha > 1."""
-        if self.alpha <= 1.0:
-            raise RegimeError("radial d-th moment tail diverges for alpha <= 1")
-        return self._tail_integral(R, 1.0)
+        value, err = scale * series_eval(*args), scale * series_bound(*args)
+        if a < self.r_switch:
+            x = self.table_nodes
+            edges = np.concatenate([[a], x[(x > a) & (x < self.r_switch)], [self.r_switch]])
+            nodes, weights = _gl_nodes_weights(edges)
+            value = float(weights @ (nodes**q * self.evaluate(nodes))) + value
+        return value, err
 
 
 _cache = {}

@@ -145,7 +145,7 @@ def test_blocked_series_eval_matches_unblocked(size):
     dens = density(1.0, 2)
     r = dens.r_switch * (1.0 + np.abs(np.random.default_rng(size).standard_cauchy(size)))
     u = dens.r_switch / r
-    unblocked = _horner(dens._scaled[:-2], u**dens.alpha) * u**dens.d
+    unblocked = _horner(dens._scaled[:-2], u**dens.alpha, np.empty_like(u)) * u**dens.d
     blocked = series_eval(dens.alpha, dens.d, dens._scaled, dens.r_switch, r)
     np.testing.assert_array_equal(blocked, unblocked)
 

@@ -134,13 +134,13 @@ def test_tail_mass_closed_form_alpha_one():
     # d=2: int_R^inf r kappa_2 (1+r^2)^{-3/2} dr = kappa_2 / sqrt(1+R^2)
     dens = density(1.0, 2)
     R = max(dens.r_switch, 3.0)
-    val, err = dens.tail_mass(R)
+    val, err = dens.radial_integral(1, R)
     closed = poisson_constant(2) / math.sqrt(1.0 + R**2)
     assert val == pytest.approx(closed, rel=1e-10, abs=err)
     # d=3: antiderivative of r^2 (1+r^2)^{-2} is (arctan r)/2 - r/(2(1+r^2))
     dens3 = density(1.0, 3)
     R = max(dens3.r_switch, 3.0)
-    val3, err3 = dens3.tail_mass(R)
+    val3, err3 = dens3.radial_integral(2, R)
     closed3 = poisson_constant(3) * (math.pi / 4 - math.atan(R) / 2 + R / (2 * (1 + R**2)))
     assert val3 == pytest.approx(closed3, rel=1e-10, abs=err3)
 
@@ -151,7 +151,7 @@ def test_tail_mass_matches_segment_quadrature():
     r2 = 4.0 * r1
     nodes, weights = _gl_nodes_weights(np.geomspace(r1, r2, 12))
     seg = float(np.sum(weights * nodes * dens.evaluate(nodes)))
-    assert dens.tail_mass(r1)[0] - dens.tail_mass(r2)[0] == pytest.approx(seg, rel=1e-9)
+    assert dens.radial_integral(1, r1)[0] - dens.radial_integral(1, r2)[0] == pytest.approx(seg, rel=1e-9)
 
 
 def test_tail_moment_completes_first_moment():
@@ -160,24 +160,41 @@ def test_tail_moment_completes_first_moment():
     R = max(dens.r_switch, 2.0)
     nodes, weights = _gl_nodes_weights(np.linspace(0.0, R, 25))
     head = float(np.sum(weights * nodes**d * dens.evaluate(nodes)))
-    tail, _ = dens.tail_moment(R)
+    tail, _ = dens.radial_integral(d, R)
     closed = moment_d_closed_form(KernelSpec.stable(alpha, d))
     assert head + tail == pytest.approx(closed, rel=1e-8)
+    assert dens.radial_integral(d, 0.0)[0] == pytest.approx(closed, rel=1e-8)
 
 
-def test_tail_requires_series_region():
+def test_radial_integral_below_switch_is_table_head_plus_series_tail():
+    # below r_switch: Gauss-Legendre-16 on the table's intervals clipped to
+    # [a, r_switch], plus the series tail from r_switch and its bound
+    for alpha, d in ((1.5, 2), (1.2, 3)):
+        dens = density(alpha, d)
+        r_s, x = dens.r_switch, dens.table_nodes
+        for q in (d - 1, d):
+            tail, err = dens.radial_integral(q, r_s)
+            for a in (0.0, 0.3 * r_s, float(np.nextafter(r_s, 0.0))):
+                nodes, weights = _gl_nodes_weights(np.concatenate([[a], x[(x > a) & (x < r_s)], [r_s]]))
+                head = float(weights @ (nodes**q * dens.evaluate(nodes)))
+                assert dens.radial_integral(q, a) == (head + tail, err), (alpha, d, q, a)
+
+
+def test_radial_integral_from_infinity_is_zero():
     dens = density(1.5, 2)
-    with pytest.raises(ValueError):
-        dens.tail_mass(0.5 * dens.r_switch)
-    with pytest.raises(ValueError):
-        dens.tail_moment(0.5 * dens.r_switch)
+    for q in (1, 2):
+        assert dens.radial_integral(q, math.inf) == (0.0, 0.0)
+    for a in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dens.radial_integral(1, a)
 
 
 def test_tail_moment_divergence_flagged():
     for alpha in (0.7, 1.0):
         dens = density(alpha, 2)
-        with pytest.raises(RegimeError):
-            dens.tail_moment(dens.r_switch + 1.0)
+        for a in (0.5 * dens.r_switch, dens.r_switch + 1.0):
+            with pytest.raises(RegimeError):
+                dens.radial_integral(2, a)
 
 
 def test_cutoff_radius_meets_tolerance():
