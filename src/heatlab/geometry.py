@@ -14,7 +14,11 @@ A generic ``Indicator`` shape has no closed form, so it is served only by the
 Monte Carlo estimators that report a stderr: ``covariance_mc`` here and
 ``oracle.mc_heat_content``.  Both work on coordinate columns, in buffers that
 outlive the call (``_scratch``) and in sub-blocks of ``_MC_BLOCK`` points, with
-the bits of the row-wise form that allocates every batch afresh.  Every route
+the bits of the row-wise form that allocates every batch afresh.  A batch's
+stream is counter-based (Philox keyed (seed, batch)), so ``_stream`` opens it
+at any offset: a sub-block reads its points straight from the stream, and a
+draw that follows n others in it (y after x) is read from a second generator
+opened n doubles in, with no batch-long buffer for what comes first.  Every route
 that would return a bare Monte Carlo number or a bound in place of the value
 for it -- ``radial_profile`` (hence ``alpha_perimeter``), ``perimeter``,
 ``perimeter_via_directional``, ``directional_variation``, ``covariance``,
@@ -262,7 +266,30 @@ def _batches(samples, seed):
     """Deterministic counter-based batch streams: Philox keyed (seed, batch)."""
     for b, start in enumerate(range(0, samples, _MC_BATCH)):
         stop = min(start + _MC_BATCH, samples)
-        yield start, stop, np.random.Generator(np.random.Philox(key=[seed, b]))
+        yield start, stop, _stream(seed, b)
+
+
+def _stream(seed, batch, offset=0):
+    """Batch ``batch``'s generator, Philox keyed (seed, batch), ``offset``
+    doubles into its stream."""
+    return _skip(np.random.Generator(np.random.Philox(key=[seed, batch])), offset)
+
+
+def _skip(rng, count):
+    """Move the Philox generator ``rng`` on by ``count`` doubles and return it.
+
+    A double takes one 64-bit word, and Philox makes four words per counter
+    step: the words left of the current step are drawn, whole steps are
+    skipped by ``advance`` (which drops the words it holds) and the rest are
+    drawn, so the next double is the one ``count`` draws would have reached.
+    """
+    bits = rng.bit_generator
+    head = min(count, 4 - bits.state["buffer_pos"])
+    rng.random(head)
+    if count > head:
+        bits.advance((count - head) // 4)
+        rng.random((count - head) % 4)
+    return rng
 
 
 def _draw(rng, lo, width, out):
@@ -283,18 +310,26 @@ def _membership(shape):
 
     Ball and Box work in this thread's ``_scratch`` columns ``member_r2``,
     ``member_col`` and ``member_hit``, so a run of batches allocates them
-    once.  A Box tests |x_i| <= L_i / 2 column by column.  A Ball sums the
-    squared coordinates with ``einsum`` into its scratch column: a plain
-    column sum would not reproduce einsum's SIMD summation order, and with it,
-    to the last bit, which points on the sphere count as inside.  An
-    Indicator's ``contains`` receives the whole array and must return a bool
-    array of shape (n,); anything else raises ValueError.
+    once.  A Box tests |x_i| <= L_i / 2 column by column.  A Ball in up to
+    three dimensions adds its squared coordinate columns in the order in which
+    ``einsum("ij,ij->i")`` sums a row of two or three, x_0^2 + x_2^2 and then
+    + x_1^2, so that the same points on the sphere count as inside, to the
+    last bit; a Ball in more dimensions keeps ``einsum``.  An Indicator's
+    ``contains`` receives the whole array and must return a bool array of
+    shape (n,); anything else raises ValueError.
     """
     if isinstance(shape, Ball):
         R2 = shape.radius**2
 
         def member(x, out=None):
-            r2 = np.einsum("ij,ij->i", x, x, out=_scratch("member_r2", (len(x),)))
+            r2 = _scratch("member_r2", (len(x),))
+            if x.shape[1] > 3:
+                np.einsum("ij,ij->i", x, x, out=r2)
+            else:
+                col = _scratch("member_col", (len(x),))
+                np.multiply(x[:, 0], x[:, 0], out=r2)
+                for j in range(x.shape[1] - 1, 0, -1):
+                    r2 += np.multiply(x[:, j], x[:, j], out=col)
             return np.less_equal(r2, R2, out=out)
 
         return member

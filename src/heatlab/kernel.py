@@ -160,19 +160,19 @@ def _density(spec, cfg):
 
 
 def eval_p1(spec, r, cfg=_DEFAULT_CFG):
-    """p_1(r e_d); r may be a scalar or an array of nonnegative radii."""
+    """p_1(r e_d); r may be a scalar or an array of nonnegative radii.  The
+    result is a float for a scalar r and a new array otherwise."""
+    if spec.family == STABLE:  # the density checks the radii itself
+        return _density(spec, cfg).evaluate(r)
     arr = _radii(r)
-    scalar = arr.ndim == 0
     with np.errstate(over="ignore"):  # r^2 or r^n past double range: p_1 is 0 there
         if spec.family == GAUSSIAN:
             out = (4.0 * math.pi) ** (-spec.d / 2.0) * np.exp(-(arr**2) / 4.0)
         elif spec.family == POISSON:
             out = poisson_constant(spec.d) * (1.0 + arr**2) ** (-(spec.d + 1) / 2.0)
-        elif spec.family == POLY:
-            out = spec.kappa * (1.0 + arr**spec.n) ** (-spec.m)
         else:
-            out = np.asarray(_density(spec, cfg).evaluate(arr))
-    return float(out) if scalar else out
+            out = spec.kappa * (1.0 + arr**spec.n) ** (-spec.m)
+    return float(out) if arr.ndim == 0 else out
 
 
 def eval_pt(spec, t, r, cfg=_DEFAULT_CFG):
@@ -188,7 +188,11 @@ def eval_pt(spec, t, r, cfg=_DEFAULT_CFG):
         ) from None
     with np.errstate(over="ignore"):  # a radius past double range is +inf, where p_1 is 0
         radii = np.asarray(r, dtype=float) * stretch
-    return scale * eval_p1(spec, radii, cfg)
+    p = eval_p1(spec, radii, cfg)
+    if isinstance(p, float):
+        return scale * p
+    p *= scale
+    return p
 
 
 def _algebraic_tail_mass(d, kappa, n, m, R):

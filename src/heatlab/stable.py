@@ -412,15 +412,15 @@ class StableDensity:
     def _clamp(self, out):
         """Zero negative quadrature noise in ``out`` (in place, counted in
         ``clamped``); values below the negativity floor raise."""
-        neg = out < 0.0
-        if neg.any():
-            floor = -10.0 * self.abs_tol
-            if np.any(out < floor):
+        low = float(out.min()) if out.size else 0.0
+        if low < 0.0:
+            if low < -10.0 * self.abs_tol:
                 raise QuadratureError(
                     "stable density evaluation produced values below the "
                     "negativity floor; quadrature breakdown",
-                    float(out.min()),
+                    low,
                 )
+            neg = out < 0.0
             self.clamped += int(neg.sum())
             out[neg] = 0.0
         return out

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heatlab import geometry
 from heatlab.errors import SamplingEfficiencyError
-from heatlab.geometry import Ball, Box, Indicator, covariance, covariance_mc
+from heatlab.geometry import Ball, Box, Indicator, _skip, _stream, covariance, covariance_mc
 from heatlab.kernel import KernelSpec
 from heatlab.oracle import mc_alpha_perimeter, mc_heat_content
 from heatlab.stable import _SERIES_BLOCK, _horner, density, series_eval
@@ -82,10 +83,36 @@ def test_mc_alpha_perimeter_matches_row_reference(shape, samples, seed, alpha):
     assert mc_alpha_perimeter(shape, alpha, samples, seed) == mc_alpha_perimeter_rows(shape, alpha, samples, seed)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    batch=st.integers(0, 2**20),
+    n=st.integers(0, 500).map(lambda i: 2 * i + 1),
+    d=st.sampled_from([2, 3]),
+    data=st.data(),
+)
+def test_stream_opens_the_batch_stream_at_any_offset(seed, batch, n, d, data):
+    offset = data.draw(st.sampled_from([0, 1, 2, 3, 5, n * d]))
+    size = 2 * n * d + 16
+    whole = np.random.Generator(np.random.Philox(key=[seed, batch])).random(size)
+    np.testing.assert_array_equal(_stream(seed, batch, offset).random(size - offset), whole[offset:])
+    # from any position, as the chord estimator skips a copy of a generator
+    # that has drawn normals: the words left in the current Philox step first
+    drawn = data.draw(st.integers(0, 9))
+    rng = _stream(seed, batch)
+    rng.random(drawn)
+    ahead = _skip(rng, offset)
+    np.testing.assert_array_equal(ahead.random(size - offset - drawn), whole[drawn + offset :])
+
+
 # A repeated call reuses its batch buffers and works in cache-sized
 # sub-blocks, so it allocates far less than one 2 MiB batch-long array per
 # coordinate; allocating whole batches afresh took 15-63 MiB per call.
 _REPEAT_BOUND = 8 * 2**20
+# The chord estimator forms its 3-D frames and a box's slabs in reused
+# columns: a repeated call peaked at 0.54 MiB, where (32768, 3) temporaries
+# per sub-block peaked at 5.6 MiB.
+_CHORD_REPEAT_BOUND = 2**20
 
 
 def _peak_of_repeat(call):
@@ -112,7 +139,23 @@ def test_mc_heat_content_memory_is_bounded(shape):
 
 
 def test_mc_alpha_perimeter_memory_is_bounded():
-    assert _peak_of_repeat(lambda: mc_alpha_perimeter(Box((1.0, 2.0, 3.0)), 0.5, 2**20, 1)) <= _REPEAT_BOUND
+    assert _peak_of_repeat(lambda: mc_alpha_perimeter(Box((1.0, 2.0, 3.0)), 0.5, 2**20, 1)) <= _CHORD_REPEAT_BOUND
+
+
+def test_scratch_footprint_after_the_three_estimators():
+    # the estimators keep batch-long only the chord normals, the pair
+    # distances, their membership and the values; whatever else they hold is
+    # one sub-block long.  Batch-long x, y and uniforms held 14.84 MiB here.
+    def run():
+        cases = [(KernelSpec.stable(alpha, 2), t) for alpha in (1.0, 1.5) for t in (0.1, 0.01)]
+        mc_heat_content(Box((1.0, 1.0)), cases, 2**20, 1)
+        covariance_mc(Box((1.0, 2.0, 3.0)), np.array([0.3, 0.2, 0.1]), 2**20, 1)
+        mc_alpha_perimeter(Ball(1.0, 2), 0.5, 2**20, 1)
+        return sum(buf.nbytes for buf in vars(geometry._scratch_buffers).values())
+
+    with ThreadPoolExecutor(max_workers=1) as pool:  # a thread with no buffers yet
+        held = pool.submit(run).result(timeout=120)
+    assert held <= 10.5 * 2**20
 
 
 def test_threads_draw_into_their_own_buffers():
