@@ -262,11 +262,19 @@ def _scratch(name, shape, dtype=float):
     return buf[:size].reshape(shape)
 
 
-def _batches(samples, seed):
-    """Deterministic counter-based batch streams: Philox keyed (seed, batch)."""
+def _batches(samples, seed, after=0):
+    """Deterministic counter-based batch streams: Philox keyed (seed, batch).
+
+    Yields (start, stop, rng) per batch; with ``after`` > 0 also a second
+    generator of the same stream, opened where a draw of the batch's
+    stop - start points of ``after`` coordinates ends.
+    """
     for b, start in enumerate(range(0, samples, _MC_BATCH)):
         stop = min(start + _MC_BATCH, samples)
-        yield start, stop, _stream(seed, b)
+        if after:
+            yield start, stop, _stream(seed, b), _stream(seed, b, (stop - start) * after)
+        else:
+            yield start, stop, _stream(seed, b)
 
 
 def _stream(seed, batch, offset=0):
@@ -310,26 +318,18 @@ def _membership(shape):
 
     Ball and Box work in this thread's ``_scratch`` columns ``member_r2``,
     ``member_col`` and ``member_hit``, so a run of batches allocates them
-    once.  A Box tests |x_i| <= L_i / 2 column by column.  A Ball in up to
-    three dimensions adds its squared coordinate columns in the order in which
-    ``einsum("ij,ij->i")`` sums a row of two or three, x_0^2 + x_2^2 and then
-    + x_1^2, so that the same points on the sphere count as inside, to the
-    last bit; a Ball in more dimensions keeps ``einsum``.  An Indicator's
-    ``contains`` receives the whole array and must return a bool array of
-    shape (n,); anything else raises ValueError.
+    once.  A Box tests |x_i| <= L_i / 2 column by column.  A Ball sums the
+    squared coordinates with ``einsum`` into its scratch column: a plain
+    column sum would not reproduce einsum's SIMD summation order, and with it,
+    to the last bit, which points on the sphere count as inside.  An
+    Indicator's ``contains`` receives the whole array and must return a bool
+    array of shape (n,); anything else raises ValueError.
     """
     if isinstance(shape, Ball):
         R2 = shape.radius**2
 
         def member(x, out=None):
-            r2 = _scratch("member_r2", (len(x),))
-            if x.shape[1] > 3:
-                np.einsum("ij,ij->i", x, x, out=r2)
-            else:
-                col = _scratch("member_col", (len(x),))
-                np.multiply(x[:, 0], x[:, 0], out=r2)
-                for j in range(x.shape[1] - 1, 0, -1):
-                    r2 += np.multiply(x[:, j], x[:, j], out=col)
+            r2 = np.einsum("ij,ij->i", x, x, out=_scratch("member_r2", (len(x),)))
             return np.less_equal(r2, R2, out=out)
 
         return member

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplingEfficiencyError, UnsupportedShapeError, _check_time, _perimeter_index, _sample_count, _seed
-from .geometry import _MC_BLOCK, Ball, Box, _batches, _bounding_box, _draw, _membership, _scratch, _skip, _stream
+from .geometry import _MC_BLOCK, Ball, Box, _batches, _bounding_box, _draw, _membership, _scratch, _skip
 from .kernel import eval_pt, unit_ball_volume, unit_sphere_area
 
 _MIN_EFFICIENCY = 1e-3
@@ -104,10 +104,10 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
     block, d = min(samples, _MC_BLOCK), len(lo)
     x, y = _scratch("x", (block, d)), _scratch("y", (block, d))
     inside_y = _scratch("in_y", (block,), bool)
-    dist, step = _scratch("cols", (2, block))
-    for b, (start, stop, rng) in enumerate(_batches(samples, seed)):
+    dist, step = _scratch("dist", (block,)), _scratch("step", (block,))
+    # x takes the first n d doubles of a batch's stream and y the next n d
+    for start, stop, rng, y_rng in _batches(samples, seed, after=d):
         n = stop - start
-        y_rng = _stream(seed, b, n * d)
         # which pairs are in, and the distances of those that are, packed in
         # order: the only batch-long arrays besides the values
         inside, r = _scratch("in_x", (n,), bool), _scratch("r", (n,))
@@ -161,102 +161,46 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
     return [_finalize(s, sq, samples, seed) for s, sq in zip(totals, totals_sq)]
 
 
-def _normalise(vecs, norm, sq):
-    """Divide vectors given as a list of coordinate columns by their norms, in
-    place: the squares added column by column, in the order in which
-    np.linalg.norm sums a row of fewer than eight, rooted in ``norm``, with
-    ``sq`` for the squares."""
-    np.multiply(vecs[0], vecs[0], out=norm)
-    for v in vecs[1:]:
-        norm += np.multiply(v, v, out=sq)
-    np.sqrt(norm, out=norm)
-    for v in vecs:
-        v /= norm
-
-
-def _cross(a, b, out, tmp):
-    """The cross product of 3-vectors given as columns, a_j b_k - a_k b_j into
-    ``out[i]`` for (i, j, k) the cyclic shifts of (0, 1, 2): np.cross's
-    products and differences, with ``tmp`` for the subtrahend."""
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        np.multiply(a[j], b[k], out=out[i])
-        out[i] -= np.multiply(a[k], b[j], out=tmp)
-
-
-def _perp_points(u, rngs, T, out, cols):
-    """T times uniform points on the radius-1 disk (segment for d=2) of
-    u-perp, for the unit rows of ``u`` (k, d), into ``out`` (k, d).
-
-    A point takes one uniform (d=2) or two, radius then angle (d=3), read
-    from ``rngs[0]`` and ``rngs[1]``.  Each coordinate is formed in the
-    columns ``cols`` (k) with the operations of the whole-array form:
-    s (-u_1, u_0) with s = 2 U_0 - 1 for d=2; for d=3, sqrt(U_0) (cos(phi)
-    b_1 + sin(phi) b_2) with phi = 2 pi U_1, in the orthonormal frame
-    b_1 = u x e / |u x e|, b_2 = u x b_1, e the axis u is least aligned with.
-    """
+def _perp_points(u, uniforms):
+    """Uniform points on the radius-1 disk (segment for d=2) of u-perp, from one
+    uniform per point (d=2) or two, radius then angle (d=3): ``uniforms`` has
+    shape (d - 1, n)."""
     if u.shape[1] == 2:
-        s = rngs[0].random(out=cols[0])
-        s *= 2.0
-        s -= 1.0
-        np.negative(u[:, 1], out=out[:, 0])
-        np.copyto(out[:, 1], u[:, 0])
-        for j in range(2):
-            out[:, j] *= s
-            out[:, j] *= T
-        return out
-    # d == 3: cols[2:5] hold b_1; out holds |u|, then b_2, then the points
-    uc = [u[:, j] for j in range(3)]
-    axis = np.argmin(np.abs(u, out=out), axis=1)
-    b1 = cols[2:5]
-    _cross(uc, [axis == j for j in range(3)], b1, cols[0])
-    _normalise(b1, cols[0], cols[1])
-    rad, sin, cos = cols[0], cols[5], cols[6]
-    np.sqrt(rngs[0].random(out=rad), out=rad)
-    phi = rngs[1].random(out=sin)
-    phi *= 2.0 * math.pi
-    np.cos(phi, out=cos)
-    np.sin(phi, out=sin)
-    b2 = [out[:, j] for j in range(3)]
-    _cross(uc, b1, b2, cols[1])
-    for j in range(3):
-        sin_b2 = np.multiply(sin, b2[j], out=cols[1])
-        np.multiply(cos, b1[j], out=out[:, j])
-        out[:, j] += sin_b2
-        out[:, j] *= rad
-        out[:, j] *= T
-    return out
+        perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
+        s = 2.0 * uniforms[0] - 1.0
+        return s[:, None] * perp
+    # d == 3: per-sample orthonormal frame via the least-aligned axis
+    n = len(u)
+    e = np.zeros((n, 3))
+    e[np.arange(n), np.argmin(np.abs(u), axis=1)] = 1.0
+    b1 = np.cross(u, e)
+    b1 /= np.linalg.norm(b1, axis=1, keepdims=True)
+    b2 = np.cross(u, b1)
+    rad = np.sqrt(uniforms[0])
+    phi = 2.0 * math.pi * uniforms[1]
+    return rad[:, None] * (np.cos(phi)[:, None] * b1 + np.sin(phi)[:, None] * b2)
 
 
-def _chord_lengths(shape, q, u, cols):
-    """Exact length of Omega intersected with the line {q + s u}.  A box
-    intersects the slabs |x_j| <= L_j / 2 one coordinate at a time, in the
-    columns ``cols[:5]``, and returns the lengths in ``cols[0]``."""
+def _chord_lengths(shape, q, u):
+    """Exact length of Omega intersected with the line {q + s u}."""
     if isinstance(shape, Ball):
         h2 = shape.radius**2 - np.einsum("ij,ij->i", q, q)
         return 2.0 * np.sqrt(np.maximum(h2, 0.0))
     if isinstance(shape, Box):
         half = np.asarray(shape.sides, dtype=float) / 2.0
-        enter, exit_, t1, t2, lo = cols[:5]
-        enter.fill(-np.inf)
-        exit_.fill(np.inf)
-        for j in range(len(half)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.subtract(-half[j], q[:, j], out=t1)
-                t1 /= u[:, j]
-                np.subtract(half[j], q[:, j], out=t2)
-                t2 /= u[:, j]
-            np.minimum(t1, t2, out=lo)
-            hi = np.maximum(t1, t2, out=t2)
-            parallel = np.abs(u[:, j]) < 1e-300
-            if np.any(parallel):
-                inside = np.abs(q[:, j]) <= half[j]
-                np.copyto(lo, np.where(inside, -np.inf, np.inf), where=parallel)
-                np.copyto(hi, np.where(inside, np.inf, -np.inf), where=parallel)
-            np.maximum(enter, lo, out=enter)
-            np.minimum(exit_, hi, out=exit_)
-        length = np.subtract(exit_, enter, out=enter)
-        return np.maximum(length, 0.0, out=length)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (-half[None, :] - q) / u
+            t2 = (half[None, :] - q) / u
+        t_lo = np.minimum(t1, t2)
+        t_hi = np.maximum(t1, t2)
+        parallel = np.abs(u) < 1e-300
+        if np.any(parallel):
+            inside = np.abs(q) <= half[None, :]
+            t_lo = np.where(parallel, np.where(inside, -np.inf, np.inf), t_lo)
+            t_hi = np.where(parallel, np.where(inside, np.inf, -np.inf), t_hi)
+        enter = t_lo.max(axis=1)
+        exit_ = t_hi.min(axis=1)
+        return np.maximum(exit_ - enter, 0.0)
     raise UnsupportedShapeError(f"chord lengths unavailable for {type(shape).__name__}")
 
 
@@ -277,7 +221,7 @@ def mc_alpha_perimeter(shape, alpha, samples=2**20, seed=0) -> McEstimate:
 
     A batch draws its n directions whole into a reused buffer, then reads
     the uniforms that follow them and forms the chords and values one
-    sub-block of ``_MC_BLOCK`` lines at a time, in reused columns.
+    sub-block of ``_MC_BLOCK`` lines at a time.
     """
     alpha, samples, seed = _perimeter_index(alpha), _sample_count(samples), _seed(seed)
     if not isinstance(shape, (Ball, Box)):
@@ -293,23 +237,22 @@ def mc_alpha_perimeter(shape, alpha, samples=2**20, seed=0) -> McEstimate:
         raise FloatingPointError(f"{samples} squared chord values up to {peak:.3g} overflow their sum")
     total = 0.0
     total_sq = 0.0
-    block = min(samples, _MC_BLOCK)
-    q = _scratch("y", (block, d))
-    # the columns the 3-D frame, a box's slabs and the normalisation take
-    cols = _scratch("cols", (7 if d == 3 else 5 if isinstance(shape, Box) else 2, block))
+    uniforms = _scratch("y", (d - 1, min(samples, _MC_BLOCK)))
     for start, stop, rng in _batches(samples, seed):
         n = stop - start
         u = rng.standard_normal(out=_scratch("x", (n, d)))
-        # row 0 of the uniforms goes on from the normals; row 1 follows it
-        rngs = [rng] if d == 2 else [rng, _skip(copy.deepcopy(rng), n)]
+        # uniform row 0 goes on from the normals; row 1 (d = 3) follows it
+        rows = [rng] if d == 2 else [rng, _skip(copy.deepcopy(rng), n)]
         vals = _scratch("vals", (n,))
         for first in range(0, n, _MC_BLOCK):
             lines = slice(first, first + _MC_BLOCK)
             ub = u[lines]
             k = len(ub)
-            _normalise([ub[:, j] for j in range(d)], cols[0, :k], cols[1, :k])
-            qb = _perp_points(ub, rngs, T, q[:k], cols[:, :k])
-            L = _chord_lengths(shape, qb, ub, cols[:, :k])
+            for row, row_rng in zip(uniforms, rows):
+                row_rng.random(out=row[:k])
+            ub /= np.linalg.norm(ub, axis=1, keepdims=True)
+            q = T * _perp_points(ub, uniforms[:, :k])
+            L = _chord_lengths(shape, q, ub)
             vals[lines] = pref * np.where(L > 0.0, L ** (1.0 - alpha), 0.0)
         total += float(vals.sum())
         vals *= vals

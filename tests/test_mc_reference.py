@@ -109,10 +109,6 @@ def test_stream_opens_the_batch_stream_at_any_offset(seed, batch, n, d, data):
 # sub-blocks, so it allocates far less than one 2 MiB batch-long array per
 # coordinate; allocating whole batches afresh took 15-63 MiB per call.
 _REPEAT_BOUND = 8 * 2**20
-# The chord estimator forms its 3-D frames and a box's slabs in reused
-# columns: a repeated call peaked at 0.54 MiB, where (32768, 3) temporaries
-# per sub-block peaked at 5.6 MiB.
-_CHORD_REPEAT_BOUND = 2**20
 
 
 def _peak_of_repeat(call):
@@ -139,7 +135,7 @@ def test_mc_heat_content_memory_is_bounded(shape):
 
 
 def test_mc_alpha_perimeter_memory_is_bounded():
-    assert _peak_of_repeat(lambda: mc_alpha_perimeter(Box((1.0, 2.0, 3.0)), 0.5, 2**20, 1)) <= _CHORD_REPEAT_BOUND
+    assert _peak_of_repeat(lambda: mc_alpha_perimeter(Box((1.0, 2.0, 3.0)), 0.5, 2**20, 1)) <= _REPEAT_BOUND
 
 
 def test_scratch_footprint_after_the_three_estimators():
