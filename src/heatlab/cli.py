@@ -45,7 +45,7 @@ from .kernel import (
     moment_d_closed_form,
 )
 from .oracle import mc_alpha_perimeter
-from .reporting import bound_check_text, csv_table, json_report, sweep_csv, write_text
+from .reporting import csv_table, json_report, write_text
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -83,12 +83,26 @@ def quad_config(cfg) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
 
 
-def _emit(cfg, body):
-    if cfg.out:
-        write_text(cfg.out, body)
+def _emit(cfg, body, companion=None):
+    """Write ``body`` to stdout, or to --out and then ``companion()`` to <out>.json."""
+    if not cfg.out:
+        sys.stdout.write(body)
+        return
+    write_text(cfg.out, body)
+    if companion is None:
         print(f"wrote {cfg.out}")
     else:
-        sys.stdout.write(body)
+        write_text(cfg.out + ".json", companion())
+        print(f"wrote {cfg.out} and {cfg.out}.json")
+
+
+def _emit_table(cfg, columns, rows, meta):
+    """A command's table as schema-tagged CSV, or for --format json as
+    ``{columns, rows, meta}``."""
+    if cfg.format == "json":
+        _emit(cfg, json_report({"columns": columns, "rows": rows, "meta": meta}))
+    else:
+        _emit(cfg, csv_table(columns, rows, meta=meta))
 
 
 # --- commands ----------------------------------------------------------------
@@ -111,16 +125,10 @@ def cmd_kernel_eval(cfg) -> int:
             raise
     p1 = eval_p1(spec, r, qc)
     if cfg.t is not None:
-        rows = [(cfg.t, ri, pi, pti) for ri, pi, pti in zip(r, p1, eval_pt(spec, cfg.t, r, qc))]
-        cols = ("t", "r", "p1", "pt")
+        rows = [(cfg.t, *row) for row in zip(r, p1, eval_pt(spec, cfg.t, r, qc))]
+        _emit_table(cfg, ("t", "r", "p1", "pt"), rows, meta)
     else:
-        rows = list(zip(r, p1))
-        cols = ("r", "p1")
-    if cfg.format == "json":
-        body = json_report({"columns": list(cols), "rows": [list(map(float, row)) for row in rows], "meta": meta})
-    else:
-        body = csv_table(cols, rows, meta=meta)
-    _emit(cfg, body)
+        _emit_table(cfg, ("r", "p1"), list(zip(r, p1)), meta)
     return _EXIT_OK
 
 
@@ -131,30 +139,20 @@ def cmd_cov_eval(cfg) -> int:
         rho = np.asarray(cfg.rho_values, dtype=float)
     else:
         rho = np.linspace(0.0, profile.support_radius, 513)
-    rows = list(zip(rho, profile.ghat(rho)))
     meta = {
         "shape": cfg.shape,
         "method": profile.angular_method,
         "support_radius": profile.support_radius,
         "volume": profile.volume,
     }
-    if cfg.format == "json":
-        body = json_report({"columns": ["rho", "ghat"], "rows": [list(map(float, r)) for r in rows], "meta": meta})
-    else:
-        body = csv_table(("rho", "ghat"), rows, meta=meta)
-    _emit(cfg, body)
+    _emit_table(cfg, ("rho", "ghat"), list(zip(rho, profile.ghat(rho))), meta)
     return _EXIT_OK
 
 
 def cmd_perimeter(cfg) -> int:
     shape = make_shape(cfg)
     rows = [("directional", perimeter_via_directional(shape)), ("closed_form", perimeter(shape))]
-    body = (
-        json_report({"rows": [[k, float(v)] for k, v in rows]})
-        if cfg.format == "json"
-        else csv_table(("route", "perimeter"), rows, meta={"shape": cfg.shape})
-    )
-    _emit(cfg, body)
+    _emit_table(cfg, ("route", "perimeter"), rows, {"shape": cfg.shape})
     return _EXIT_OK
 
 
@@ -166,53 +164,51 @@ def cmd_alpha_perimeter(cfg) -> int:
         est = mc_alpha_perimeter(shape, cfg.alpha, samples=cfg.samples, seed=cfg.seed)
         rows.append(("line-mc", est.value, est.stderr))
         meta.update(seed=cfg.seed, samples=cfg.samples)
-    body = (
-        json_report({"rows": [[k, float(v), float(e)] for k, v, e in rows], "meta": meta})
-        if cfg.format == "json"
-        else csv_table(("route", "value", "stderr"), rows, meta=meta)
-    )
-    _emit(cfg, body)
+    _emit_table(cfg, ("route", "value", "stderr"), rows, meta)
     return _EXIT_OK
 
 
 def cmd_heat_sweep(cfg) -> int:
+    """One row per t, largest first, and a JSON summary of the whole report."""
     spec = make_spec(cfg)
     shape = make_shape(cfg)
-    qc = quad_config(cfg)
-    report, results = hc.heat_sweep(spec, shape, t_grid=cfg.t_grid or None, cfg=qc)
-    meta = {"family": cfg.family, "d": cfg.d, "shape": cfg.shape}
-    if cfg.alpha is not None:
-        meta["alpha"] = cfg.alpha
+    report, results = hc.heat_sweep(spec, shape, t_grid=cfg.t_grid or None, cfg=quad_config(cfg))
     summary = lambda: json_report(report, results=[dataclasses.asdict(r) for r in results])
     if cfg.format == "json":
         _emit(cfg, summary())
         return _EXIT_OK
-    csv_body = sweep_csv(report, results, meta=meta)
-    if cfg.out:
-        write_text(cfg.out, csv_body)
-        summary_path = cfg.out + ".json"
-        write_text(summary_path, summary())
-        print(f"wrote {cfg.out} and {summary_path}")
-    else:
-        sys.stdout.write(csv_body)
+    const = report.theoretical_constant
+    rows = [
+        (t, res.H, res.deficit, y, const, abs(y - const) / abs(const) if const else float("nan"))
+        for t, y, res in zip(report.t_grid, report.scaled_deficits, results)
+    ]
+    meta = {
+        "regime": report.regime,
+        "constant_tag": report.constant_tag,
+        "extrapolated_limit": report.extrapolated_limit,
+        "family": cfg.family,
+        "d": cfg.d,
+        "shape": cfg.shape,
+    }
+    if cfg.alpha is not None:
+        meta["alpha"] = cfg.alpha
+    columns = ("t", "H", "deficit", "scaled_deficit", "theoretical_constant", "rel_error")
+    _emit(cfg, csv_table(columns, rows, meta=meta), summary)
     return _EXIT_OK
 
 
 def cmd_bounds(cfg) -> int:
-    spec = make_spec(cfg)
-    shape = make_shape(cfg)
-    qc = quad_config(cfg)
-    t_grid = cfg.t_grid or None
-    if cfg.which == "i":
-        report = hc.bound_check_part_i(spec, shape, t_grid=t_grid, cfg=qc)
-    elif cfg.which == "ii":
-        report = hc.bound_check_part_ii(spec, shape, t_grid=t_grid, cfg=qc)
-    else:
-        raise ValueError(f"--which must be i or ii, got {cfg.which!r}")
-    if cfg.format == "json":
-        _emit(cfg, json_report(report))
-    else:
-        _emit(cfg, bound_check_text(report))
+    """One row per t; the bound's name, verdict, constants and failures as meta."""
+    check = {"i": hc.bound_check_part_i, "ii": hc.bound_check_part_ii}[cfg.which]
+    report = check(make_spec(cfg), make_shape(cfg), t_grid=cfg.t_grid or None, cfg=quad_config(cfg))
+    rows = [
+        (t, lhs, rhs, slack, "pass" if ok else "FAIL")
+        for t, lhs, rhs, slack, ok in zip(report.t_grid, report.lhs, report.rhs, report.slack, report.passed)
+    ]
+    meta = {"bound": report.name, "all_passed": report.all_passed, **report.extra}
+    if report.failures:
+        meta["failures"] = "; ".join(report.failures)
+    _emit_table(cfg, ("t", "lhs", "rhs", "slack", "status"), rows, meta)
     return _EXIT_OK if report.all_passed else _EXIT_VERIFY
 
 
@@ -225,9 +221,7 @@ def cmd_verify(cfg) -> int:
             print(f"       {r.detail}")
     n_fail = sum(not r.passed for r in results)
     if cfg.out:
-        write_text(cfg.out, body)
-        write_text(cfg.out + ".json", json_report({"criteria": results, "failures": n_fail}))
-        print(f"wrote {cfg.out} and {cfg.out}.json")
+        _emit(cfg, body, lambda: json_report({"criteria": results, "failures": n_fail}))
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
     return _EXIT_OK if n_fail == 0 else _EXIT_VERIFY
 
@@ -266,18 +260,31 @@ _TOLS = ("--abs-tol", "--rel-tol")
 _OUTPUT = ("--out", "--format")
 
 _GROUPS = {"kernel": "kernel tables and norms", "cov": "set-covariance profiles", "heat": "heat content sweeps"}
-# (group, command): (help, the flags the command reads besides --config)
+# (group, command): (help, the flags the command reads besides --config, the command)
 _COMMANDS = {
-    ("kernel", "eval"): ("tabulate p_1 / p_t with norm rows", (*_KERNEL, *_TOLS, *_OUTPUT, "--r", "--t", "--moment")),
-    ("cov", "eval"): ("tabulate the radial profile ghat", (*_SHAPE, *_OUTPUT, "--rho")),
-    ("perimeter", None): ("perimeter via directional variation", (*_SHAPE, *_OUTPUT)),
+    ("kernel", "eval"): (
+        "tabulate p_1 / p_t with norm rows",
+        (*_KERNEL, *_TOLS, *_OUTPUT, "--r", "--t", "--moment"),
+        cmd_kernel_eval,
+    ),
+    ("cov", "eval"): ("tabulate the radial profile ghat", (*_SHAPE, *_OUTPUT, "--rho"), cmd_cov_eval),
+    ("perimeter", None): ("perimeter via directional variation", (*_SHAPE, *_OUTPUT), cmd_perimeter),
     ("alpha-perimeter", None): (
         "nonlocal alpha-perimeter",
         (*_SHAPE, *_TOLS, *_OUTPUT, "--alpha", "--mc", "--samples", "--seed"),
+        cmd_alpha_perimeter,
     ),
-    ("heat", "sweep"): ("asymptotic sweep over a t grid", (*_KERNEL, *_SHAPE, *_TOLS, *_OUTPUT, "--t-grid")),
-    ("bounds", None): ("perimeter-type bound checks", (*_KERNEL, *_SHAPE, *_TOLS, *_OUTPUT, "--t-grid", "--which")),
-    ("verify", None): ("run the acceptance battery", ("--seed", "--quick", *_TOLS, "--out")),
+    ("heat", "sweep"): (
+        "asymptotic sweep over a t grid",
+        (*_KERNEL, *_SHAPE, *_TOLS, *_OUTPUT, "--t-grid"),
+        cmd_heat_sweep,
+    ),
+    ("bounds", None): (
+        "perimeter-type bound checks",
+        (*_KERNEL, *_SHAPE, *_TOLS, *_OUTPUT, "--t-grid", "--which"),
+        cmd_bounds,
+    ),
+    ("verify", None): ("run the acceptance battery", ("--seed", "--quick", *_TOLS, "--out"), cmd_verify),
 }
 
 
@@ -287,7 +294,7 @@ def _parsers():
     parser = argparse.ArgumentParser(prog="heatlab", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="group", required=True)
     groups, commands = {}, {}
-    for (group, cmd), (help_text, flags) in _COMMANDS.items():
+    for (group, cmd), (help_text, flags, _) in _COMMANDS.items():
         parent, name = sub, group
         if cmd is not None:
             if group not in groups:
@@ -300,11 +307,6 @@ def _parsers():
             p.add_argument(flag, **_OPTIONS[flag])
         commands[group, cmd] = p
     return parser, commands
-
-
-def build_parser():
-    """The CLI parser, built once per process (``parse_args`` does not mutate it)."""
-    return _parsers()[0]
 
 
 # each config key's add_argument keywords
@@ -359,17 +361,6 @@ def _resolve_config(args, command):
     return args
 
 
-_DISPATCH = {
-    ("kernel", "eval"): cmd_kernel_eval,
-    ("cov", "eval"): cmd_cov_eval,
-    ("perimeter", None): cmd_perimeter,
-    ("alpha-perimeter", None): cmd_alpha_perimeter,
-    ("heat", "sweep"): cmd_heat_sweep,
-    ("bounds", None): cmd_bounds,
-    ("verify", None): cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser, commands = _parsers()
     args, unknown = parser.parse_known_args(argv)
@@ -377,7 +368,7 @@ def main(argv=None) -> int:
     if unknown:  # against the command's usage, which lists the flags it takes; exits 2
         commands[key].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        return _DISPATCH[key](_resolve_config(args, " ".join(filter(None, key))))
+        return _COMMANDS[key][2](_resolve_config(args, " ".join(filter(None, key))))
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -15,15 +15,15 @@ Monte Carlo estimators that report a stderr: ``covariance_mc`` here and
 ``oracle.mc_heat_content``.  Both work on coordinate columns, in buffers that
 outlive the call (``_scratch``) and in sub-blocks of ``_MC_BLOCK`` points, with
 the bits of the row-wise form that allocates every batch afresh.  A batch's
-stream is counter-based (Philox keyed (seed, batch)), so ``_stream`` opens it
-at any offset: a sub-block reads its points straight from the stream, and a
-draw that follows n others in it (y after x) is read from a second generator
-opened n doubles in, with no batch-long buffer for what comes first.  Every route
-that would return a bare Monte Carlo number or a bound in place of the value
-for it -- ``radial_profile`` (hence ``alpha_perimeter``), ``perimeter``,
-``perimeter_via_directional``, ``directional_variation``, ``covariance``,
-``diameter`` and ``volume`` without a declared volume -- raises
-``UnsupportedShapeError``.
+stream is counter-based (Philox keyed (seed, batch)), so ``_ahead`` opens a
+copy of it at any offset: a sub-block reads its points straight from the
+stream, and a draw that follows n others in it (y after x) is read from a
+copy moved n doubles on, with no batch-long buffer for what comes first.
+Every route that would return a bare Monte Carlo number or a bound in place
+of the value for it -- ``radial_profile`` (hence ``alpha_perimeter``),
+``perimeter``, ``perimeter_via_directional``, ``directional_variation``,
+``covariance``, ``diameter`` and ``volume`` without a declared volume --
+raises ``UnsupportedShapeError``.
 """
 
 import functools
@@ -262,42 +262,31 @@ def _scratch(name, shape, dtype=float):
     return buf[:size].reshape(shape)
 
 
-def _batches(samples, seed, after=0):
-    """Deterministic counter-based batch streams: Philox keyed (seed, batch).
-
-    Yields (start, stop, rng) per batch; with ``after`` > 0 also a second
-    generator of the same stream, opened where a draw of the batch's
-    stop - start points of ``after`` coordinates ends.
-    """
+def _batches(samples, seed):
+    """Deterministic counter-based batch streams: yields (start, stop, rng)
+    per batch, with rng the Philox generator keyed (seed, batch)."""
     for b, start in enumerate(range(0, samples, _MC_BATCH)):
-        stop = min(start + _MC_BATCH, samples)
-        if after:
-            yield start, stop, _stream(seed, b), _stream(seed, b, (stop - start) * after)
-        else:
-            yield start, stop, _stream(seed, b)
+        yield start, min(start + _MC_BATCH, samples), np.random.Generator(np.random.Philox(key=[seed, b]))
 
 
-def _stream(seed, batch, offset=0):
-    """Batch ``batch``'s generator, Philox keyed (seed, batch), ``offset``
-    doubles into its stream."""
-    return _skip(np.random.Generator(np.random.Philox(key=[seed, batch])), offset)
-
-
-def _skip(rng, count):
-    """Move the Philox generator ``rng`` on by ``count`` doubles and return it.
+def _ahead(rng, count):
+    """A copy of the Philox generator ``rng`` moved on by ``count`` doubles;
+    ``rng`` itself does not move.
 
     A double takes one 64-bit word, and Philox makes four words per counter
     step: the words left of the current step are drawn, whole steps are
     skipped by ``advance`` (which drops the words it holds) and the rest are
     drawn, so the next double is the one ``count`` draws would have reached.
     """
-    bits = rng.bit_generator
+    bits = np.random.Philox(key=0)
+    bits.state = rng.bit_generator.state
+    ahead = np.random.Generator(bits)
     head = min(count, 4 - bits.state["buffer_pos"])
-    rng.random(head)
+    ahead.random(head)
     if count > head:
         bits.advance((count - head) // 4)
-        rng.random((count - head) % 4)
-    return rng
+        ahead.random((count - head) % 4)
+    return ahead
 
 
 def _draw(rng, lo, width, out):

@@ -16,7 +16,7 @@ Both estimators work through each batch in sub-blocks of ``_MC_BLOCK``
 points, in buffers that outlive the call (``geometry._scratch``).  The pair
 estimator reads a sub-block's x and y straight from the batch's stream: its
 n points x come first in the stream and its y follow them, so y is read from
-a second generator opened n d doubles in (``geometry._stream``), and no
+a copy of the generator moved n d doubles on (``geometry._ahead``), and no
 batch-long x or y is ever held.  The chord estimator draws its batch of
 normals whole (the ziggurat takes a varying number of words per normal, so
 where the uniforms after them start is known only once they are drawn), then
@@ -31,14 +31,13 @@ every batch afresh.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SamplingEfficiencyError, UnsupportedShapeError, _check_time, _perimeter_index, _sample_count, _seed
-from .geometry import _MC_BLOCK, Ball, Box, _batches, _bounding_box, _draw, _membership, _scratch, _skip
+from .geometry import _MC_BLOCK, Ball, Box, _ahead, _batches, _bounding_box, _draw, _membership, _scratch
 from .kernel import eval_pt, unit_ball_volume, unit_sphere_area
 
 _MIN_EFFICIENCY = 1e-3
@@ -106,8 +105,9 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
     inside_y = _scratch("in_y", (block,), bool)
     dist, step = _scratch("dist", (block,)), _scratch("step", (block,))
     # x takes the first n d doubles of a batch's stream and y the next n d
-    for start, stop, rng, y_rng in _batches(samples, seed, after=d):
+    for start, stop, rng in _batches(samples, seed):
         n = stop - start
+        y_rng = _ahead(rng, n * d)
         # which pairs are in, and the distances of those that are, packed in
         # order: the only batch-long arrays besides the values
         inside, r = _scratch("in_x", (n,), bool), _scratch("r", (n,))
@@ -242,7 +242,7 @@ def mc_alpha_perimeter(shape, alpha, samples=2**20, seed=0) -> McEstimate:
         n = stop - start
         u = rng.standard_normal(out=_scratch("x", (n, d)))
         # uniform row 0 goes on from the normals; row 1 (d = 3) follows it
-        rows = [rng] if d == 2 else [rng, _skip(copy.deepcopy(rng), n)]
+        rows = [rng] if d == 2 else [rng, _ahead(rng, n)]
         vals = _scratch("vals", (n,))
         for first in range(0, n, _MC_BLOCK):
             lines = slice(first, first + _MC_BLOCK)

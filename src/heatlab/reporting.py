@@ -1,9 +1,10 @@
-"""CSV / JSON / aligned-text emission for tables and check reports.
+"""CSV / JSON emission for tables and reports.
 
 All CSV bodies start with the `# heatlab-schema v1` comment line, carry
 their metadata (seeds, grid sizes) as `# key=value` comment lines, and
-format floats with %.17g.  Nothing time- or host-dependent is written, so
-re-running a configuration reproduces the bytes.
+format floats with %.17g.  JSON is strict: a non-finite float, numpy's too,
+is written as the string "inf", "-inf" or "nan".  Nothing time- or
+host-dependent is written, so re-running a configuration reproduces the bytes.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 
@@ -53,15 +55,15 @@ def to_jsonable(obj):
                 continue
             out[f.name] = to_jsonable(getattr(obj, f.name))
         return out
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 
@@ -71,54 +73,4 @@ def json_report(obj, **extra):
     payload = {"schema": SCHEMA_LINE.lstrip("# ")}
     payload.update(to_jsonable(obj) if isinstance(obj, dict) else {"report": to_jsonable(obj)})
     payload.update({k: to_jsonable(v) for k, v in extra.items()})
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def aligned_text(columns, rows, title=None):
-    """Fixed-width text table (for terminals, not for parsing)."""
-    cells = [[_fmt(v) for v in row] for row in rows]
-    widths = [max(len(c), *(len(r[i]) for r in cells)) if cells else len(c) for i, c in enumerate(columns)]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(c.rjust(w) for c, w in zip(columns, widths)))
-    for r in cells:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-    return "\n".join(lines) + "\n"
-
-
-def sweep_csv(report, results, meta=None):
-    """CSV for an asymptotic sweep: one row per t, largest first.
-
-    ``report`` is the AsymptoticReport, ``results`` the per-t
-    HeatContentResult list in the same grid order.
-    """
-    const = report.theoretical_constant
-    rows = []
-    for t, y, res in zip(report.t_grid, report.scaled_deficits, results):
-        rel = abs(y - const) / abs(const) if const else float("nan")
-        rows.append((t, res.H, res.deficit, y, const, rel))
-    base_meta = {
-        "regime": report.regime,
-        "constant_tag": report.constant_tag,
-        "extrapolated_limit": report.extrapolated_limit,
-    }
-    base_meta.update(meta or {})
-    return csv_table(
-        ("t", "H", "deficit", "scaled_deficit", "theoretical_constant", "rel_error"),
-        rows,
-        meta=base_meta,
-    )
-
-
-def bound_check_text(report):
-    rows = [
-        (t, l, r, s, "pass" if ok else "FAIL")
-        for t, l, r, s, ok in zip(report.t_grid, report.lhs, report.rhs, report.slack, report.passed)
-    ]
-    body = aligned_text(("t", "lhs", "rhs", "slack", "status"), rows, title=report.name)
-    for key in sorted(report.extra):
-        body += f"{key} = {_fmt(report.extra[key])}\n"
-    if report.failures:
-        body += "failures:\n" + "\n".join("  " + f for f in report.failures) + "\n"
-    return body
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

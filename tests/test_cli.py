@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from heatlab.cli import build_parser, main
-from heatlab.content import heat_content
-from heatlab.geometry import Box, radial_profile
+from heatlab.cli import _parsers, main
+from heatlab.content import bound_check_part_ii, heat_content
+from heatlab.geometry import Ball, Box, radial_profile
 from heatlab.kernel import KernelSpec, poisson_constant, unit_sphere_area
 from heatlab.reporting import SCHEMA_LINE
 
@@ -140,6 +140,54 @@ def test_alpha_perimeter_regime_exit_code(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _same(text, value):
+    """Whether a CSV cell and the JSON value of the same cell agree."""
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, (int, float)) or value in ("inf", "-inf"):
+        return float(text) == float(value)
+    return text == value
+
+
+_POLY_BETA_M2 = ["--family", "poly", "--d", "2", "--kappa", "0.1", "--n", "2", "--m", "1.5", "--beta=-2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "eval", "--family", "gaussian", "--d", "2", "--r", "0,1,inf", "--t", "0.25"],
+        ["cov", "eval", "--shape", "box", "--sides", "1,2", "--rho", "0,0.5,1,3"],
+        ["perimeter", "--shape", "box", "--sides", "1,2,3"],
+        ["alpha-perimeter", "--d", "2", "--alpha", "0.5", "--mc", "--samples", "4096", "--seed", "3"],
+        ["bounds", "--which", "i", "--family", "gaussian", "--d", "2", "--t-grid", "0.1,0.01"],
+        ["bounds", "--which", "ii", *_POLY_BETA_M2, "--gamma", "1", "--t-grid", "0.5,1e-3,1e-5"],
+        ["bounds", "--which", "ii", *_POLY_BETA_M2, "--gamma", "0.5", "--t-grid", "0.5,0.1,1e-3"],  # fails: exit 4
+    ],
+    ids=["kernel-eval", "cov-eval", "perimeter", "alpha-perimeter", "bounds-i", "bounds-ii", "bounds-ii-fails"],
+)
+def test_json_and_csv_carry_the_same_table(argv, capsys):
+    rc_csv, out_csv = run_cli(argv, capsys)
+    rc_json, out_json = run_cli([*argv, "--format", "json"], capsys)
+    assert rc_csv == rc_json and rc_csv in (0, 4)
+    meta, header, rows = parse_csv(out_csv)
+    payload = _strict_json(out_json)
+    assert sorted(payload) == ["columns", "meta", "rows", "schema"]
+    assert payload["schema"] == SCHEMA_LINE[2:]
+    assert payload["columns"] == header
+    assert sorted(payload["meta"]) == sorted(meta)
+    assert all(_same(meta[key], value) for key, value in payload["meta"].items())
+    assert len(payload["rows"]) == len(rows)
+    for row, cells in zip(rows, payload["rows"]):
+        assert len(cells) == len(row) and all(map(_same, row, cells))
+
+
 def test_heat_sweep_writes_csv_and_summary(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     rc = main(
@@ -257,15 +305,20 @@ def test_heat_sweep_starved_quadrature_exit_code(capsys):
 
 
 def test_bounds_command_exit_codes(capsys):
-    ok = main(
+    rc, out = run_cli(
         [
             "bounds", "--which", "i", "--family", "stable", "--alpha", "1.5", "--d", "2",
             "--shape", "ball", "--radius", "1", "--t-grid", "1e-1,1e-2,1e-3",
-        ]
+        ],
+        capsys,
     )
-    out = capsys.readouterr().out
-    assert ok == 0
-    assert "pass" in out
+    assert rc == 0
+    meta, header, rows = parse_csv(out)
+    assert header == ["t", "lhs", "rhs", "slack", "status"]
+    assert (meta["bound"], meta["all_passed"], "failures" in meta) == ("perimeter-moment bound", "true", False)
+    assert sorted(meta) == ["all_passed", "bound", "moment_d", "perimeter"]
+    assert [row[0] for row in rows] == ["0.10000000000000001", "0.01", "0.001"]
+    assert {row[4] for row in rows} == {"pass"}
     # divergent moment regime cannot run the moment bound
     bad = main(
         [
@@ -278,17 +331,36 @@ def test_bounds_command_exit_codes(capsys):
 
 
 def test_bounds_envelope_for_poly_family(capsys):
-    rc = main(
+    rc, out = run_cli(
         [
             "bounds", "--which", "ii", "--family", "poly", "--d", "2",
             "--kappa", repr(poisson_constant(2)), "--n", "2", "--m", "1.5",
             "--beta", "-2", "--gamma", "1",
             # the limsup side-check needs the grid to reach small t
             "--shape", "ball", "--radius", "1", "--t-grid", "0.5,0.1,1e-3,1e-5",
-        ]
+        ],
+        capsys,
     )
     assert rc == 0
-    assert "lambda" in capsys.readouterr().out
+    meta, _, _ = parse_csv(out)
+    assert float(meta["lambda"]) > 0.0 and float(meta["limsup_ratio"]) <= 1.1
+
+
+def test_failed_bound_exits_4_with_every_number_and_verdict_in_its_csv(capsys):
+    # gamma = 1/2 puts the smallest t's scaled deficit 31 % above the envelope
+    kernel = ["--family", "poly", "--d", "2", "--kappa", "0.1", "--n", "2", "--m", "1.5", "--beta=-2", "--gamma", "0.5"]
+    rc, out = run_cli(["bounds", "--which", "ii", *kernel, "--t-grid", "0.5,0.1,1e-3"], capsys)
+    assert rc == 4
+    meta, header, rows = parse_csv(out)
+    spec = KernelSpec.poly_family(d=2, kappa=0.1, n=2, m=1.5, beta=-2.0, gamma=0.5)
+    report = bound_check_part_ii(spec, Ball(1.0, 2), t_grid=(0.5, 0.1, 1e-3))
+    assert not report.all_passed and report.failures
+    assert meta.pop("bound") == report.name and meta.pop("all_passed") == "false"
+    assert meta.pop("failures") == "; ".join(report.failures)
+    assert {key: float(value) for key, value in meta.items()} == report.extra
+    columns = (report.t_grid, report.lhs, report.rhs, report.slack)
+    assert [[float(v) for v in row[:4]] for row in rows] == [list(c) for c in zip(*columns)]
+    assert [row[4] for row in rows] == ["pass" if ok else "FAIL" for ok in report.passed]
 
 
 def test_config_file_round_trip(tmp_path, capsys):
@@ -493,7 +565,7 @@ def _command(argv):
 def test_each_command_accepts_exactly_the_flags_it_reads(command, capsys):
     assert set(_VALUE) == set().union(*FLAGS.values())
     assert sum(map(len, FLAGS.values())) == 78
-    parser = build_parser()
+    parser = _parsers()[0]
     parser.parse_args([*command, "--config", "run.json"])
     for flag in sorted(_VALUE):
         if flag in FLAGS[command]:
@@ -704,8 +776,8 @@ def test_no_command_is_a_usage_error():
 
 
 def test_parser_is_shared_and_parses_each_call_afresh():
-    parser = build_parser()
-    assert build_parser() is parser
+    parser = _parsers()[0]
+    assert _parsers()[0] is parser
     first = parser.parse_args(["heat", "sweep", "--alpha", "1.5", "--t-grid", "0.1,0.01"])
     second = parser.parse_args(["bounds"])
     assert (first.group, first.cmd, first.alpha, first.t_grid) == ("heat", "sweep", 1.5, (0.1, 0.01))

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from heatlab import geometry
 from heatlab.errors import SamplingEfficiencyError
-from heatlab.geometry import Ball, Box, Indicator, _skip, _stream, covariance, covariance_mc
+from heatlab.geometry import Ball, Box, Indicator, _ahead, covariance, covariance_mc
 from heatlab.kernel import KernelSpec
 from heatlab.oracle import mc_alpha_perimeter, mc_heat_content
 from heatlab.stable import _SERIES_BLOCK, _horner, density, series_eval
@@ -91,18 +91,19 @@ def test_mc_alpha_perimeter_matches_row_reference(shape, samples, seed, alpha):
     d=st.sampled_from([2, 3]),
     data=st.data(),
 )
-def test_stream_opens_the_batch_stream_at_any_offset(seed, batch, n, d, data):
-    offset = data.draw(st.sampled_from([0, 1, 2, 3, 5, n * d]))
+def test_ahead_copies_a_generator_moved_on_by_any_count(seed, batch, n, d, data):
+    count = data.draw(st.sampled_from([0, 1, 2, 3, 5, n * d]))
     size = 2 * n * d + 16
     whole = np.random.Generator(np.random.Philox(key=[seed, batch])).random(size)
-    np.testing.assert_array_equal(_stream(seed, batch, offset).random(size - offset), whole[offset:])
-    # from any position, as the chord estimator skips a copy of a generator
-    # that has drawn normals: the words left in the current Philox step first
+    # from any position, as the chord estimator moves a copy of a generator
+    # that has drawn normals on: the words left in the current Philox step first
     drawn = data.draw(st.integers(0, 9))
-    rng = _stream(seed, batch)
+    rng = np.random.Generator(np.random.Philox(key=[seed, batch]))
     rng.random(drawn)
-    ahead = _skip(rng, offset)
-    np.testing.assert_array_equal(ahead.random(size - offset - drawn), whole[drawn + offset :])
+    ahead = _ahead(rng, count)
+    np.testing.assert_array_equal(ahead.random(size - count - drawn), whole[drawn + count :])
+    # the original has not moved, and the copy's draws did not move it
+    np.testing.assert_array_equal(rng.random(size - drawn), whole[drawn:])
 
 
 # A repeated call reuses its batch buffers and works in cache-sized

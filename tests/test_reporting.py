@@ -1,4 +1,4 @@
-"""Emission helpers: schema-tagged CSV, deterministic JSON, text tables."""
+"""Emission helpers: schema-tagged CSV and deterministic, strict JSON."""
 
 import json
 import math
@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from heatlab.reporting import SCHEMA_LINE, aligned_text, csv_table, json_report, to_jsonable, write_text
+from heatlab import reporting
+from heatlab.reporting import SCHEMA_LINE, csv_table, json_report, to_jsonable, write_text
 
 
 def test_csv_schema_meta_and_formats():
@@ -54,13 +55,24 @@ def test_to_jsonable_handles_numpy_dataclasses_and_nonfinite():
     assert to_jsonable({"k": (np.int64(2), float("nan"))}) == {"k": [2, "nan"]}
 
 
-def test_aligned_text_layout():
-    body = aligned_text(("name", "value"), [("x", 1.5), ("longer", 2)], title="demo")
-    lines = body.splitlines()
-    assert lines[0] == "demo"
-    assert lines[1].endswith("value")
-    # right-justified columns line up
-    assert lines[2].index("1.5") > lines[2].index("x")
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_report_writes_non_finite_numpy_scalars_as_strings():
+    values = {"a": np.float64("inf"), "b": np.float32("-inf"), "c": np.float64("nan"), "d": float("inf")}
+    payload = json.loads(json_report(values, rows=[[np.float64(1.5), np.float64("nan")]]), parse_constant=_no_constant)
+    assert (payload["a"], payload["b"], payload["c"], payload["d"]) == ("inf", "-inf", "nan", "inf")
+    assert payload["rows"] == [[1.5, "nan"]]
+    assert to_jsonable(np.float64("inf")) == "inf" and to_jsonable(np.float64(2.0)) == 2.0
+
+
+def test_json_report_refuses_a_non_finite_float_that_reaches_the_encoder(monkeypatch):
+    # the encoder itself enforces strict JSON: with the conversion bypassed,
+    # an infinity raises rather than being written as a bare Infinity
+    monkeypatch.setattr(reporting, "to_jsonable", lambda obj: obj)
+    with pytest.raises(ValueError):
+        json_report({"a": float("inf")})
 
 
 def test_write_text(tmp_path):
