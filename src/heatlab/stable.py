@@ -72,7 +72,38 @@ def _trapezoid_step(q):
     return 0.25 / max(1.0, math.sqrt(q / 2.0))
 
 
-_P1_BLOCK = 2**18
+# 1.5 MiB: freeing blocks of <= 1.25 MiB leaves glibc's trim threshold so low
+# that later Monte Carlo passes unmap and fault in their temporaries again
+_P1_BLOCK = 3 * 2**16
+
+
+def _p1_columns(alpha, d, r_max, refine):
+    """(w_j, -b_j) on the (phi, s) columns of ``subordination_p1`` for r <= r_max."""
+    beta = alpha / 2.0
+    kappa = (1.0 - beta) / beta
+    p = 1.0 + kappa * d / 2.0
+    n = len(_W_EDGES) - 1
+    edges = np.interp(np.arange(n * refine + 1) / refine, np.arange(n + 1), _W_EDGES)
+    w, gw = _gl_nodes_weights(edges)
+    phi = math.pi * (1.0 - w**3)
+    log_a = (
+        np.log(np.sin(beta * phi))
+        + kappa * np.log(np.sin((1.0 - beta) * phi))
+        - np.log(np.sin(phi)) / beta
+    )
+    c_max = r_max**2 / (4.0 * math.exp(log_a.min()))
+    s_star = math.log(p)
+    if c_max > 0.0:
+        s_star = min(s_star, math.log(p / (kappa * c_max)) / kappa)
+    h = min(_trapezoid_step(p), _trapezoid_step(p / kappa) / kappa) / refine
+    s = np.arange(s_star - 40.0 / p, math.log(40.0 + 2.0 * p) + h, h)
+    # dphi/pi = 3 w^2 dw; the (phi, s) columns are laid out row-major
+    log_w = np.log(3.0 * h * w**2 * gw) - (d / 2.0) * (math.log(4.0 * math.pi) + log_a)
+    weights = np.add.outer(log_w, p * s - np.exp(s)).ravel()
+    np.exp(weights, out=weights)
+    neg_b = np.add.outer(-math.log(4.0) - log_a, kappa * s).ravel()
+    np.negative(np.exp(neg_b, out=neg_b), out=neg_b)
+    return weights, neg_b
 
 
 def subordination_p1(alpha, d, r, refine=1):
@@ -86,43 +117,31 @@ def subordination_p1(alpha, d, r, refine=1):
     and, in u = kappa s, e^{(p/kappa) u - c e^u}, and is divided by ``refine``.
 
     The exponents r^2 b_j are formed, exponentiated and reduced against the
-    weights in row blocks of about ``_P1_BLOCK`` = 2^18 elements (2 MiB), so
-    the exp and the matrix-vector product work on a block that stays in
-    cache.  A block holds a multiple of 4 rows: BLAS's dgemv forms the dot
-    products of 4 rows at a time and the rows left over with another kernel,
-    whose last bit can differ, so with 4-row blocks only the last <= 3 radii
-    of the whole input take the other kernel, whatever the block size.
+    weights in row blocks of at most ``_P1_BLOCK`` elements, each in turn in
+    one buffer allocated per call, so the exp and the matrix-vector product
+    work on a block that stays in cache.  A block holds a multiple of 4 rows:
+    BLAS's dgemv forms the dot products of 4 rows at a time and the rows left
+    over with another kernel, whose last bit can differ, so with 4-row blocks
+    only the last <= 3 radii of the whole input take the other kernel,
+    whatever the block size, while each block runs on one thread (OpenBLAS
+    splits a dgemv of ~2^19 elements between threads).  Where 4 rows exceed
+    the budget, beyond 49152 columns (only in the ``refine=2`` validation
+    reference), the rows go one at a time.
     """
     r = np.asarray(r, dtype=float)
-    beta = alpha / 2.0
-    kappa = (1.0 - beta) / beta
-    p = 1.0 + kappa * d / 2.0
-    n = len(_W_EDGES) - 1
-    edges = np.interp(np.arange(n * refine + 1) / refine, np.arange(n + 1), _W_EDGES)
-    w, gw = _gl_nodes_weights(edges)
-    phi = math.pi * (1.0 - w**3)
-    log_a = (
-        np.log(np.sin(beta * phi))
-        + kappa * np.log(np.sin((1.0 - beta) * phi))
-        - np.log(np.sin(phi)) / beta
-    )
-    c_max = float(r.max()) ** 2 / (4.0 * math.exp(log_a.min()))
-    s_star = math.log(p)
-    if c_max > 0.0:
-        s_star = min(s_star, math.log(p / (kappa * c_max)) / kappa)
-    h = min(_trapezoid_step(p), _trapezoid_step(p / kappa) / kappa) / refine
-    s = np.arange(s_star - 40.0 / p, math.log(40.0 + 2.0 * p) + h, h)
-    # dphi/pi = 3 w^2 dw; the (phi, s) columns are laid out row-major
-    log_w = np.log(3.0 * h * w**2 * gw) - (d / 2.0) * (math.log(4.0 * math.pi) + log_a)
-    weights = np.exp(np.add.outer(log_w, p * s - np.exp(s))).ravel()
-    neg_b = -np.exp(np.add.outer(-math.log(4.0) - log_a, kappa * s)).ravel()
+    weights, neg_b = _p1_columns(alpha, d, float(r.max()), refine)
+    r2 = r * r
     out = np.empty_like(r)
-    # (rows, n_columns) exponent blocks of ~_P1_BLOCK elements, rows a multiple of 4
-    chunk = max(1, _P1_BLOCK // neg_b.size // 4) * 4
+    # rows per block: a multiple of 4 when 4 rows fit the budget, else 1
+    chunk = _P1_BLOCK // neg_b.size
+    chunk = chunk - chunk % 4 if chunk >= 4 else 1
+    buf = np.empty((min(chunk, r.size), neg_b.size))
+    # matmul would send a single row to BLAS's ddot, which OpenBLAS spreads
+    # over threads that then spin on; einsum sums it on this thread
+    reduce = np.matmul if chunk > 1 else lambda a, b, out: np.einsum("ij,j->i", a, b, out=out)
     for i in range(0, r.size, chunk):
-        block = np.multiply.outer(r[i : i + chunk] ** 2, neg_b)
-        np.exp(block, out=block)
-        out[i : i + chunk] = block @ weights
+        block = np.multiply(r2[i : i + chunk, None], neg_b, out=buf[: min(chunk, r.size - i)])
+        reduce(np.exp(block, out=block), weights, out=out[i : i + chunk])
     return out
 
 
@@ -426,18 +445,21 @@ class StableDensity:
         return out
 
     def evaluate(self, r):
-        """Vectorized p_1(r); r may be scalar or array, entries >= 0."""
+        """Vectorized p_1(r); r may be scalar or array, entries >= 0, taken in
+        blocks of ``_SERIES_BLOCK`` radii, each computed on its own."""
         arr = _radii(r)
         flat = arr.ravel()
-        # one partition by index: on radii in random order, gathers and
-        # scatters through index arrays cost a fraction of boolean masks
-        near = flat <= self.r_switch
-        i_near, i_far = np.flatnonzero(near), np.flatnonzero(~near)
         out = np.empty_like(flat)
-        if len(i_near):
-            out[i_near] = self._table(flat[i_near])
-        if len(i_far):
-            out[i_far] = series_eval(self.alpha, self.d, self._scaled, self.r_switch, flat[i_far])
+        for j in range(0, len(flat), _SERIES_BLOCK):
+            x, y = flat[j : j + _SERIES_BLOCK], out[j : j + _SERIES_BLOCK]
+            # one partition by index: on radii in random order, gathers and
+            # scatters through index arrays cost a fraction of boolean masks
+            near = x <= self.r_switch
+            i_near, i_far = np.flatnonzero(near), np.flatnonzero(~near)
+            if len(i_near):
+                y[i_near] = self._table(x[i_near])
+            if len(i_far):
+                y[i_far] = series_eval(self.alpha, self.d, self._scaled, self.r_switch, x[i_far])
         self._clamp(out)
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 

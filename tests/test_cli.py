@@ -750,6 +750,16 @@ def test_verify_quick_battery(tmp_path, capsys):
     assert payload["failures"] == 0
 
 
+def test_verify_out_repeats_its_bytes(tmp_path, capsys):
+    # the per-criterion wall times go to stdout only, never into the files
+    paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    for path in paths:
+        assert main(["verify", "--quick", "--seed", "0", "--out", str(path)]) == 0
+    assert "seconds" not in Path(f"{paths[0]}.json").read_text()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert Path(f"{paths[0]}.json").read_bytes() == Path(f"{paths[1]}.json").read_bytes()
+
+
 def test_verify_fails_under_sabotaged_tolerance(capsys):
     # designed-to-fail configuration: a huge abs_tol wrecks the
     # quadrature-vs-closed-form criteria and the battery must say so

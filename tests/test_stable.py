@@ -1,6 +1,9 @@
 """Radial alpha-stable density engine: table, series, tails, cache."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -342,28 +345,85 @@ def test_clamped_spline_matches_scipy_bitwise_property(n, grade, spacing, seed, 
     np.testing.assert_array_equal(_clamped_spline(x, y, end_slope), expected)
 
 
-def test_series_branch_memory_is_bounded():
-    dens = density(1.0, 2)
-    r = dens.r_switch * np.geomspace(1.0 + 1e-12, 50.0, 2**18)
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        dens.evaluate(r)
-        _, peak = tracemalloc.get_traced_memory()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * 2**20
+
+
+def test_series_branch_memory_is_bounded():
+    # 2^18 radii: a 2 MiB result, and 65536-radius blocks beside it (the
+    # whole-array evaluation peaked at 9.3 MiB)
+    dens = density(1.0, 2)
+    r = dens.r_switch * np.geomspace(1.0 + 1e-12, 50.0, 2**18)
+    assert _traced_peak(dens.evaluate, r) <= 8 * 2**20
 
 
 def test_table_build_memory_is_bounded():
-    # the exponents go through exp and dgemv in ~2^18-element (2 MiB) row
-    # blocks; 4e6-element blocks took 61 MiB here
-    tracemalloc.start()
-    try:
-        StableDensity(1.5, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    # one exponent buffer of <= 3 * 2^16 elements (1.5 MiB) per call; a fresh
+    # block per row block, with its exponent arrays copied, peaked at
+    # 5.7-6.6 MiB for these (alpha, d), and 4e6-element blocks at 61 MiB
+    for alpha, d in [(0.5, 2), (1.8, 2), (1.8, 3), (1.95, 5)]:
+        peak = _traced_peak(StableDensity, alpha, d)
+        assert peak <= 3 * 2**20, (alpha, d, peak)
+
+
+_BUDGET_CASES = [(0.5, 2), (1.5, 3), (1.8, 2)]
+
+
+def _table_values_by_rows(rows_per_block):
+    """subordination_p1 on each case's table nodes with ``_P1_BLOCK`` set to
+    each given number of rows (and half a row) of its columns."""
+    values = {}
+    for alpha, d in _BUDGET_CASES:
+        nodes = density(alpha, d).table_nodes
+        columns = stable._p1_columns(alpha, d, float(nodes.max()), 1)[1].size
+        for rows in rows_per_block:
+            stable._P1_BLOCK, budget = rows * columns + columns // 2, stable._P1_BLOCK
+            try:
+                values[alpha, d, rows] = subordination_p1(alpha, d, nodes)
+            finally:
+                stable._P1_BLOCK = budget
+    return values
+
+
+def test_table_values_do_not_depend_on_the_block_budget():
+    # budgets of 4, 8 and 14 rows (taken as 12) against the default budget's
+    # 8 to 12 rows for these tables
+    defaults = {(alpha, d): subordination_p1(alpha, d, density(alpha, d).table_nodes) for alpha, d in _BUDGET_CASES}
+    for (alpha, d, rows), values in _table_values_by_rows((4, 8, 14)).items():
+        np.testing.assert_array_equal(values, defaults[alpha, d], err_msg=f"{alpha, d, rows}")
+
+
+def test_table_values_in_64_row_blocks_on_one_blas_thread():
+    # blocks of 64 rows are large enough for OpenBLAS to split a dgemv between
+    # threads, which moves the leftover rows, so this one runs on one thread
+    script = (
+        "import numpy as np, test_stable as t\n"
+        "v = t._table_values_by_rows((4, 64))\n"
+        "assert all(np.array_equal(v[a, d, 4], v[a, d, 64]) for a, d in t._BUDGET_CASES)\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=os.path.dirname(__file__), capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    alpha=st.sampled_from([0.5, 1.0, 1.5]),
+    extra=st.integers(1, stable._SERIES_BLOCK + 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_blocks_change_no_bit(alpha, extra, seed):
+    # table and series radii in random order, across one or two block edges
+    dens = density(alpha, 2)
+    edge = stable._SERIES_BLOCK
+    r = dens.r_switch * np.random.default_rng(seed).uniform(0.0, 3.0, edge + extra)
+    blocks = [dens.evaluate(r[i : i + edge]) for i in range(0, len(r), edge)]
+    np.testing.assert_array_equal(dens.evaluate(r), np.concatenate(blocks))
 
 
 def test_table_that_fails_validation_raises(monkeypatch):
