@@ -260,10 +260,9 @@ def criterion_12(ctx):
         per = perimeter(ball)
         volb = unit_ball_volume(d)
         worst = 0.0
-        for t in (0.5, 0.1, 0.01):
-            res = hc.heat_content(spec, prof, t, ctx.cfg)
-            n1, n2 = hc.ball_poisson_decomposition(d, t, ctx.cfg)
-            ident = n1 - per / math.pi * t * n2
+        for res in hc.heat_contents(spec, prof, (0.5, 0.1, 0.01), ctx.cfg):
+            n1, n2 = hc.ball_poisson_decomposition(d, res.t, ctx.cfg)
+            ident = n1 - per / math.pi * res.t * n2
             worst = max(worst, abs(res.H - ident))
             ok &= n1 <= volb + 1e-12
         n2s = []
@@ -299,12 +298,13 @@ def criterion_14(ctx):
     """Monte Carlo pair estimator brackets the quadrature heat content."""
     ok = True
     msgs = []
-    cases = [(KernelSpec.stable(alpha, 2), t) for alpha in (1.0, 1.5) for t in (0.1, 0.01)]
+    specs = [KernelSpec.stable(alpha, 2) for alpha in (1.0, 1.5)]
+    cases = [(spec, t) for spec in specs for t in (0.1, 0.01)]
     for shape in (Ball(1.0, 2), Box((1.0, 1.0))):
         prof = radial_profile(shape)
         ests = mc_heat_content(shape, cases, samples=ctx.mc_samples, seed=ctx.seed)
-        for (spec, t), est in zip(cases, ests):
-            res = hc.heat_content(spec, prof, t, ctx.cfg)
+        results = [res for spec in specs for res in hc.heat_contents(spec, prof, (0.1, 0.01), ctx.cfg)]
+        for (spec, t), est, res in zip(cases, ests, results):
             z = abs(est.value - res.H) / max(est.stderr, 1e-300)
             ok &= abs(est.value - res.H) <= 3.0 * est.stderr + res.quad_error
             msgs.append(f"a={spec.alpha},t={t}: z={z:.2f}")

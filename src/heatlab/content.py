@@ -187,21 +187,11 @@ def _deficit_edges(r_star, breaks, level):
     return edges[keep]
 
 
-def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=None):
-    """D~(t) = deficit(t) * t^{-(beta+d*gamma)} = int r^{d-1} p_1(r)
-    ghat_deficit(t^g r) dr, with an error estimate.
+_GRID_CHUNK = 2**16  # nodes per p_1 and ghat_deficit call: a long t-grid keeps a bounded working set
 
-    Panels on [0, r*], r* = ell t^-g, split at the profile's kinks over t^g and,
-    for the stable family, at r_switch, plus A_d|Omega| times the kernel's
-    tail mass beyond r*, computed once per t.  Refines the panel density until two
-    successive levels agree to the configured tolerances (``kernel._refine``);
-    the returned error is the last inter-level gap plus abs_tol.  Raises
-    QuadratureError when no level settles, and rather than leave double
-    range: before r^{max(d, n)} (n: the poly family's exponent) overflows at
-    r*, and where p_1 underflows on radii whose tail mass, times A_d|Omega|,
-    exceeds rel_tol of the value.
-    """
-    cfg = cfg or _DEFAULT_CFG
+
+def _deficit_plan(spec, profile, t, cfg):
+    """(t, t^gamma, r*, panel breaks, tail term) of D~(t), after its range checks."""
     _check_time(t)
     if spec.d != profile.d:
         raise ValueError(f"kernel dimension {spec.d} != profile dimension {profile.d}")
@@ -214,28 +204,79 @@ def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=N
     if max(d, spec.n or 0) * math.log(r_star) >= _LOG_MAX:
         scale = f"shape diameter ell={ell:.3g}, t={t:g}, gamma={gamma:g}"
         raise QuadratureError(f"the deficit integrand overflows at r* = ell t^-gamma = {r_star:.3g} ({scale})")
-    advol = unit_sphere_area(d) * profile.volume
-    tail = advol * _kernel_tail_mass(spec, r_star, cfg)
+    tail = unit_sphere_area(d) * profile.volume * _kernel_tail_mass(spec, r_star, cfg)
     # p_1 jumps by the tail series' error at r_switch, so it is a break too
     breaks = [k / tg for k in profile.kink_radii]
     if spec.family == STABLE:
         breaks.append(_density(spec, cfg).r_switch)
+    return t, tg, r_star, breaks, tail
 
-    def once(level):
-        edges = _deficit_edges(r_star, breaks, level)
-        nodes, weights = _gl_nodes_weights(edges)
-        p_vals = eval_p1(spec, nodes, cfg)
-        head = float(np.sum(weights * nodes ** (d - 1) * p_vals * profile.ghat_deficit(tg * nodes)))
-        value = head + tail
+
+def _level_chunks(plans, found, level):
+    """Lists of (i, plan, nodes, weights) at ``level`` of the unsettled times, closed at ``_GRID_CHUNK`` nodes."""
+    chunk = []
+    for i, plan in enumerate(plans):
+        if found[i] is None:
+            chunk.append((i, plan, *_gl_nodes_weights(_deficit_edges(plan[2], plan[3], level))))
+            if sum(c[2].size for c in chunk) >= _GRID_CHUNK:
+                yield chunk
+                chunk = []
+    if chunk:
+        yield chunk
+
+
+def _level_values(spec, profile, cfg, chunk):
+    """(i, D~ at this level) for each entry of ``chunk``, from one eval_p1 and
+    one ghat_deficit call for the whole chunk."""
+    p_all = eval_p1(spec, np.concatenate([nodes for _, _, nodes, _ in chunk]), cfg)
+    g_all = profile.ghat_deficit(np.concatenate([tg * nodes for _, (_, tg, *_), nodes, _ in chunk]))
+    cuts, advol = np.cumsum([nodes.size for _, _, nodes, _ in chunk])[:-1], unit_sphere_area(spec.d) * profile.volume
+    for (i, (t, *_, tail), nodes, weights), p_vals, ghat in zip(chunk, np.split(p_all, cuts), np.split(g_all, cuts)):
+        value = float(np.sum(weights * nodes ** (spec.d - 1) * p_vals * ghat)) + tail
         lost = nodes[p_vals < np.finfo(float).tiny]
         bound = advol * _kernel_tail_mass(spec, float(lost.min()), cfg) if lost.size else 0.0
         if bound > cfg.rel_tol * value:
             msg = f"t={t:g}: p_1 underflows from r={lost.min():.3g}, where its tail carries {bound:.2e}"
             raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
-        return value
+        yield i, value
 
-    value, gap = _refine(once, cfg, f"deficit quadrature at t={t:g}")
-    return value, gap + cfg.abs_tol
+
+def _scaled_deficits(spec, profile, t_grid, cfg):
+    """[(D~(t), error bar)] for each t of ``t_grid``, the times refined together.
+
+    D~(t) = deficit(t) t^{-(beta+d*gamma)} = int r^{d-1} p_1(r) ghat_deficit(t^g r) dr
+    on panels of [0, r*], r* = ell t^-g, broken at the profile's kinks and at
+    r_switch, plus A_d|Omega| times the tail mass beyond r*.  Each t doubles its
+    panels until two levels agree (``kernel._refine``'s test; error bar: the last
+    gap plus abs_tol).  A level's unsettled times share one ``eval_p1`` and one
+    ``ghat_deficit`` call per ``_GRID_CHUNK`` nodes, each radius computed on its
+    own, so each t keeps the bits it has alone.  Raises QuadratureError where no
+    level settles, r^{max(d, n)} (n: the poly exponent) overflows at r*, or p_1
+    underflows where its tail carries rel_tol of D~: the first failing t's error.
+    """
+    try:
+        plans = [_deficit_plan(spec, profile, t, cfg) for t in t_grid]
+        found, prev = [None] * len(plans), [None] * len(plans)
+        for level in (1, 2, 4, 8):
+            for chunk in _level_chunks(plans, found, level):
+                for i, value in _level_values(spec, profile, cfg, chunk):
+                    gap = abs(value - prev[i]) if level > 1 else math.inf
+                    if gap <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+                        found[i] = (value, gap + cfg.abs_tol)
+                    elif level == 8:
+                        raise QuadratureError(f"deficit quadrature at t={plans[i][0]:g} did not settle by level 8", gap)
+                    prev[i] = value
+        return found
+    except Exception:  # of any type: re-raised, or raised again by the per-time loop
+        if len(t_grid) == 1:
+            raise
+        # a later time may have failed first: the loop raises the first failing t's error
+        return [_scaled_deficits(spec, profile, (t,), cfg)[0] for t in t_grid]
+
+
+def scaled_deficit(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=None):
+    """(D~(t), error bar): the one-point grid of ``_scaled_deficits``."""
+    return _scaled_deficits(spec, profile, (t,), cfg or _DEFAULT_CFG)[0]
 
 
 def _heat_content_result(spec, profile, t, dtil, err) -> HeatContentResult:
@@ -250,10 +291,15 @@ def _heat_content_result(spec, profile, t, dtil, err) -> HeatContentResult:
     return HeatContentResult(t=t, H=pref * (total - dtil), deficit=pref * dtil, quad_error=pref * err)
 
 
+def heat_contents(spec: KernelSpec, profile: CovarianceProfile, t_grid, cfg=None) -> list:
+    """``heat_content`` at each t of ``t_grid``, the times refined together."""
+    dtils = _scaled_deficits(spec, profile, t_grid, cfg or _DEFAULT_CFG)
+    return [_heat_content_result(spec, profile, t, dtil, err) for t, (dtil, err) in zip(t_grid, dtils)]
+
+
 def heat_content(spec: KernelSpec, profile: CovarianceProfile, t: float, cfg=None) -> HeatContentResult:
     """H(t) = int int_{Omega x Omega} p_t(x - y), via the covariance route."""
-    dtil, err = scaled_deficit(spec, profile, t, cfg)
-    return _heat_content_result(spec, profile, t, dtil, err)
+    return heat_contents(spec, profile, (t,), cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +362,6 @@ def _sweep_inputs(shape, t_grid, least):
     return _t_grid(DEFAULT_T_GRID if t_grid is None else t_grid, least), radial_profile(shape)
 
 
-def _sweep_scaled_deficits(spec, profile, t_grid, cfg):
-    """D~(t) and its error bar over the grid, in grid order."""
-    out = [scaled_deficit(spec, profile, t, cfg) for t in t_grid]
-    return [v for v, _ in out], [e for _, e in out]
-
-
 def _fit_abscissa(spec, t):
     """Correction variable x(t) so that y(t) ~ c + a*x(t) near t = 0.
 
@@ -345,14 +385,14 @@ def _fit_abscissa(spec, t):
 def heat_sweep(spec: KernelSpec, shape, t_grid=None, cfg=None):
     """One pass over a decreasing grid: (AsymptoticReport, [HeatContentResult]).
 
-    D~(t) is computed once per grid point; the report's scaled deficits and
-    the per-t heat contents both derive from it.  The last three grid points
+    D~(t) is computed once per grid point, the times refined together; the
+    report's scaled deficits and the per-t heat contents both derive from it.  The last three grid points
     are fit linearly against the regime's correction variable; the intercept
     is the extrapolated limit.
     """
     cfg = cfg or _DEFAULT_CFG
     t_grid, profile = _sweep_inputs(shape, t_grid, 3)
-    dtils, errs = _sweep_scaled_deficits(spec, profile, t_grid, cfg)
+    dtils, errs = zip(*_scaled_deficits(spec, profile, t_grid, cfg))
     results = [_heat_content_result(spec, profile, t, v, e) for t, v, e in zip(t_grid, dtils, errs)]
     s_vals = regime_scaling(spec, np.asarray(t_grid))
     y = np.asarray(dtils) / s_vals
@@ -389,7 +429,7 @@ def _bound_check(name, spec, shape, t_grid, cfg, rhs_of, extra) -> BoundCheckRep
     """Pointwise D~(t) <= rhs_of(t) + slack, slack twice the quadrature error."""
     t_grid, profile = _sweep_inputs(shape, t_grid, 1)
     rhs = [rhs_of(t) for t in t_grid]
-    lhs, errs = _sweep_scaled_deficits(spec, profile, t_grid, cfg)
+    lhs, errs = zip(*_scaled_deficits(spec, profile, t_grid, cfg))
     slack = [2.0 * (e + cfg.abs_tol) + 1e-12 * abs(r) for e, r in zip(errs, rhs)]
     passed = [l <= r + s for l, r, s in zip(lhs, rhs, slack)]
     failures = tuple(

@@ -1,0 +1,60 @@
+"""Per-time reference for the scaled deficit: ``content.scaled_deficit`` as it
+was before a grid's times were refined together.
+
+Each t is refined on its own through ``kernel._refine``, with one ``eval_p1``
+and one ``ghat_deficit`` call per refinement level.  ``content._scaled_deficits``
+must return exactly the same values and error bars, and raise the same
+errors, as ``scaled_deficits_loop``; the tests compare them with ``==``.
+"""
+
+import math
+
+import numpy as np
+
+from heatlab.content import _LOG_MAX, _deficit_edges
+from heatlab.errors import QuadratureError, _check_time
+from heatlab.kernel import _DEFAULT_CFG, STABLE, _density, _refine, eval_p1, tail_mass, unit_sphere_area
+from heatlab.stable import _gl_nodes_weights
+
+
+def scaled_deficit_alone(spec, profile, t, cfg=None):
+    """(D~(t), error bar) of one time, refined on its own."""
+    cfg = cfg or _DEFAULT_CFG
+    _check_time(t)
+    if spec.d != profile.d:
+        raise ValueError(f"kernel dimension {spec.d} != profile dimension {profile.d}")
+    d, ell, gamma = spec.d, profile.support_radius, spec.scaling().gamma
+    try:
+        tg = float(t) ** gamma
+    except OverflowError:
+        raise ValueError(f"t too large: t**{gamma:g} overflows, got {t}") from None
+    r_star = ell / tg if tg > 0.0 else math.inf
+    if max(d, spec.n or 0) * math.log(r_star) >= _LOG_MAX:
+        scale = f"shape diameter ell={ell:.3g}, t={t:g}, gamma={gamma:g}"
+        raise QuadratureError(f"the deficit integrand overflows at r* = ell t^-gamma = {r_star:.3g} ({scale})")
+    advol = unit_sphere_area(d) * profile.volume
+    tail = advol * tail_mass(spec, r_star, cfg)
+    breaks = [k / tg for k in profile.kink_radii]
+    if spec.family == STABLE:
+        breaks.append(_density(spec, cfg).r_switch)
+
+    def once(level):
+        edges = _deficit_edges(r_star, breaks, level)
+        nodes, weights = _gl_nodes_weights(edges)
+        p_vals = eval_p1(spec, nodes, cfg)
+        head = float(np.sum(weights * nodes ** (d - 1) * p_vals * profile.ghat_deficit(tg * nodes)))
+        value = head + tail
+        lost = nodes[p_vals < np.finfo(float).tiny]
+        bound = advol * tail_mass(spec, float(lost.min()), cfg) if lost.size else 0.0
+        if bound > cfg.rel_tol * value:
+            msg = f"t={t:g}: p_1 underflows from r={lost.min():.3g}, where its tail carries {bound:.2e}"
+            raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
+        return value
+
+    value, gap = _refine(once, cfg, f"deficit quadrature at t={t:g}")
+    return value, gap + cfg.abs_tol
+
+
+def scaled_deficits_loop(spec, profile, t_grid, cfg=None):
+    """[(D~(t), error bar)] over the grid, one time after the other."""
+    return [scaled_deficit_alone(spec, profile, t, cfg) for t in t_grid]
