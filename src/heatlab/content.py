@@ -56,7 +56,7 @@ from .kernel import (
     unit_sphere_area,
 )
 from .kernel import tail_mass as _kernel_tail_mass
-from .stable import _gl_nodes_weights
+from .stable import _GL_NODES, _gl_nodes_weights
 
 _LOG_MAX = math.log(np.finfo(float).max)  # the deficit integrand overflows beyond it
 
@@ -166,32 +166,11 @@ def regime_scaling(spec: KernelSpec, t) -> np.ndarray:
 # deficit quadrature
 
 
-def _deficit_edges(r_star, breaks, level):
-    """Panel edges on [0, r_star]: linear head + geometric body + break splits.
-
-    ``level`` doubles the panel density; the breaks (box corner scales mapped
-    into r-space, and the stable table's r_switch) are inserted exactly so
-    each panel sees an analytic integrand.
-    """
-    head_top = min(1.0, r_star)
-    ratio = 1.3 ** (1.0 / level)
-    # the body head_top ratio^k, k = 1, 2, ..., multiplied in sequence as far as r_star
-    grow = np.full(int(math.log(r_star / head_top) / math.log(ratio)) + 3, ratio)
-    grow[0] = head_top
-    body = np.multiply.accumulate(grow)[1:]
-    head = np.linspace(0.0, head_top, 8 * level + 1)
-    interior = [k for k in breaks if 0.0 < k < r_star]
-    edges = np.sort(np.concatenate([head, body[body < r_star], [r_star], interior]))
-    # drop near-duplicate edges that would make zero-width panels (r_star twice if <= 1)
-    keep = np.concatenate([[True], np.diff(edges) > 1e-14 * edges[1:]])
-    return edges[keep]
-
-
 _GRID_CHUNK = 2**16  # nodes per p_1 and ghat_deficit call: a long t-grid keeps a bounded working set
 
 
 def _deficit_plan(spec, profile, t, cfg):
-    """(t, t^gamma, r*, panel breaks, tail term) of D~(t), after its range checks."""
+    """(t, t^gamma, r*, panel breaks) of D~(t), after its range checks."""
     _check_time(t)
     if spec.d != profile.d:
         raise ValueError(f"kernel dimension {spec.d} != profile dimension {profile.d}")
@@ -204,39 +183,72 @@ def _deficit_plan(spec, profile, t, cfg):
     if max(d, spec.n or 0) * math.log(r_star) >= _LOG_MAX:
         scale = f"shape diameter ell={ell:.3g}, t={t:g}, gamma={gamma:g}"
         raise QuadratureError(f"the deficit integrand overflows at r* = ell t^-gamma = {r_star:.3g} ({scale})")
-    tail = unit_sphere_area(d) * profile.volume * _kernel_tail_mass(spec, r_star, cfg)
     # p_1 jumps by the tail series' error at r_switch, so it is a break too
     breaks = [k / tg for k in profile.kink_radii]
     if spec.family == STABLE:
         breaks.append(_density(spec, cfg).r_switch)
-    return t, tg, r_star, breaks, tail
+    return t, tg, r_star, breaks
 
 
 def _level_chunks(plans, found, level):
-    """Lists of (i, plan, nodes, weights) at ``level`` of the unsettled times, closed at ``_GRID_CHUNK`` nodes."""
-    chunk = []
-    for i, plan in enumerate(plans):
-        if found[i] is None:
-            chunk.append((i, plan, *_gl_nodes_weights(_deficit_edges(plan[2], plan[3], level))))
-            if sum(c[2].size for c in chunk) >= _GRID_CHUNK:
-                yield chunk
-                chunk = []
-    if chunk:
-        yield chunk
+    """(entries (i, plan), nodes, weights, node count per entry) of the
+    unsettled times at ``level``, in chunks closed once they hold
+    ``_GRID_CHUNK`` nodes: a chunk passes that by at most one time's nodes.
+
+    A time's panel edges on [0, r*] are a linear head on [0, min(1, r*)], the
+    geometric body 1.3^{k/level} below r*, r* and the breaks (the box kinks
+    and r_switch, so each panel sees an analytic integrand), sorted, less the
+    near-duplicates that would make zero-width panels (r* twice if <= 1).
+    The body is one ``np.multiply.accumulate`` per level up to the largest r*:
+    its products do not depend on its length, so each time's body is a prefix
+    of it.  A chunk's nodes come from one ``_gl_nodes_weights`` call on its
+    times' edges, less the panels joining one time's r* to the next one's 0.
+    """
+    todo = [i for i, f in enumerate(found) if f is None]
+    if not todo:
+        return
+    ratio, head = 1.3 ** (1.0 / level), np.linspace(0.0, 1.0, 8 * level + 1)
+    grow = np.full(int(math.log(max(1.0, *(plans[i][2] for i in todo))) / math.log(ratio)) + 3, ratio)
+    grow[0] = 1.0
+    body = np.multiply.accumulate(grow)[1:]
+    entries, ends, size = [], [], 0
+    for i, cut in zip(todo, np.searchsorted(body, [plans[i][2] for i in todo]).tolist()):
+        r_star, breaks = plans[i][2:4]
+        top = head if r_star >= 1.0 else np.linspace(0.0, r_star, 8 * level + 1)
+        edges = np.sort(np.concatenate([top, body[:cut], [r_star], [k for k in breaks if 0.0 < k < r_star]]))
+        ends.append(edges[np.concatenate([[True], edges[1:] - edges[:-1] > 1e-14 * edges[1:]])])
+        entries.append((i, plans[i]))
+        size += _GL_NODES.size * (ends[-1].size - 1)
+        if size >= _GRID_CHUNK or i == todo[-1]:
+            panels = np.ones(size // _GL_NODES.size + len(ends) - 1, dtype=bool)
+            panels[np.cumsum([e.size for e in ends])[:-1] - 1] = False
+            both = _gl_nodes_weights(np.concatenate(ends))
+            nodes, weights = (x.reshape(panels.size, -1)[panels].ravel() for x in both)
+            yield entries, nodes, weights, [_GL_NODES.size * (e.size - 1) for e in ends]
+            entries, ends, size = [], [], 0
 
 
 def _level_values(spec, profile, cfg, chunk):
-    """(i, D~ at this level) for each entry of ``chunk``, from one eval_p1 and
-    one ghat_deficit call for the whole chunk."""
-    p_all = eval_p1(spec, np.concatenate([nodes for _, _, nodes, _ in chunk]), cfg)
-    g_all = profile.ghat_deficit(np.concatenate([tg * nodes for _, (_, tg, *_), nodes, _ in chunk]))
-    cuts, advol = np.cumsum([nodes.size for _, _, nodes, _ in chunk])[:-1], unit_sphere_area(spec.d) * profile.volume
-    for (i, (t, *_, tail), nodes, weights), p_vals, ghat in zip(chunk, np.split(p_all, cuts), np.split(g_all, cuts)):
-        value = float(np.sum(weights * nodes ** (spec.d - 1) * p_vals * ghat)) + tail
-        lost = nodes[p_vals < np.finfo(float).tiny]
-        bound = advol * _kernel_tail_mass(spec, float(lost.min()), cfg) if lost.size else 0.0
+    """(i, D~ at this level) for each entry of ``chunk``: one eval_p1, one
+    ghat_deficit and at most one tail-mass call for the whole chunk, the
+    integrand formed once over it and summed over each time's own slice."""
+    entries, nodes, weights, sizes = chunk
+    terms = weights * nodes ** (spec.d - 1)
+    p_vals = eval_p1(spec, nodes, cfg)
+    terms *= p_vals
+    args = np.repeat([tg for _, (_, tg, *_) in entries], sizes)
+    args *= nodes
+    terms *= profile.ghat_deficit(args)
+    starts = np.cumsum([0, *sizes[:-1]])
+    # each time's smallest node where p_1 underflows (inf if none) bounds the tail it drops
+    lost = np.minimum.reduceat(np.where(p_vals < np.finfo(float).tiny, nodes, math.inf), starts)
+    bounds, some = np.zeros(len(sizes)), lost < math.inf
+    if some.any():
+        bounds[some] = unit_sphere_area(spec.d) * profile.volume * _kernel_tail_mass(spec, lost[some], cfg)
+    for (i, (t, *_, tail)), a, n, r_lost, bound in zip(entries, starts.tolist(), sizes, lost.tolist(), bounds.tolist()):
+        value = float(np.sum(terms[a : a + n])) + tail
         if bound > cfg.rel_tol * value:
-            msg = f"t={t:g}: p_1 underflows from r={lost.min():.3g}, where its tail carries {bound:.2e}"
+            msg = f"t={t:g}: p_1 underflows from r={r_lost:.3g}, where its tail carries {bound:.2e}"
             raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
         yield i, value
 
@@ -248,14 +260,20 @@ def _scaled_deficits(spec, profile, t_grid, cfg):
     on panels of [0, r*], r* = ell t^-g, broken at the profile's kinks and at
     r_switch, plus A_d|Omega| times the tail mass beyond r*.  Each t doubles its
     panels until two levels agree (``kernel._refine``'s test; error bar: the last
-    gap plus abs_tol).  A level's unsettled times share one ``eval_p1`` and one
-    ``ghat_deficit`` call per ``_GRID_CHUNK`` nodes, each radius computed on its
-    own, so each t keeps the bits it has alone.  Raises QuadratureError where no
+    gap plus abs_tol).  The grid's tail masses come from one ``tail_mass`` call;
+    a level's unsettled times share one node build, one ``eval_p1``, one
+    ``ghat_deficit`` and at most one ``tail_mass`` call (where p_1 underflows)
+    per ``_GRID_CHUNK`` nodes, each radius and lower limit computed on its own,
+    so each t keeps the bits it has alone.  Raises QuadratureError where no
     level settles, r^{max(d, n)} (n: the poly exponent) overflows at r*, or p_1
     underflows where its tail carries rel_tol of D~: the first failing t's error.
     """
     try:
         plans = [_deficit_plan(spec, profile, t, cfg) for t in t_grid]
+        # every time's tail term A_d |Omega| int_{r*}^inf r^{d-1} p_1 dr, from one call
+        advol = unit_sphere_area(spec.d) * profile.volume
+        tails = advol * _kernel_tail_mass(spec, np.array([plan[2] for plan in plans]), cfg)
+        plans = [(*plan, tail) for plan, tail in zip(plans, tails.tolist())]
         found, prev = [None] * len(plans), [None] * len(plans)
         for level in (1, 2, 4, 8):
             for chunk in _level_chunks(plans, found, level):

@@ -213,17 +213,23 @@ def tail_mass(spec, R, cfg=_DEFAULT_CFG):
     """int_R^inf r^{d-1} p_1(r) dr: Gamma(d/2, R^2/4) / (2 pi^{d/2}) for the
     Gaussian; kappa_d/2 B_x(1/2, d/2) at x = 1/(1 + R^2) = sin^2(arccot R) for
     the Poisson kernel; the continued fraction of ``_algebraic_tail_mass`` for
-    the poly family; ``StableDensity.radial_integral`` for the stable family."""
-    d, R = spec.d, float(_radii(R))
+    the poly family; ``StableDensity.radial_integral`` for the stable family.
+    R may be a scalar or an array of lower limits: a float for a scalar and a
+    new array otherwise, one ``radial_integral`` call for the stable family
+    and one closed form per entry for the others, each with its scalar bits."""
+    arr = _radii(R)
+    if spec.family == STABLE:
+        return _density(spec, cfg).radial_integral(spec.d - 1, arr)[0]
+    if arr.ndim:
+        return np.array([tail_mass(spec, r, cfg) for r in arr.ravel()], dtype=float).reshape(arr.shape)
+    d, R = spec.d, float(arr)
     if spec.family == GAUSSIAN:
         return upper_gamma(d, 0.5 * R, 0.5 * math.pi ** (-d / 2.0))
     if spec.family == POISSON:
         h = math.hypot(1.0, R)
         cos_phi = R / h if R <= 1.0 else 1.0 / math.hypot(1.0, 1.0 / R)
         return 0.5 * poisson_constant(d) * sine_beta(1, d, 1.0 / h, cos_phi, math.atan2(1.0, R))
-    if spec.family == POLY:
-        return _algebraic_tail_mass(d, spec.kappa, spec.n, spec.m, R)
-    return _density(spec, cfg).radial_integral(d - 1, R)[0]
+    return _algebraic_tail_mass(d, spec.kappa, spec.n, spec.m, R)
 
 
 def _graded_edges(breaks, level):

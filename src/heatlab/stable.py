@@ -478,37 +478,41 @@ class StableDensity:
 
     def radial_integral(self, q, a):
         """(int_a^inf r^q p_1(r) dr, truncation bound of its series part) for
-        a >= 0; raises ``RegimeError`` unless alpha > s = q + 1 - d, where the
-        integral converges.
+        a >= 0, floats for a scalar a and new arrays for an array of them;
+        raises ``RegimeError`` unless alpha > s = q + 1 - d, where it converges.
 
         The head on [a, r_switch], when a lies below r_switch, is composite
         Gauss-Legendre-16 on the table's intervals clipped to it, exact for
-        r^q times the cubic (integer q <= 28).  The tail from b = max(a,
-        r_switch) integrates the partial sum term by term,
+        r^q times the cubic (integer q <= 28), one such a at a time.  The tail
+        from b = max(a, r_switch) integrates the partial sum term by term,
         sum_k c_k b^{s-alpha k} / (alpha k - s) = r_s^{d+s} u^{-s} sum_k
         c'_k v^k / (alpha k - s) with u = r_s/b and v = u^alpha: the series of
         ``series_eval`` with weights c'_k / (alpha k - s) and exponent -s in
         place of d, whose bound is the larger of the next two neglected term
-        integrals.  From a = inf the integral is (0.0, 0.0).
+        integrals: one ``series_eval`` call for all finite a, each on its own
+        (the bits of a scalar call).  From a = inf the integral is (0.0, 0.0).
         """
-        a = float(_radii(a, "lower limit a"))
+        arr = _radii(a, "lower limit a")
         shift = float(q + 1 - self.d)
         if self.alpha <= shift:
             raise RegimeError(
                 f"int r^{q} p_1 dr diverges at infinity for alpha={self.alpha} <= q + 1 - d = {shift:g}"
             )
-        if a == math.inf:
-            return 0.0, 0.0
+        flat = arr.ravel()
+        value, err = np.zeros_like(flat), np.zeros_like(flat)
+        finite = flat < math.inf
         expo = self.alpha * np.arange(1, len(self._scaled) + 1, dtype=float) - shift
-        args = (self.alpha, -shift, self._scaled / expo, self.r_switch, max(a, self.r_switch))
+        args = (self.alpha, -shift, self._scaled / expo, self.r_switch, np.maximum(flat[finite], self.r_switch))
         scale = self.r_switch ** (self.d + shift)
-        value, err = scale * series_eval(*args), scale * series_bound(*args)
-        if a < self.r_switch:
-            x = self.table_nodes
-            edges = np.concatenate([[a], x[(x > a) & (x < self.r_switch)], [self.r_switch]])
+        value[finite], err[finite] = scale * series_eval(*args), scale * series_bound(*args)
+        x = self.table_nodes
+        for i in np.flatnonzero(flat < self.r_switch):
+            edges = np.concatenate([flat[i : i + 1], x[(x > flat[i]) & (x < self.r_switch)], [self.r_switch]])
             nodes, weights = _gl_nodes_weights(edges)
-            value = float(weights @ (nodes**q * self.evaluate(nodes))) + value
-        return value, err
+            value[i] += float(weights @ (nodes**q * self.evaluate(nodes)))
+        if arr.ndim == 0:
+            return float(value[0]), float(err[0])
+        return value.reshape(arr.shape), err.reshape(arr.shape)
 
 
 _cache = {}

@@ -1,20 +1,43 @@
 """Per-time reference for the scaled deficit: ``content.scaled_deficit`` as it
 was before a grid's times were refined together.
 
-Each t is refined on its own through ``kernel._refine``, with one ``eval_p1``
-and one ``ghat_deficit`` call per refinement level.  ``content._scaled_deficits``
-must return exactly the same values and error bars, and raise the same
-errors, as ``scaled_deficits_loop``; the tests compare them with ``==``.
+Each t is refined on its own through ``kernel._refine``, with its own panel
+edges (``_deficit_edges``, the per-time builder the package no longer has),
+scalar ``tail_mass`` calls, and one ``eval_p1`` and one ``ghat_deficit`` call
+per refinement level.  ``content._scaled_deficits`` must return exactly the
+same values and error bars, and raise the same errors, as
+``scaled_deficits_loop``; the tests compare them with ``==``.
 """
 
 import math
 
 import numpy as np
 
-from heatlab.content import _LOG_MAX, _deficit_edges
+from heatlab.content import _LOG_MAX
 from heatlab.errors import QuadratureError, _check_time
 from heatlab.kernel import _DEFAULT_CFG, STABLE, _density, _refine, eval_p1, tail_mass, unit_sphere_area
 from heatlab.stable import _gl_nodes_weights
+
+
+def _deficit_edges(r_star, breaks, level):
+    """Panel edges on [0, r_star]: linear head + geometric body + break splits.
+
+    ``level`` doubles the panel density; the breaks (box corner scales mapped
+    into r-space, and the stable table's r_switch) are inserted exactly so
+    each panel sees an analytic integrand.
+    """
+    head_top = min(1.0, r_star)
+    ratio = 1.3 ** (1.0 / level)
+    # the body head_top ratio^k, k = 1, 2, ..., multiplied in sequence as far as r_star
+    grow = np.full(int(math.log(r_star / head_top) / math.log(ratio)) + 3, ratio)
+    grow[0] = head_top
+    body = np.multiply.accumulate(grow)[1:]
+    head = np.linspace(0.0, head_top, 8 * level + 1)
+    interior = [k for k in breaks if 0.0 < k < r_star]
+    edges = np.sort(np.concatenate([head, body[body < r_star], [r_star], interior]))
+    # drop near-duplicate edges that would make zero-width panels (r_star twice if <= 1)
+    keep = np.concatenate([[True], np.diff(edges) > 1e-14 * edges[1:]])
+    return edges[keep]
 
 
 def scaled_deficit_alone(spec, profile, t, cfg=None):

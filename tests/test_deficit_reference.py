@@ -48,28 +48,39 @@ def test_grid_equals_the_per_time_loop(shape, spec):
 
 
 def _count_calls(monkeypatch):
-    """Sizes of the radius arrays passed to eval_p1 and to ghat_deficit."""
-    p1_sizes, ghat_sizes = [], []
-    p1, ghat = content.eval_p1, CovarianceProfile.ghat_deficit
+    """Sizes of the radius arrays passed to eval_p1 and to ghat_deficit, and
+    of the lower limits passed to tail_mass."""
+    p1_sizes, ghat_sizes, tail_sizes = [], [], []
+    p1, ghat, tail = content.eval_p1, CovarianceProfile.ghat_deficit, content._kernel_tail_mass
     monkeypatch.setattr(content, "eval_p1", lambda spec, r, cfg: p1_sizes.append(r.size) or p1(spec, r, cfg))
     monkeypatch.setattr(CovarianceProfile, "ghat_deficit", lambda self, r: ghat_sizes.append(r.size) or ghat(self, r))
-    return p1_sizes, ghat_sizes
+    monkeypatch.setattr(content, "_kernel_tail_mass", lambda spec, R, cfg: tail_sizes.append(np.size(R)) or tail(spec, R, cfg))
+    return p1_sizes, ghat_sizes, tail_sizes
 
 
 def test_a_grid_makes_one_p1_and_one_ghat_call_per_level(monkeypatch):
     # the grid path itself, not the per-time loop it falls back to on an error
-    p1_sizes, ghat_sizes = _count_calls(monkeypatch)
+    p1_sizes, ghat_sizes, tail_sizes = _count_calls(monkeypatch)
     spec, profile = KernelSpec.stable(1.5, 2), radial_profile(Box((1.0, 2.0)))
     _scaled_deficits(spec, profile, DEFAULT_T_GRID, _DEFAULT_CFG)
     assert 2 <= len(p1_sizes) <= 4
     assert ghat_sizes == p1_sizes
+    assert tail_sizes == [len(DEFAULT_T_GRID)]  # p_1 has a power tail: it never underflows here
+
+
+def test_a_grid_makes_one_tail_mass_call_plus_one_per_chunk_where_p1_underflows(monkeypatch):
+    # the Gaussian p_1 underflows beyond r ~ 54, inside r* of t <= 1e-3 on Ball(1, 2)
+    p1_sizes, _, tail_sizes = _count_calls(monkeypatch)
+    _scaled_deficits(KernelSpec.gaussian(2), radial_profile(Ball(1.0, 2)), DEFAULT_T_GRID, _DEFAULT_CFG)
+    assert tail_sizes[0] == len(DEFAULT_T_GRID)
+    assert 2 <= len(tail_sizes) <= 1 + len(p1_sizes)
 
 
 def test_a_long_grid_is_evaluated_in_chunks(monkeypatch):
     spec, profile = KernelSpec.stable(1.5, 3), radial_profile(Ball(1.3, 3))
     grid = tuple(np.geomspace(1e-1, 1e-12, 200))
     expected = scaled_deficits_loop(spec, profile, grid)
-    p1_sizes, _ = _count_calls(monkeypatch)
+    p1_sizes, _, _ = _count_calls(monkeypatch)
     assert _scaled_deficits(spec, profile, grid, _DEFAULT_CFG) == expected
     assert len(p1_sizes) > 4
     assert max(p1_sizes) < content._GRID_CHUNK + 20000  # one time's nodes at most past the chunk

@@ -1,6 +1,7 @@
 """Kernel families: closed forms, self-similar scaling, moments, tails."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -363,3 +364,37 @@ def test_stable_tail_mass_is_continuous_and_nonincreasing_at_the_switch(alpha, d
     radii = r_s * (1.0 + np.array([-1e-2, -1e-4, -1e-8, -1e-12, 0.0, 1e-12, 1e-8, 1e-4, 1e-2]))
     masses = [tail_mass(spec, float(R)) for R in radii]
     assert all(b <= a for a, b in zip(masses, masses[1:]))
+
+
+ARRAY_TAIL_SPECS = [
+    *(KernelSpec.stable(alpha, d) for alpha in (0.5, 0.7, 1.0, 1.2, 1.5, 1.8) for d in (2, 3)),
+    KernelSpec.gaussian(2),
+    KernelSpec.poisson(3),
+    KernelSpec.poly_family(2, kappa=0.1, n=2.0, m=1.5, beta=-1.0, gamma=0.5),
+]
+
+
+@pytest.mark.parametrize("spec", ARRAY_TAIL_SPECS, ids=lambda s: f"{s.family}-{s.alpha}-d{s.d}")
+def test_array_tail_mass_equals_the_scalar_calls(spec):
+    # lower limits at 0, below, at and above r_switch (a stand-in radius for
+    # the closed-form families), far out and at infinity, in mixed order
+    r_s = density(spec.alpha, spec.d).r_switch if spec.family == "stable" else 2.0
+    limits = np.array([r_s, 0.0, 3.0 * r_s, 0.5 * r_s, math.inf, 1e12, 1.7 * r_s, r_s])
+    masses = tail_mass(spec, limits)
+    assert isinstance(masses, np.ndarray) and masses.shape == limits.shape
+    assert masses.tolist() == [tail_mass(spec, float(a)) for a in limits]
+    assert tail_mass(spec, np.empty(0)).shape == (0,)
+    if spec.family != "stable":
+        return
+    dens = density(spec.alpha, spec.d)
+    for q in (spec.d - 1, spec.d):
+        if spec.alpha <= q + 1 - spec.d:  # the integral diverges: the array raises what a scalar raises
+            with pytest.raises(RegimeError) as scalar:
+                dens.radial_integral(q, 1.0)
+            with pytest.raises(RegimeError, match=re.escape(str(scalar.value))):
+                dens.radial_integral(q, limits)
+            continue
+        values, bounds = dens.radial_integral(q, limits)
+        assert list(zip(values.tolist(), bounds.tolist())) == [dens.radial_integral(q, float(a)) for a in limits]
+        values, bounds = dens.radial_integral(q, np.empty(0))
+        assert values.shape == bounds.shape == (0,)
