@@ -40,13 +40,18 @@ from .geometry import (
 )
 from .kernel import (
     _DEFAULT_CFG,
+    _GK_NODES,
+    _LEVELS,
     GAUSSIAN,
     POLY,
     STABLE,
     KernelSpec,
     _density,
+    _gk_nodes,
+    _gk_sums,
     _radial_integral,
     _refine,
+    _settles,
     eval_p1,
     l1_norm_closed_form,
     moment_d,
@@ -56,7 +61,6 @@ from .kernel import (
     unit_sphere_area,
 )
 from .kernel import tail_mass as _kernel_tail_mass
-from .stable import _GL_NODES, _gl_nodes_weights
 
 _LOG_MAX = math.log(np.finfo(float).max)  # the deficit integrand overflows beyond it
 
@@ -191,7 +195,7 @@ def _deficit_plan(spec, profile, t, cfg):
 
 
 def _level_chunks(plans, found, level):
-    """(entries (i, plan), nodes, weights, node count per entry) of the
+    """(entries (i, plan), nodes, half-widths, panel count per entry) of the
     unsettled times at ``level``, in chunks closed once they hold
     ``_GRID_CHUNK`` nodes: a chunk passes that by at most one time's nodes.
 
@@ -201,7 +205,7 @@ def _level_chunks(plans, found, level):
     near-duplicates that would make zero-width panels (r* twice if <= 1).
     The body is one ``np.multiply.accumulate`` per level up to the largest r*:
     its products do not depend on its length, so each time's body is a prefix
-    of it.  A chunk's nodes come from one ``_gl_nodes_weights`` call on its
+    of it.  A chunk's Kronrod nodes come from one ``_gk_nodes`` call on its
     times' edges, less the panels joining one time's r* to the next one's 0.
     """
     todo = [i for i, f in enumerate(found) if f is None]
@@ -218,39 +222,39 @@ def _level_chunks(plans, found, level):
         edges = np.sort(np.concatenate([top, body[:cut], [r_star], [k for k in breaks if 0.0 < k < r_star]]))
         ends.append(edges[np.concatenate([[True], edges[1:] - edges[:-1] > 1e-14 * edges[1:]])])
         entries.append((i, plans[i]))
-        size += _GL_NODES.size * (ends[-1].size - 1)
+        size += _GK_NODES.size * (ends[-1].size - 1)
         if size >= _GRID_CHUNK or i == todo[-1]:
-            panels = np.ones(size // _GL_NODES.size + len(ends) - 1, dtype=bool)
-            panels[np.cumsum([e.size for e in ends])[:-1] - 1] = False
-            both = _gl_nodes_weights(np.concatenate(ends))
-            nodes, weights = (x.reshape(panels.size, -1)[panels].ravel() for x in both)
-            yield entries, nodes, weights, [_GL_NODES.size * (e.size - 1) for e in ends]
+            keep = np.ones(size // _GK_NODES.size + len(ends) - 1, dtype=bool)
+            keep[np.cumsum([e.size for e in ends])[:-1] - 1] = False
+            yield (entries, *_gk_nodes(np.concatenate(ends), keep), [e.size - 1 for e in ends])
             entries, ends, size = [], [], 0
 
 
 def _level_values(spec, profile, cfg, chunk):
-    """(i, D~ at this level) for each entry of ``chunk``: one eval_p1, one
-    ghat_deficit and at most one tail-mass call for the whole chunk, the
-    integrand formed once over it and summed over each time's own slice."""
-    entries, nodes, weights, sizes = chunk
-    terms = weights * nodes ** (spec.d - 1)
+    """(i, D~, its Kronrod-Gauss error) at this level for each entry of
+    ``chunk``: one eval_p1, one ghat_deficit and at most one tail-mass call for
+    the whole chunk, the integrand formed once over it and each time's panel
+    sums added over its own slice."""
+    entries, nodes, half, counts = chunk
+    f = nodes ** (spec.d - 1)
     p_vals = eval_p1(spec, nodes, cfg)
-    terms *= p_vals
-    args = np.repeat([tg for _, (_, tg, *_) in entries], sizes)
+    f *= p_vals
+    args = np.repeat([tg for _, (_, tg, *_) in entries], np.multiply(counts, _GK_NODES.size))
     args *= nodes
-    terms *= profile.ghat_deficit(args)
-    starts = np.cumsum([0, *sizes[:-1]])
+    f *= profile.ghat_deficit(args)
+    sums, errs = _gk_sums(f, half)
+    starts = np.cumsum([0, *counts[:-1]])
     # each time's smallest node where p_1 underflows (inf if none) bounds the tail it drops
-    lost = np.minimum.reduceat(np.where(p_vals < np.finfo(float).tiny, nodes, math.inf), starts)
-    bounds, some = np.zeros(len(sizes)), lost < math.inf
+    lost = np.minimum.reduceat(np.where(p_vals < np.finfo(float).tiny, nodes, math.inf), starts * _GK_NODES.size)
+    bounds, some = np.zeros(len(counts)), lost < math.inf
     if some.any():
         bounds[some] = unit_sphere_area(spec.d) * profile.volume * _kernel_tail_mass(spec, lost[some], cfg)
-    for (i, (t, *_, tail)), a, n, r_lost, bound in zip(entries, starts.tolist(), sizes, lost.tolist(), bounds.tolist()):
-        value = float(np.sum(terms[a : a + n])) + tail
+    for (i, (t, *_, tail)), a, n, r_lost, bound in zip(entries, starts.tolist(), counts, lost.tolist(), bounds.tolist()):
+        value = float(np.sum(sums[a : a + n])) + tail
         if bound > cfg.rel_tol * value:
             msg = f"t={t:g}: p_1 underflows from r={r_lost:.3g}, where its tail carries {bound:.2e}"
             raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
-        yield i, value
+        yield i, value, float(np.sum(errs[a : a + n]))
 
 
 def _scaled_deficits(spec, profile, t_grid, cfg):
@@ -258,15 +262,18 @@ def _scaled_deficits(spec, profile, t_grid, cfg):
 
     D~(t) = deficit(t) t^{-(beta+d*gamma)} = int r^{d-1} p_1(r) ghat_deficit(t^g r) dr
     on panels of [0, r*], r* = ell t^-g, broken at the profile's kinks and at
-    r_switch, plus A_d|Omega| times the tail mass beyond r*.  Each t doubles its
-    panels until two levels agree (``kernel._refine``'s test; error bar: the last
-    gap plus abs_tol).  The grid's tail masses come from one ``tail_mass`` call;
-    a level's unsettled times share one node build, one ``eval_p1``, one
-    ``ghat_deficit`` and at most one ``tail_mass`` call (where p_1 underflows)
-    per ``_GRID_CHUNK`` nodes, each radius and lower limit computed on its own,
-    so each t keeps the bits it has alone.  Raises QuadratureError where no
-    level settles, r^{max(d, n)} (n: the poly exponent) overflows at r*, or p_1
-    underflows where its tail carries rel_tol of D~: the first failing t's error.
+    r_switch, plus A_d|Omega| times the tail mass beyond r*.  Each panel takes
+    the Kronrod-33 sum and its distance from the embedded Gauss-16 sum; a t
+    settles at the first level whose summed distances meet ``kernel._settles``
+    (level 1 for every t of the perfbench sweeps; 2, 4 and 8 double the
+    panels for a t that misses), with that sum plus abs_tol as its error bar.  The
+    grid's tail masses come from one ``tail_mass`` call; a level's unsettled
+    times share one node build, one ``eval_p1``, one ``ghat_deficit`` and at
+    most one ``tail_mass`` call (where p_1 underflows) per ``_GRID_CHUNK``
+    nodes, each radius and lower limit computed on its own, so each t keeps
+    the bits it has alone.  Raises QuadratureError where no level settles,
+    r^{max(d, n)} (n: the poly exponent) overflows at r*, or p_1 underflows
+    where its tail carries rel_tol of D~: the first failing t's error.
     """
     try:
         plans = [_deficit_plan(spec, profile, t, cfg) for t in t_grid]
@@ -274,16 +281,12 @@ def _scaled_deficits(spec, profile, t_grid, cfg):
         advol = unit_sphere_area(spec.d) * profile.volume
         tails = advol * _kernel_tail_mass(spec, np.array([plan[2] for plan in plans]), cfg)
         plans = [(*plan, tail) for plan, tail in zip(plans, tails.tolist())]
-        found, prev = [None] * len(plans), [None] * len(plans)
-        for level in (1, 2, 4, 8):
+        found = [None] * len(plans)
+        for level in _LEVELS:
             for chunk in _level_chunks(plans, found, level):
-                for i, value in _level_values(spec, profile, cfg, chunk):
-                    gap = abs(value - prev[i]) if level > 1 else math.inf
-                    if gap <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-                        found[i] = (value, gap + cfg.abs_tol)
-                    elif level == 8:
-                        raise QuadratureError(f"deficit quadrature at t={plans[i][0]:g} did not settle by level 8", gap)
-                    prev[i] = value
+                for i, value, err in _level_values(spec, profile, cfg, chunk):
+                    if _settles(value, err, level, cfg, f"deficit quadrature at t={plans[i][0]:g}"):
+                        found[i] = (value, err + cfg.abs_tol)
         return found
     except Exception:  # of any type: re-raised, or raised again by the per-time loop
         if len(t_grid) == 1:
@@ -559,8 +562,9 @@ def ball_poisson_decomposition(d: int, t: float, cfg=None):
     N1 = 2 A_d A_{d-1} kappa_d int_0^{2/t} r^{d-1} (1+r^2)^{-(d+1)/2}
          Theta(sqrt(1 - t^2 r^2/4)) dr, and
     N2 = int_0^{2/t} r^d (1+r^2)^{-(d+1)/2} (1 - t^2 r^2/4)^{(d-1)/2} dr.
-    Requires 0 < t < 2 (the covariance support).  60 panels per level, refined
-    until two levels agree (``kernel._refine``).
+    Requires 0 < t < 2 (the covariance support).  Composite Gauss-Kronrod
+    (G16/K33) on 60 panels per level, at the first level whose Kronrod-Gauss
+    errors settle (``kernel._refine``).
     """
     cfg = cfg or _DEFAULT_CFG
     if not 0.0 < t < 2.0:
@@ -571,11 +575,12 @@ def ball_poisson_decomposition(d: int, t: float, cfg=None):
         # substitute r = (2/t) sin(psi): the (1 - t^2 r^2 / 4)^{(d-1)/2} factor
         # becomes cos^{d-1}(psi), smooth up to the endpoint
         psi_edges = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 60 * level)]) * (math.pi / 2.0)
-        nodes, weights = _gl_nodes_weights(psi_edges)
+        nodes, half = _gk_nodes(psi_edges)
         s, c = np.sin(nodes), np.cos(nodes)
         r = (2.0 / t) * s
         base = r ** (d - 1) * (1.0 + r * r) ** (-(d + 1) / 2.0) * ((2.0 / t) * c)
-        n1 = float(np.sum(weights * base * theta(d, np.clip(c, 0.0, 1.0))))
-        return pref * n1, float(np.sum(weights * base * r * c ** (d - 1)))
+        n1, e1 = _gk_sums(base * theta(d, np.clip(c, 0.0, 1.0)), half)
+        n2, e2 = _gk_sums(base * r * c ** (d - 1), half)
+        return (pref * float(n1.sum()), float(n2.sum())), (pref * float(e1.sum()), float(e2.sum()))
 
     return _refine(once, cfg, "ball decomposition quadrature")[0]

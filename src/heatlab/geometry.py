@@ -36,8 +36,7 @@ import numpy as np
 
 from . import _special
 from .errors import QuadratureError, UnsupportedShapeError, _dimension, _perimeter_index, _radii, _sample_count, _seed, _size
-from .kernel import _DEFAULT_CFG, _graded_edges, _refine, unit_ball_volume, unit_sphere_area
-from .stable import _gl_nodes_weights
+from .kernel import _DEFAULT_CFG, _gk_nodes, _gk_sums, _graded_edges, _refine, unit_ball_volume, unit_sphere_area
 
 
 # -- shapes ----------------------------------------------------------------
@@ -738,11 +737,12 @@ def alpha_perimeter(shape, alpha, cfg=None):
     """P_alpha(Omega) = int_0^inf rho^{-1-alpha} (A_d |Omega| - ghat(rho)) drho.
 
     Finite exactly when alpha in (0,1) for sets of finite perimeter.
-    Composite Gauss-Legendre-16 integrates ``ghat_deficit`` on panels graded
-    toward 0, each kink and ell, refined until two levels agree
-    (``kernel._refine``).  On the first panel [0, rho0], rho0 ~ 1e-16 of the
-    first break, the integral is the exact w_{d-1} Per rho0^{1-alpha} /
-    (1 - alpha) of the leading term; beyond ell, A_d |Omega| ell^{-alpha} / alpha.
+    Composite Gauss-Kronrod (G16/K33) integrates ``ghat_deficit`` on panels
+    graded toward 0, each kink and ell, at the first level whose Kronrod-Gauss
+    error settles (``kernel._refine``).  On the first panel [0, rho0], rho0 ~
+    1e-16 of the first break, the integral is the exact w_{d-1} Per
+    rho0^{1-alpha} / (1 - alpha) of the leading term; beyond ell,
+    A_d |Omega| ell^{-alpha} / alpha.
     """
     alpha = _perimeter_index(alpha)
     cfg = cfg or _DEFAULT_CFG
@@ -754,9 +754,9 @@ def alpha_perimeter(shape, alpha, cfg=None):
 
     def once(level):
         edges = _graded_edges(breaks, level)
-        nodes, weights = _gl_nodes_weights(edges[1:])
-        body = float(np.sum(weights * nodes ** (-1.0 - alpha) * profile.ghat_deficit(nodes)))
-        return slope * edges[1] ** (1.0 - alpha) / (1.0 - alpha) + body + tail
+        nodes, half = _gk_nodes(edges[1:])
+        body, err = _gk_sums(nodes ** (-1.0 - alpha) * profile.ghat_deficit(nodes), half)
+        return slope * edges[1] ** (1.0 - alpha) / (1.0 - alpha) + float(body.sum()) + tail, float(err.sum())
 
     with np.errstate(over="raise", divide="raise"):  # rho^(-1-alpha) past double range
         return float(_refine(once, cfg, "alpha-perimeter quadrature")[0])

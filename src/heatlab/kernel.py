@@ -19,7 +19,7 @@ import numpy as np
 
 from ._special import beta, incomplete_beta, sine_beta, upper_gamma
 from .errors import DivergentMomentError, QuadratureError, _check_time, _dimension, _radii, _size, _stable_index
-from .stable import _gl_nodes_weights, density
+from .stable import _GL_NODES, _GL_WEIGHTS, density
 
 GAUSSIAN = "gaussian"
 POISSON = "poisson"
@@ -244,29 +244,96 @@ def _graded_edges(breaks, level):
     return np.concatenate(parts)
 
 
+def _kronrod(gauss):
+    """(nodes, weights) on [-1, 1] of the 2n+1-point Kronrod extension of the
+    n-point Gauss-Legendre nodes ``gauss`` (n even): the Gauss rule of the
+    Jacobi matrix whose Legendre recurrence coefficients b_0 = 2,
+    b_k = k^2/(4k^2 - 1) run on past k = 3n/2 by Laurie's (1997) algorithm
+    (the weight is even, so every a_k is 0).  The Gauss nodes are ``gauss``
+    itself; the others and the weights are made exactly symmetric."""
+    n = gauss.size
+    b = np.zeros(2 * n + 1)
+    k = np.arange(1.0, (3 * n + 1) // 2 + 1)
+    b[0], b[1 : k.size + 1] = 2.0, k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1 : n // 2 + 2] = s[: n // 2 + 1]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    off = np.sqrt(b[1:])
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    x = 0.5 * (x - x[::-1])
+    x[1::2] = gauss
+    w = b[0] * v[0] ** 2
+    return x, 0.5 * (w + w[::-1])
+
+
+# the G16/K33 pair: the Gauss nodes are every other Kronrod node, from the second
+_GK_NODES, _GK_WEIGHTS = _kronrod(_GL_NODES)
+
+
+def _gk_nodes(edges, keep=slice(None)):
+    """(nodes, half-widths) of the 33-point Kronrod rule on the panels between
+    consecutive ``edges`` (those ``keep`` selects), the nodes panel by panel."""
+    lo, hi = edges[:-1][keep], edges[1:][keep]
+    half = 0.5 * (hi - lo)
+    return ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES).ravel(), half
+
+
+def _gk_sums(f, half):
+    """(K_p, |K_p - G_p|) per panel: the Kronrod sum of the integrand ``f`` at
+    the panels' ``_gk_nodes`` and its distance from the embedded Gauss-16 sum.
+    By einsum, not matmul: BLAS's dgemv rounds a row by a kernel chosen by the
+    row's place (and may split rows between threads), so a panel's sum would
+    depend on the panels beside it."""
+    f = f.reshape(half.size, _GK_NODES.size)
+    k = np.einsum("ij,j->i", f, _GK_WEIGHTS)
+    return k * half, np.abs(np.einsum("ij,j->i", f[:, 1::2], _GL_WEIGHTS) - k) * half
+
+
+_LEVELS = (1, 2, 4, 8)  # panel densities: the later ones catch an integral that misses at level 1
+
+
+def _settles(value, err, level, cfg, what):
+    """Whether the Kronrod-Gauss error ``err`` of ``value`` (largest entries of
+    a tuple) is within max(abs_tol, rel_tol |value|); raises
+    ``QuadratureError`` where it is not at the last level."""
+    err = float(np.max(err))
+    if err <= max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(value)))):
+        return True
+    if level == _LEVELS[-1]:
+        raise QuadratureError(f"{what} did not settle by level {level}", residual=err)
+    return False
+
+
 def _refine(once, cfg, what):
-    """(value, gap) of ``once(level)`` at the first of levels 2, 4, 8 within
-    max(abs_tol, rel_tol |value|) of the level before (largest entry for a
-    tuple); raises ``QuadratureError`` if level 8 still disagrees."""
-    prev = once(1)
-    for level in (2, 4, 8):
-        cur = once(level)
-        gap = float(np.max(np.abs(np.subtract(cur, prev))))
-        if gap <= max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(cur)))):
-            return cur, gap
-        prev = cur
-    raise QuadratureError(f"{what} did not settle by level 8", residual=gap)
+    """(value, error) of ``once(level)`` at the first of ``_LEVELS`` where it
+    ``_settles``."""
+    for level in _LEVELS:
+        value, err = once(level)
+        if _settles(value, err, level, cfg, what):
+            return value, err
 
 
 def _radial_integral(spec, q, a, b, cfg):
     """int_a^b r^q p_1(r) dr for a closed-form family by composite
-    Gauss-Legendre-16 on ``_graded_edges([a, b], level)``, refined until two
-    levels agree (``_refine``).  The stable family integrates its table and
-    series itself (``StableDensity.radial_integral``)."""
+    Gauss-Kronrod (G16/K33) on ``_graded_edges([a, b], level)``, at the first
+    level whose Kronrod-Gauss error settles (``_refine``).  The stable family
+    integrates its table and series itself (``StableDensity.radial_integral``)."""
 
     def once(level):
-        nodes, weights = _gl_nodes_weights(_graded_edges(np.array([a, b], dtype=float), level))
-        return float(weights @ (nodes**q * eval_p1(spec, nodes, cfg)))
+        nodes, half = _gk_nodes(_graded_edges(np.array([a, b], dtype=float), level))
+        k, err = _gk_sums(nodes**q * eval_p1(spec, nodes, cfg), half)
+        return float(k.sum()), float(err.sum())
 
     return _refine(once, cfg, f"radial integral of r^{q:g} p_1 on [{a:g}, {b:g}]")[0]
 

@@ -162,14 +162,9 @@ def mc_heat_content(shape, cases, samples=2**20, seed=0) -> list[McEstimate]:
 
 
 def _perp_points(u, uniforms):
-    """Uniform points on the radius-1 disk (segment for d=2) of u-perp, from one
-    uniform per point (d=2) or two, radius then angle (d=3): ``uniforms`` has
-    shape (d - 1, n)."""
-    if u.shape[1] == 2:
-        perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
-        s = 2.0 * uniforms[0] - 1.0
-        return s[:, None] * perp
-    # d == 3: per-sample orthonormal frame via the least-aligned axis
+    """Uniform points on the radius-1 disk of u-perp in R^3, from two uniforms
+    per point, radius then angle: ``uniforms`` has shape (2, n).  A
+    per-sample orthonormal frame comes from the least-aligned axis."""
     n = len(u)
     e = np.zeros((n, 3))
     e[np.arange(n), np.argmin(np.abs(u), axis=1)] = 1.0
@@ -250,8 +245,26 @@ def mc_alpha_perimeter(shape, alpha, samples=2**20, seed=0) -> McEstimate:
             k = len(ub)
             for row, row_rng in zip(uniforms, rows):
                 row_rng.random(out=row[:k])
-            ub /= np.linalg.norm(ub, axis=1, keepdims=True)
-            q = T * _perp_points(ub, uniforms[:, :k])
+            if d == 2:
+                # |u| with its squares added column by column (np.linalg.norm's
+                # order for a short row), then q = T s (-u_1, u_0), s = 2 uniform - 1,
+                # in buffers that outlive the call (q in the pair distances')
+                norm = np.multiply(ub[:, 0], ub[:, 0], out=_scratch("dist", (k,)))
+                norm += np.multiply(ub[:, 1], ub[:, 1], out=_scratch("step", (k,)))
+                np.sqrt(norm, out=norm)
+                ub[:, 0] /= norm
+                ub[:, 1] /= norm
+                s = uniforms[0, :k]
+                s *= 2.0
+                s -= 1.0
+                q = _scratch("r", (k, 2))
+                np.multiply(ub[:, 1], s, out=q[:, 0])
+                q[:, 0] *= -T
+                np.multiply(ub[:, 0], s, out=q[:, 1])
+                q[:, 1] *= T
+            else:
+                ub /= np.linalg.norm(ub, axis=1, keepdims=True)
+                q = T * _perp_points(ub, uniforms[:, :k])
             L = _chord_lengths(shape, q, ub)
             vals[lines] = pref * np.where(L > 0.0, L ** (1.0 - alpha), 0.0)
         total += float(vals.sum())

@@ -1,5 +1,5 @@
-"""Per-time reference for the scaled deficit: ``content.scaled_deficit`` as it
-was before a grid's times were refined together.
+"""Per-time reference for the scaled deficit: the Gauss-Kronrod rule of
+``content.scaled_deficit`` applied to one time at a time.
 
 Each t is refined on its own through ``kernel._refine``, with its own panel
 edges (``_deficit_edges``, the per-time builder the package no longer has),
@@ -15,8 +15,17 @@ import numpy as np
 
 from heatlab.content import _LOG_MAX
 from heatlab.errors import QuadratureError, _check_time
-from heatlab.kernel import _DEFAULT_CFG, STABLE, _density, _refine, eval_p1, tail_mass, unit_sphere_area
-from heatlab.stable import _gl_nodes_weights
+from heatlab.kernel import (
+    _DEFAULT_CFG,
+    STABLE,
+    _density,
+    _gk_nodes,
+    _gk_sums,
+    _refine,
+    eval_p1,
+    tail_mass,
+    unit_sphere_area,
+)
 
 
 def _deficit_edges(r_star, breaks, level):
@@ -62,20 +71,19 @@ def scaled_deficit_alone(spec, profile, t, cfg=None):
         breaks.append(_density(spec, cfg).r_switch)
 
     def once(level):
-        edges = _deficit_edges(r_star, breaks, level)
-        nodes, weights = _gl_nodes_weights(edges)
+        nodes, half = _gk_nodes(_deficit_edges(r_star, breaks, level))
         p_vals = eval_p1(spec, nodes, cfg)
-        head = float(np.sum(weights * nodes ** (d - 1) * p_vals * profile.ghat_deficit(tg * nodes)))
-        value = head + tail
+        sums, errs = _gk_sums(nodes ** (d - 1) * p_vals * profile.ghat_deficit(tg * nodes), half)
+        value = float(np.sum(sums)) + tail
         lost = nodes[p_vals < np.finfo(float).tiny]
         bound = advol * tail_mass(spec, float(lost.min()), cfg) if lost.size else 0.0
         if bound > cfg.rel_tol * value:
             msg = f"t={t:g}: p_1 underflows from r={lost.min():.3g}, where its tail carries {bound:.2e}"
             raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
-        return value
+        return value, float(np.sum(errs))
 
-    value, gap = _refine(once, cfg, f"deficit quadrature at t={t:g}")
-    return value, gap + cfg.abs_tol
+    value, err = _refine(once, cfg, f"deficit quadrature at t={t:g}")
+    return value, err + cfg.abs_tol
 
 
 def scaled_deficits_loop(spec, profile, t_grid, cfg=None):

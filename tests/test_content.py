@@ -133,8 +133,9 @@ def test_profile_dimension_must_match_spec():
 
 
 def test_scaled_deficit_raises_when_refinement_cannot_settle():
-    # at t=0.5 the level-4/level-8 gap is ~1e-10, far above roundoff, so
-    # tolerances of 1e-300 cannot be met
+    # at t=0.5 the level-8 Kronrod-Gauss error is ~1e-11 (the covariance's
+    # endpoint root at r*), far above roundoff, so tolerances of 1e-300
+    # cannot be met
     starved = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     with pytest.raises(QuadratureError) as exc:
         scaled_deficit(KernelSpec.gaussian(2), BALL_PROFILE, 0.5, starved)
@@ -167,6 +168,17 @@ def test_poisson_decomposition_identity():
         assert res.H == pytest.approx(recon, abs=1e-8, rel=1e-8)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("t", [0.5, 0.1, 0.01])
+def test_poisson_decomposition_identity_to_1e_11(d, t):
+    # both sides to near rounding: H from the deficit grid, N1 and N2 from
+    # the closed-form decomposition
+    ball = Ball(1.0, d)
+    n1, n2 = ball_poisson_decomposition(d, t)
+    H = heat_content(KernelSpec.poisson(d), radial_profile(ball), t).H
+    assert abs(H - (n1 - perimeter(ball) / math.pi * t * n2)) <= 1e-11
+
+
 def test_decomposition_domain():
     for bad_t in (0.0, -0.5, 2.0, 2.5):
         with pytest.raises(ValueError):
@@ -180,10 +192,12 @@ def test_scaled_deficit_reports_error_estimate():
 
 
 def test_decomposition_raises_when_levels_disagree(monkeypatch):
-    # Theta off by 2e-4 / (number of nodes): every level gap lies between the
-    # tolerance (3e-8 here) and 1e-6, which used to be returned silently
+    # Theta off by 1e-7 at the Kronrod-only nodes (every other of a panel's 33,
+    # from the first), which the embedded Gauss sum does not see: every level's
+    # error lies between the tolerance (3e-8 here) and 1e-6, and none may be returned
     exact = content.theta
-    monkeypatch.setattr(content, "theta", lambda d, c: exact(d, c) * (1.0 + 2e-4 / c.size))
+    kronrod_only = lambda c: np.arange(c.size) % 33 % 2 == 0
+    monkeypatch.setattr(content, "theta", lambda d, c: exact(d, c) * (1.0 + 1e-7 * kronrod_only(c)))
     with pytest.raises(QuadratureError, match="did not settle") as exc:
         ball_poisson_decomposition(2, 0.01)
     assert 3.1e-8 < exc.value.residual < 1e-6
@@ -283,7 +297,7 @@ def test_deficit_outside_double_range_raises_without_warning(spec, t):
 @pytest.mark.parametrize("alpha, d", [(1.8, 5), (1.9, 5), (1.95, 5), (1.5, 8)])
 def test_default_grid_ball_sweep_settles_across_r_switch(alpha, d):
     # p_1 jumps by the tail series' error at r_switch; with no panel edge
-    # there the level gaps stall near 1e-7 and no level settles
+    # there the Kronrod-Gauss errors stall near 1e-7 and no level settles
     _, results = content.heat_sweep(KernelSpec.stable(alpha, d), Ball(1.0, d))
     assert max(r.quad_error for r in results) < 1e-9
 

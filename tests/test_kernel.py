@@ -299,9 +299,8 @@ def test_quadrature_config_validation():
 
 
 def test_starved_quadrature_raises_instead_of_returning(monkeypatch):
-    # the graded rule settles to the last bit by level 4, which meets any
-    # tolerance; on ``level`` uniform panels no two levels agree within 1e-300,
-    # so no value comes back
+    # on ``level`` uniform panels no level's Kronrod-Gauss error comes within
+    # 1e-300, so no value comes back
     monkeypatch.setattr(kernel, "_graded_edges", lambda breaks, level: np.linspace(breaks[0], breaks[-1], level + 1))
     starved = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     with pytest.raises(QuadratureError) as info:
@@ -398,3 +397,38 @@ def test_array_tail_mass_equals_the_scalar_calls(spec):
         assert list(zip(values.tolist(), bounds.tolist())) == [dens.radial_integral(q, float(a)) for a in limits]
         values, bounds = dens.radial_integral(q, np.empty(0))
         assert values.shape == bounds.shape == (0,)
+
+
+# -- the G16/K33 Gauss-Kronrod rule ---------------------------------------------------
+
+
+def _legendre(k, x):
+    return np.polynomial.legendre.legval(x, np.eye(k + 1)[k])
+
+
+def test_kronrod_rule_integrates_legendre_polynomials_to_degree_49_only():
+    # K33 is exact to degree 3n + 1 = 49; monomials cannot show where that
+    # stops (x^50 is off by only 8e-17), P_50 can
+    x, w = kernel._GK_NODES, kernel._GK_WEIGHTS
+    assert abs(w @ _legendre(0, x) - 2.0) <= 1e-13
+    assert max(abs(w @ _legendre(k, x)) for k in range(1, 50)) <= 1e-13
+    assert abs(w @ _legendre(50, x)) > 1e-6
+
+
+def test_kronrod_weights_are_positive_and_nodes_interlace_with_gauss():
+    x = kernel._GK_NODES
+    assert np.all(kernel._GK_WEIGHTS > 0.0)
+    assert -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)
+    # every other node, from the second, is the stable module's Gauss node, bit for bit
+    assert np.array_equal(x[1::2], np.polynomial.legendre.leggauss(16)[0])
+
+
+def test_gk_sums_embed_gauss_16_with_leggauss_weights():
+    g, gw = np.polynomial.legendre.leggauss(16)
+    nodes, half = kernel._gk_nodes(np.array([-1.0, 1.0]))
+    for k in (31, 32, 40):
+        sums, errs = kernel._gk_sums(_legendre(k, nodes), half)
+        assert abs(sums[0]) <= 1e-13
+        # K is exact here, so |K - G| is G16's own error on P_k (nil for k = 31)
+        assert errs[0] == pytest.approx(abs(gw @ _legendre(k, g)), rel=1e-12, abs=1e-14)
+    assert abs(gw @ _legendre(32, g)) > 1e-3
