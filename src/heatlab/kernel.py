@@ -250,7 +250,8 @@ def _kronrod(gauss):
     Jacobi matrix whose Legendre recurrence coefficients b_0 = 2,
     b_k = k^2/(4k^2 - 1) run on past k = 3n/2 by Laurie's (1997) algorithm
     (the weight is even, so every a_k is 0).  The Gauss nodes are ``gauss``
-    itself; the others and the weights are made exactly symmetric."""
+    itself, the others its eigenvalues after one Newton step, the weights
+    its Christoffel numbers; nodes and weights are made exactly symmetric."""
     n = gauss.size
     b = np.zeros(2 * n + 1)
     k = np.arange(1.0, (3 * n + 1) // 2 + 1)
@@ -269,11 +270,30 @@ def _kronrod(gauss):
         if m % 2:
             b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
         s, t = t, s
-    off = np.sqrt(b[1:])
-    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    # c[j + 1] q_{j+1} = x q_j - c[j] q_{j-1}: the matrix's orthonormal
+    # polynomials q_0 .. q_2n, then (c = 1) its characteristic polynomial's multiple
+    c = np.concatenate([[0.0], np.sqrt(b[1:]), [1.0]])
+
+    def recurrence(x):
+        """Rows q_-1 = 0, q_0, .. q_2n and the characteristic multiple at x,
+        and their derivatives."""
+        q, dq = np.zeros((2 * n + 3, x.size)), np.zeros((2 * n + 3, x.size))
+        q[1] = 1.0 / math.sqrt(b[0])
+        for j in range(2 * n + 1):
+            q[j + 2] = (x * q[j + 1] - c[j] * q[j]) / c[j + 1]
+            dq[j + 2] = (q[j + 1] + x * dq[j + 1] - c[j] * dq[j]) / c[j + 1]
+        return q, dq
+
+    # eigvalsh leaves the Kronrod-only nodes ~1 ulp off, which moves the
+    # weights near +-1 by hundreds of ulps; one Newton step rounds them
+    x = np.linalg.eigvalsh(np.diag(c[1:-1], 1) + np.diag(c[1:-1], -1))
+    q, dq = recurrence(x[::2])
+    x[::2] -= q[-1] / dq[-1]
     x = 0.5 * (x - x[::-1])
     x[1::2] = gauss
-    w = b[0] * v[0] ** 2
+    # Christoffel numbers 1 / sum_k q_k(x)^2, in place of eigenvectors, whose
+    # LAPACK path adds ~0.4 MiB of resident memory to every process
+    w = 1.0 / np.sum(recurrence(x)[0][1:-1] ** 2, axis=0)
     return x, 0.5 * (w + w[::-1])
 
 
