@@ -41,17 +41,14 @@ from .geometry import (
 from .kernel import (
     _DEFAULT_CFG,
     _GK_NODES,
-    _LEVELS,
     GAUSSIAN,
     POLY,
     STABLE,
     KernelSpec,
     _density,
-    _gk_nodes,
-    _gk_sums,
+    _gk_panels,
     _radial_integral,
     _refine,
-    _settles,
     eval_p1,
     l1_norm_closed_form,
     moment_d,
@@ -170,9 +167,6 @@ def regime_scaling(spec: KernelSpec, t) -> np.ndarray:
 # deficit quadrature
 
 
-_GRID_CHUNK = 2**16  # nodes per p_1 and ghat_deficit call: a long t-grid keeps a bounded working set
-
-
 def _deficit_plan(spec, profile, t, cfg):
     """(t, t^gamma, r*, panel breaks) of D~(t), after its range checks."""
     _check_time(t)
@@ -194,67 +188,59 @@ def _deficit_plan(spec, profile, t, cfg):
     return t, tg, r_star, breaks
 
 
-def _level_chunks(plans, found, level):
-    """(entries (i, plan), nodes, half-widths, panel count per entry) of the
-    unsettled times at ``level``, in chunks closed once they hold
-    ``_GRID_CHUNK`` nodes: a chunk passes that by at most one time's nodes.
+def _level_values(spec, profile, cfg, plans, level, todo):
+    """(D~, its Kronrod-Gauss error) at ``level`` of each time of ``todo``.
 
     A time's panel edges on [0, r*] are a linear head on [0, min(1, r*)], the
     geometric body 1.3^{k/level} below r*, r* and the breaks (the box kinks
     and r_switch, so each panel sees an analytic integrand), sorted, less the
     near-duplicates that would make zero-width panels (r* twice if <= 1).
-    The body is one ``np.multiply.accumulate`` per level up to the largest r*:
-    its products do not depend on its length, so each time's body is a prefix
-    of it.  A chunk's Kronrod nodes come from one ``_gk_nodes`` call on its
-    times' edges, less the panels joining one time's r* to the next one's 0.
+    The body is one ``np.multiply.accumulate`` up to the largest r*: its
+    products do not depend on its length, so each time's body is a prefix of
+    it.  The times' panels go to one ``_gk_panels`` call, which forms the
+    integrand on chunks of them (one eval_p1 and one ghat_deficit call each);
+    each time adds the panel sums of its own slice, and the smallest node
+    where p_1 underflows (a min over its panels) bounds the tail it drops:
+    one tail-mass call for the times where p_1 underflows.
     """
-    todo = [i for i, f in enumerate(found) if f is None]
-    if not todo:
-        return
     ratio, head = 1.3 ** (1.0 / level), np.linspace(0.0, 1.0, 8 * level + 1)
     grow = np.full(int(math.log(max(1.0, *(plans[i][2] for i in todo))) / math.log(ratio)) + 3, ratio)
     grow[0] = 1.0
     body = np.multiply.accumulate(grow)[1:]
-    entries, ends, size = [], [], 0
+    los, his = [], []
     for i, cut in zip(todo, np.searchsorted(body, [plans[i][2] for i in todo]).tolist()):
         r_star, breaks = plans[i][2:4]
         top = head if r_star >= 1.0 else np.linspace(0.0, r_star, 8 * level + 1)
         edges = np.sort(np.concatenate([top, body[:cut], [r_star], [k for k in breaks if 0.0 < k < r_star]]))
-        ends.append(edges[np.concatenate([[True], edges[1:] - edges[:-1] > 1e-14 * edges[1:]])])
-        entries.append((i, plans[i]))
-        size += _GK_NODES.size * (ends[-1].size - 1)
-        if size >= _GRID_CHUNK or i == todo[-1]:
-            keep = np.ones(size // _GK_NODES.size + len(ends) - 1, dtype=bool)
-            keep[np.cumsum([e.size for e in ends])[:-1] - 1] = False
-            yield (entries, *_gk_nodes(np.concatenate(ends), keep), [e.size - 1 for e in ends])
-            entries, ends, size = [], [], 0
+        edges = edges[np.concatenate([[True], edges[1:] - edges[:-1] > 1e-14 * edges[1:]])]
+        los.append(edges[:-1])
+        his.append(edges[1:])
+    counts = [e.size for e in los]
+    tgs, lost = np.repeat([plans[i][1] for i in todo], counts), np.empty(sum(counts))
 
+    def integrand(nodes, panels):
+        f = nodes ** (spec.d - 1)
+        p_vals = eval_p1(spec, nodes, cfg)
+        f *= p_vals
+        args = np.repeat(tgs[panels], _GK_NODES.size)
+        args *= nodes
+        f *= profile.ghat_deficit(args)
+        lost[panels] = np.where(p_vals < np.finfo(float).tiny, nodes, math.inf).reshape(-1, _GK_NODES.size).min(axis=1)
+        return f
 
-def _level_values(spec, profile, cfg, chunk):
-    """(i, D~, its Kronrod-Gauss error) at this level for each entry of
-    ``chunk``: one eval_p1, one ghat_deficit and at most one tail-mass call for
-    the whole chunk, the integrand formed once over it and each time's panel
-    sums added over its own slice."""
-    entries, nodes, half, counts = chunk
-    f = nodes ** (spec.d - 1)
-    p_vals = eval_p1(spec, nodes, cfg)
-    f *= p_vals
-    args = np.repeat([tg for _, (_, tg, *_) in entries], np.multiply(counts, _GK_NODES.size))
-    args *= nodes
-    f *= profile.ghat_deficit(args)
-    sums, errs = _gk_sums(f, half)
+    sums, errs = _gk_panels(np.concatenate(los), np.concatenate(his), integrand)
     starts = np.cumsum([0, *counts[:-1]])
-    # each time's smallest node where p_1 underflows (inf if none) bounds the tail it drops
-    lost = np.minimum.reduceat(np.where(p_vals < np.finfo(float).tiny, nodes, math.inf), starts * _GK_NODES.size)
+    lost = np.minimum.reduceat(lost, starts)
     bounds, some = np.zeros(len(counts)), lost < math.inf
     if some.any():
         bounds[some] = unit_sphere_area(spec.d) * profile.volume * _kernel_tail_mass(spec, lost[some], cfg)
-    for (i, (t, *_, tail)), a, n, r_lost, bound in zip(entries, starts.tolist(), counts, lost.tolist(), bounds.tolist()):
+    for i, a, n, r_lost, bound in zip(todo, starts.tolist(), counts, lost.tolist(), bounds.tolist()):
+        t, *_, tail = plans[i]
         value = float(np.sum(sums[a : a + n])) + tail
         if bound > cfg.rel_tol * value:
             msg = f"t={t:g}: p_1 underflows from r={r_lost:.3g}, where its tail carries {bound:.2e}"
             raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
-        yield i, value, float(np.sum(errs[a : a + n]))
+        yield value, float(np.sum(errs[a : a + n]))
 
 
 def _scaled_deficits(spec, profile, t_grid, cfg):
@@ -263,17 +249,18 @@ def _scaled_deficits(spec, profile, t_grid, cfg):
     D~(t) = deficit(t) t^{-(beta+d*gamma)} = int r^{d-1} p_1(r) ghat_deficit(t^g r) dr
     on panels of [0, r*], r* = ell t^-g, broken at the profile's kinks and at
     r_switch, plus A_d|Omega| times the tail mass beyond r*.  Each panel takes
-    the Kronrod-33 sum and its distance from the embedded Gauss-16 sum; a t
-    settles at the first level whose summed distances meet ``kernel._settles``
-    (level 1 for every t of the perfbench sweeps; 2, 4 and 8 double the
-    panels for a t that misses), with that sum plus abs_tol as its error bar.  The
-    grid's tail masses come from one ``tail_mass`` call; a level's unsettled
-    times share one node build, one ``eval_p1``, one ``ghat_deficit`` and at
-    most one ``tail_mass`` call (where p_1 underflows) per ``_GRID_CHUNK``
-    nodes, each radius and lower limit computed on its own, so each t keeps
-    the bits it has alone.  Raises QuadratureError where no level settles,
-    r^{max(d, n)} (n: the poly exponent) overflows at r*, or p_1 underflows
-    where its tail carries rel_tol of D~: the first failing t's error.
+    the Kronrod-33 sum and its distance from the embedded Gauss-16 sum; each t
+    settles by ``kernel._refine`` at the first level whose summed distances
+    meet the tolerance (level 1 for every t of the perfbench sweeps; 2, 4 and
+    8 double the panels for a t that misses), with that sum plus abs_tol as
+    its error bar.  The grid's tail masses come from one ``tail_mass`` call;
+    a level's unsettled times share one ``_level_values`` call: one
+    ``eval_p1`` and one ``ghat_deficit`` call per ``kernel._CHUNK`` nodes and
+    at most one ``tail_mass`` call (where p_1 underflows), each radius and
+    lower limit computed on its own, so each t keeps the bits it has alone.  Raises
+    QuadratureError where no level settles, r^{max(d, n)} (n: the poly
+    exponent) overflows at r*, or p_1 underflows where its tail carries
+    rel_tol of D~: the first failing t's error.
     """
     try:
         plans = [_deficit_plan(spec, profile, t, cfg) for t in t_grid]
@@ -281,13 +268,13 @@ def _scaled_deficits(spec, profile, t_grid, cfg):
         advol = unit_sphere_area(spec.d) * profile.volume
         tails = advol * _kernel_tail_mass(spec, np.array([plan[2] for plan in plans]), cfg)
         plans = [(*plan, tail) for plan, tail in zip(plans, tails.tolist())]
-        found = [None] * len(plans)
-        for level in _LEVELS:
-            for chunk in _level_chunks(plans, found, level):
-                for i, value, err in _level_values(spec, profile, cfg, chunk):
-                    if _settles(value, err, level, cfg, f"deficit quadrature at t={plans[i][0]:g}"):
-                        found[i] = (value, err + cfg.abs_tol)
-        return found
+        found = _refine(
+            lambda level, todo: _level_values(spec, profile, cfg, plans, level, todo),
+            len(plans),
+            cfg,
+            lambda i: f"deficit quadrature at t={plans[i][0]:g}",
+        )
+        return [(value, err + cfg.abs_tol) for value, err in found]
     except Exception:  # of any type: re-raised, or raised again by the per-time loop
         if len(t_grid) == 1:
             raise
@@ -505,7 +492,7 @@ def poly_lambda(spec: KernelSpec, shape, cfg=None) -> float:
     ell = diameter(shape)
     w = unit_ball_volume(d - 1)
     per = perimeter(shape)
-    head = _radial_integral(spec, d, 0.0, 1.0, cfg) / kappa
+    head = _radial_integral(spec, d, 1.0, cfg) / kappa
     return vol / ell * unit_sphere_area(d) * kappa + kappa * w * per * (math.log(ell) + head)
 
 
@@ -563,24 +550,28 @@ def ball_poisson_decomposition(d: int, t: float, cfg=None):
          Theta(sqrt(1 - t^2 r^2/4)) dr, and
     N2 = int_0^{2/t} r^d (1+r^2)^{-(d+1)/2} (1 - t^2 r^2/4)^{(d-1)/2} dr.
     Requires 0 < t < 2 (the covariance support).  Composite Gauss-Kronrod
-    (G16/K33) on 60 panels per level, at the first level whose Kronrod-Gauss
-    errors settle (``kernel._refine``).
+    (G16/K33) on 60 panels per level, each of N1 and N2 at the first level
+    whose Kronrod-Gauss error settles (``kernel._refine``).
     """
     cfg = cfg or _DEFAULT_CFG
     if not 0.0 < t < 2.0:
         raise ValueError(f"decomposition needs 0 < t < 2, got {t}")
     pref = 2.0 * unit_sphere_area(d) * unit_sphere_area(d - 1) * poisson_constant(d)
 
-    def once(level):
+    def integrand(psi, i):
         # substitute r = (2/t) sin(psi): the (1 - t^2 r^2 / 4)^{(d-1)/2} factor
         # becomes cos^{d-1}(psi), smooth up to the endpoint
-        psi_edges = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 60 * level)]) * (math.pi / 2.0)
-        nodes, half = _gk_nodes(psi_edges)
-        s, c = np.sin(nodes), np.cos(nodes)
+        s, c = np.sin(psi), np.cos(psi)
         r = (2.0 / t) * s
         base = r ** (d - 1) * (1.0 + r * r) ** (-(d + 1) / 2.0) * ((2.0 / t) * c)
-        n1, e1 = _gk_sums(base * theta(d, np.clip(c, 0.0, 1.0)), half)
-        n2, e2 = _gk_sums(base * r * c ** (d - 1), half)
-        return (pref * float(n1.sum()), float(n2.sum())), (pref * float(e1.sum()), float(e2.sum()))
+        return base * r * c ** (d - 1) if i else base * theta(d, np.clip(c, 0.0, 1.0))
 
-    return _refine(once, cfg, "ball decomposition quadrature")[0]
+    def level_values(level, todo):
+        psi = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 60 * level)]) * (math.pi / 2.0)
+        for i in todo:
+            k, err = _gk_panels(psi[:-1], psi[1:], lambda x, _: integrand(x, i))
+            scale = 1.0 if i else pref
+            yield scale * float(k.sum()), scale * float(err.sum())
+
+    (n1, _), (n2, _) = _refine(level_values, 2, cfg, lambda _: "ball decomposition quadrature")
+    return n1, n2

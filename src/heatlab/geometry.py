@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _special
 from .errors import QuadratureError, UnsupportedShapeError, _dimension, _perimeter_index, _radii, _sample_count, _seed, _size
-from .kernel import _DEFAULT_CFG, _gk_nodes, _gk_sums, _graded_edges, _refine, unit_ball_volume, unit_sphere_area
+from .kernel import _DEFAULT_CFG, _gk_panels, _graded_edges, _refine, unit_ball_volume, unit_sphere_area
 
 
 # -- shapes ----------------------------------------------------------------
@@ -752,14 +752,13 @@ def alpha_perimeter(shape, alpha, cfg=None):
     tail = unit_sphere_area(shape.d) * profile.volume * ell ** (-alpha) / alpha
     breaks = np.array([0.0, *profile.kink_radii, ell])
 
-    def once(level):
+    def level_values(level, todo):
         edges = _graded_edges(breaks, level)
-        nodes, half = _gk_nodes(edges[1:])
-        body, err = _gk_sums(nodes ** (-1.0 - alpha) * profile.ghat_deficit(nodes), half)
-        return slope * edges[1] ** (1.0 - alpha) / (1.0 - alpha) + float(body.sum()) + tail, float(err.sum())
+        body, err = _gk_panels(edges[1:-1], edges[2:], lambda rho, _: rho ** (-1.0 - alpha) * profile.ghat_deficit(rho))
+        return [(slope * edges[1] ** (1.0 - alpha) / (1.0 - alpha) + float(body.sum()) + tail, float(err.sum()))]
 
     with np.errstate(over="raise", divide="raise"):  # rho^(-1-alpha) past double range
-        return float(_refine(once, cfg, "alpha-perimeter quadrature")[0])
+        return float(_refine(level_values, 1, cfg, lambda _: "alpha-perimeter quadrature")[0][0])
 
 
 def _profile_breakpoints(shape):

@@ -301,61 +301,62 @@ def _kronrod(gauss):
 _GK_NODES, _GK_WEIGHTS = _kronrod(_GL_NODES)
 
 
-def _gk_nodes(edges, keep=slice(None)):
-    """(nodes, half-widths) of the 33-point Kronrod rule on the panels between
-    consecutive ``edges`` (those ``keep`` selects), the nodes panel by panel."""
-    lo, hi = edges[:-1][keep], edges[1:][keep]
-    half = 0.5 * (hi - lo)
-    return ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES).ravel(), half
+_CHUNK = 2**16  # nodes per integrand call: a long t-grid keeps a bounded working set
 
 
-def _gk_sums(f, half):
-    """(K_p, |K_p - G_p|) per panel: the Kronrod sum of the integrand ``f`` at
-    the panels' ``_gk_nodes`` and its distance from the embedded Gauss-16 sum.
+def _gk_panels(lo, hi, integrand):
+    """(K_p, |K_p - G_p|) per panel [lo_p, hi_p]: the 33-point Kronrod sum of
+    the integrand and its distance from the embedded Gauss-16 sum.
+    ``integrand(nodes, panels)`` gets the Kronrod nodes, panel by panel, of
+    the panels of the slice ``panels``, at most ``_CHUNK`` nodes at a time.
     By einsum, not matmul: BLAS's dgemv rounds a row by a kernel chosen by the
     row's place (and may split rows between threads), so a panel's sum would
     depend on the panels beside it."""
-    f = f.reshape(half.size, _GK_NODES.size)
-    k = np.einsum("ij,j->i", f, _GK_WEIGHTS)
-    return k * half, np.abs(np.einsum("ij,j->i", f[:, 1::2], _GL_WEIGHTS) - k) * half
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    k, err, step = np.empty(lo.size), np.empty(lo.size), _CHUNK // _GK_NODES.size
+    for a in range(0, lo.size, step):
+        panels = slice(a, a + step)
+        f = integrand((mid[panels, None] + half[panels, None] * _GK_NODES).ravel(), panels)
+        f = f.reshape(-1, _GK_NODES.size)
+        k[panels] = np.einsum("ij,j->i", f, _GK_WEIGHTS)
+        err[panels] = np.abs(np.einsum("ij,j->i", f[:, 1::2], _GL_WEIGHTS) - k[panels])
+    return k * half, err * half
 
 
 _LEVELS = (1, 2, 4, 8)  # panel densities: the later ones catch an integral that misses at level 1
 
 
-def _settles(value, err, level, cfg, what):
-    """Whether the Kronrod-Gauss error ``err`` of ``value`` (largest entries of
-    a tuple) is within max(abs_tol, rel_tol |value|); raises
-    ``QuadratureError`` where it is not at the last level."""
-    err = float(np.max(err))
-    if err <= max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(value)))):
-        return True
-    if level == _LEVELS[-1]:
-        raise QuadratureError(f"{what} did not settle by level {level}", residual=err)
-    return False
-
-
-def _refine(once, cfg, what):
-    """(value, error) of ``once(level)`` at the first of ``_LEVELS`` where it
-    ``_settles``."""
+def _refine(level_values, n, cfg, what):
+    """[(value, error)] of n integrals, each at the first of ``_LEVELS`` where
+    its Kronrod-Gauss error is within max(abs_tol, rel_tol |value|).
+    ``level_values(level, todo)`` gives (value, error) at ``level`` of each
+    integral of the list ``todo`` not yet settled; raises ``QuadratureError``
+    naming ``what(i)`` for the first integral i unsettled at the last level."""
+    found = [None] * n
     for level in _LEVELS:
-        value, err = once(level)
-        if _settles(value, err, level, cfg, what):
-            return value, err
+        todo = [i for i, f in enumerate(found) if f is None]
+        if not todo:
+            break
+        for i, (value, err) in zip(todo, level_values(level, todo)):
+            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+                found[i] = (value, err)
+            elif level == _LEVELS[-1]:
+                raise QuadratureError(f"{what(i)} did not settle by level {level}", residual=err)
+    return found
 
 
-def _radial_integral(spec, q, a, b, cfg):
-    """int_a^b r^q p_1(r) dr for a closed-form family by composite
-    Gauss-Kronrod (G16/K33) on ``_graded_edges([a, b], level)``, at the first
+def _radial_integral(spec, q, b, cfg):
+    """int_0^b r^q p_1(r) dr for a closed-form family by composite
+    Gauss-Kronrod (G16/K33) on ``_graded_edges([0, b], level)``, at the first
     level whose Kronrod-Gauss error settles (``_refine``).  The stable family
     integrates its table and series itself (``StableDensity.radial_integral``)."""
 
-    def once(level):
-        nodes, half = _gk_nodes(_graded_edges(np.array([a, b], dtype=float), level))
-        k, err = _gk_sums(nodes**q * eval_p1(spec, nodes, cfg), half)
-        return float(k.sum()), float(err.sum())
+    def level_values(level, todo):
+        edges = _graded_edges(np.array([0.0, b]), level)
+        k, err = _gk_panels(edges[:-1], edges[1:], lambda r, _: r**q * eval_p1(spec, r, cfg))
+        return [(float(k.sum()), float(err.sum()))]
 
-    return _refine(once, cfg, f"radial integral of r^{q:g} p_1 on [{a:g}, {b:g}]")[0]
+    return _refine(level_values, 1, cfg, lambda _: f"radial integral of r^{q:g} p_1 on [0, {b:g}]")[0][0]
 
 
 def l1_norm(spec, cfg=_DEFAULT_CFG):
@@ -364,7 +365,7 @@ def l1_norm(spec, cfg=_DEFAULT_CFG):
     ``_L1_TAIL_SPLIT`` plus ``tail_mass`` beyond."""
     if spec.family == STABLE:
         return unit_sphere_area(spec.d) * tail_mass(spec, 0.0, cfg)
-    head = _radial_integral(spec, spec.d - 1, 0.0, _L1_TAIL_SPLIT, cfg)
+    head = _radial_integral(spec, spec.d - 1, _L1_TAIL_SPLIT, cfg)
     return unit_sphere_area(spec.d) * (head + tail_mass(spec, _L1_TAIL_SPLIT, cfg))
 
 
@@ -384,7 +385,7 @@ def moment_d(spec, cfg=_DEFAULT_CFG):
     stable family.  Divergent regimes raise."""
     d = spec.d
     if spec.family == GAUSSIAN:
-        return _radial_integral(spec, d, 0.0, 42.0, cfg)
+        return _radial_integral(spec, d, 42.0, cfg)
     if spec.family in (POISSON, POLY) or spec.alpha <= 1.0:
         raise DivergentMomentError(
             "the d-th radial moment diverges unless alpha is in (1, 2) "

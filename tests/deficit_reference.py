@@ -3,8 +3,8 @@
 
 Each t is refined on its own through ``kernel._refine``, with its own panel
 edges (``_deficit_edges``, the per-time builder the package no longer has),
-scalar ``tail_mass`` calls, and one ``eval_p1`` and one ``ghat_deficit`` call
-per refinement level.  ``content._scaled_deficits`` must return exactly the
+its own ``kernel._gk_panels`` call per refinement level and scalar
+``tail_mass`` calls.  ``content._scaled_deficits`` must return exactly the
 same values and error bars, and raise the same errors, as
 ``scaled_deficits_loop``; the tests compare them with ``==``.
 """
@@ -19,8 +19,7 @@ from heatlab.kernel import (
     _DEFAULT_CFG,
     STABLE,
     _density,
-    _gk_nodes,
-    _gk_sums,
+    _gk_panels,
     _refine,
     eval_p1,
     tail_mass,
@@ -70,19 +69,23 @@ def scaled_deficit_alone(spec, profile, t, cfg=None):
     if spec.family == STABLE:
         breaks.append(_density(spec, cfg).r_switch)
 
-    def once(level):
-        nodes, half = _gk_nodes(_deficit_edges(r_star, breaks, level))
-        p_vals = eval_p1(spec, nodes, cfg)
-        sums, errs = _gk_sums(nodes ** (d - 1) * p_vals * profile.ghat_deficit(tg * nodes), half)
-        value = float(np.sum(sums)) + tail
-        lost = nodes[p_vals < np.finfo(float).tiny]
-        bound = advol * tail_mass(spec, float(lost.min()), cfg) if lost.size else 0.0
-        if bound > cfg.rel_tol * value:
-            msg = f"t={t:g}: p_1 underflows from r={lost.min():.3g}, where its tail carries {bound:.2e}"
-            raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
-        return value, float(np.sum(errs))
+    def level_values(level, todo):
+        edges, lost = _deficit_edges(r_star, breaks, level), []
 
-    value, err = _refine(once, cfg, f"deficit quadrature at t={t:g}")
+        def integrand(nodes, _):
+            p_vals = eval_p1(spec, nodes, cfg)
+            lost.extend(nodes[p_vals < np.finfo(float).tiny].tolist())
+            return nodes ** (d - 1) * p_vals * profile.ghat_deficit(tg * nodes)
+
+        sums, errs = _gk_panels(edges[:-1], edges[1:], integrand)
+        value = float(np.sum(sums)) + tail
+        bound = advol * tail_mass(spec, min(lost), cfg) if lost else 0.0
+        if bound > cfg.rel_tol * value:
+            msg = f"t={t:g}: p_1 underflows from r={min(lost):.3g}, where its tail carries {bound:.2e}"
+            raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
+        return [(value, float(np.sum(errs)))]
+
+    [(value, err)] = _refine(level_values, 1, cfg, lambda _: f"deficit quadrature at t={t:g}")
     return value, err + cfg.abs_tol
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from deficit_reference import scaled_deficit_alone, scaled_deficits_loop
-from heatlab import content
+from heatlab import content, kernel
 from heatlab.cli import main
 from heatlab.content import DEFAULT_T_GRID, _scaled_deficits, scaled_deficit
 from heatlab.errors import QuadratureError
@@ -59,6 +59,27 @@ def _count_calls(monkeypatch):
     return p1_sizes, ghat_sizes, tail_sizes
 
 
+# (spec, shape, cfg, the deepest level): at these tolerances some times of
+# DEFAULT_T_GRID miss at level 1; the stable times settle at levels 2, 4 and 8
+REFINED = [
+    (KernelSpec.gaussian(2), Box((1.0, 2.0)), QuadratureConfig(1e-13, 1e-10), 2),
+    (KernelSpec.poisson(2), Ball(1.0, 2), QuadratureConfig(1e-13, 1e-10), 2),
+    (KernelSpec.poisson(2), Box((1.0, 2.0)), QuadratureConfig(1e-13, 1e-10), 2),
+    (KernelSpec.stable(1.5, 2), Box((1.0, 2.0)), QuadratureConfig(1e-15, 1e-12), 8),
+]
+
+
+@pytest.mark.parametrize("spec, shape, cfg, level", REFINED, ids=lambda v: getattr(v, "family", None))
+def test_times_that_miss_at_level_1_settle_later_as_they_do_alone(monkeypatch, spec, shape, cfg, level):
+    profile = radial_profile(shape)
+    expected = scaled_deficits_loop(spec, profile, DEFAULT_T_GRID, cfg)
+    p1_sizes, _, _ = _count_calls(monkeypatch)
+    assert _scaled_deficits(spec, profile, DEFAULT_T_GRID, cfg) == expected
+    # the grid path (the per-time loop would make a call per time and level),
+    # one p_1 call per level up to the deepest
+    assert kernel._LEVELS[len(p1_sizes) - 1] == level
+
+
 def test_a_grid_makes_one_p1_and_one_ghat_call_per_level(monkeypatch):
     # the grid path itself, not the per-time loop it falls back to on an error:
     # every time settles at level 1, in one chunk
@@ -85,7 +106,7 @@ def test_a_long_grid_is_evaluated_in_chunks(monkeypatch):
     p1_sizes, _, _ = _count_calls(monkeypatch)
     assert _scaled_deficits(spec, profile, grid, _DEFAULT_CFG) == expected
     assert len(p1_sizes) > 4
-    assert max(p1_sizes) < content._GRID_CHUNK + 20000  # one time's nodes at most past the chunk
+    assert max(p1_sizes) <= kernel._CHUNK
 
 
 def _raised(call):
