@@ -46,9 +46,8 @@ from .kernel import (
     STABLE,
     KernelSpec,
     _density,
-    _gk_panels,
     _radial_integral,
-    _refine,
+    _settle,
     eval_p1,
     l1_norm_closed_form,
     moment_d,
@@ -188,77 +187,46 @@ def _deficit_plan(spec, profile, t, cfg):
     return t, tg, r_star, breaks
 
 
-def _level_values(spec, profile, cfg, plans, level, todo):
-    """(D~, its Kronrod-Gauss error) at ``level`` of each time of ``todo``.
+def _deficit_panels(plans):
+    """(lo, hi, owner) of every time's first-pass panels on [0, r*].
 
-    A time's panel edges on [0, r*] are a linear head on [0, min(1, r*)], the
-    geometric body 1.3^{k/level} below r*, r* and the breaks (the box kinks
-    and r_switch, so each panel sees an analytic integrand), sorted, less the
+    A time's panel edges are a 9-point linear head on [0, min(1, r*)], the
+    geometric body 1.3^k below r*, r* and the breaks (the box kinks and
+    r_switch, so each panel sees an analytic integrand), sorted, less the
     near-duplicates that would make zero-width panels (r* twice if <= 1).
     The body is one ``np.multiply.accumulate`` up to the largest r*: its
     products do not depend on its length, so each time's body is a prefix of
-    it.  The times' panels go to one ``_gk_panels`` call, which forms the
-    integrand on chunks of them (one eval_p1 and one ghat_deficit call each);
-    each time adds the panel sums of its own slice, and the smallest node
-    where p_1 underflows (a min over its panels) bounds the tail it drops:
-    one tail-mass call for the times where p_1 underflows.
+    it.  ``owner`` numbers each panel's time.
     """
-    ratio, head = 1.3 ** (1.0 / level), np.linspace(0.0, 1.0, 8 * level + 1)
-    grow = np.full(int(math.log(max(1.0, *(plans[i][2] for i in todo))) / math.log(ratio)) + 3, ratio)
+    grow = np.full(int(math.log(max(1.0, *(plan[2] for plan in plans))) / math.log(1.3)) + 3, 1.3)
     grow[0] = 1.0
     body = np.multiply.accumulate(grow)[1:]
-    los, his = [], []
-    for i, cut in zip(todo, np.searchsorted(body, [plans[i][2] for i in todo]).tolist()):
-        r_star, breaks = plans[i][2:4]
-        top = head if r_star >= 1.0 else np.linspace(0.0, r_star, 8 * level + 1)
-        edges = np.sort(np.concatenate([top, body[:cut], [r_star], [k for k in breaks if 0.0 < k < r_star]]))
-        edges = edges[np.concatenate([[True], edges[1:] - edges[:-1] > 1e-14 * edges[1:]])]
-        los.append(edges[:-1])
-        his.append(edges[1:])
-    counts = [e.size for e in los]
-    tgs, lost = np.repeat([plans[i][1] for i in todo], counts), np.empty(sum(counts))
-
-    def integrand(nodes, panels):
-        f = nodes ** (spec.d - 1)
-        p_vals = eval_p1(spec, nodes, cfg)
-        f *= p_vals
-        args = np.repeat(tgs[panels], _GK_NODES.size)
-        args *= nodes
-        f *= profile.ghat_deficit(args)
-        lost[panels] = np.where(p_vals < np.finfo(float).tiny, nodes, math.inf).reshape(-1, _GK_NODES.size).min(axis=1)
-        return f
-
-    sums, errs = _gk_panels(np.concatenate(los), np.concatenate(his), integrand)
-    starts = np.cumsum([0, *counts[:-1]])
-    lost = np.minimum.reduceat(lost, starts)
-    bounds, some = np.zeros(len(counts)), lost < math.inf
-    if some.any():
-        bounds[some] = unit_sphere_area(spec.d) * profile.volume * _kernel_tail_mass(spec, lost[some], cfg)
-    for i, a, n, r_lost, bound in zip(todo, starts.tolist(), counts, lost.tolist(), bounds.tolist()):
-        t, *_, tail = plans[i]
-        value = float(np.sum(sums[a : a + n])) + tail
-        if bound > cfg.rel_tol * value:
-            msg = f"t={t:g}: p_1 underflows from r={r_lost:.3g}, where its tail carries {bound:.2e}"
-            raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
-        yield value, float(np.sum(errs[a : a + n]))
+    edges = []
+    for (_, _, r_star, breaks), cut in zip(plans, np.searchsorted(body, [plan[2] for plan in plans]).tolist()):
+        top = np.linspace(0.0, min(1.0, r_star), 9)
+        e = np.sort(np.concatenate([top, body[:cut], [r_star], [k for k in breaks if 0.0 < k < r_star]]))
+        edges.append(e[np.concatenate([[True], e[1:] - e[:-1] > 1e-14 * e[1:]])])
+    owner = np.repeat(np.arange(len(edges)), [e.size - 1 for e in edges])
+    return np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]), owner
 
 
 def _scaled_deficits(spec, profile, t_grid, cfg):
-    """[(D~(t), error bar)] for each t of ``t_grid``, the times refined together.
+    """[(D~(t), error bar)] for each t of ``t_grid``, the times settled together.
 
     D~(t) = deficit(t) t^{-(beta+d*gamma)} = int r^{d-1} p_1(r) ghat_deficit(t^g r) dr
-    on panels of [0, r*], r* = ell t^-g, broken at the profile's kinks and at
-    r_switch, plus A_d|Omega| times the tail mass beyond r*.  Each panel takes
-    the Kronrod-33 sum and its distance from the embedded Gauss-16 sum; each t
-    settles by ``kernel._refine`` at the first level whose summed distances
-    meet the tolerance (level 1 for every t of the perfbench sweeps; 2, 4 and
-    8 double the panels for a t that misses), with that sum plus abs_tol as
-    its error bar.  The grid's tail masses come from one ``tail_mass`` call;
-    a level's unsettled times share one ``_level_values`` call: one
-    ``eval_p1`` and one ``ghat_deficit`` call per ``kernel._CHUNK`` nodes and
-    at most one ``tail_mass`` call (where p_1 underflows), each radius and
-    lower limit computed on its own, so each t keeps the bits it has alone.  Raises
-    QuadratureError where no level settles, r^{max(d, n)} (n: the poly
+    on panels of [0, r*] (``_deficit_panels``), r* = ell t^-g, broken at the
+    profile's kinks and at r_switch, plus A_d|Omega| times the tail mass
+    beyond r*.  Each panel takes the Kronrod-33 sum and its distance from the
+    embedded Gauss-16 sum; ``kernel._settle`` settles every t at once, where
+    its summed distances meet the tolerance (on the first pass for every t of
+    the perfbench sweeps; a t that misses halves only its panels over their
+    share), with that sum plus abs_tol as its error bar.  The grid makes one
+    ``eval_p1`` and one ``ghat_deficit`` call per ``kernel._CHUNK`` nodes, one
+    ``tail_mass`` call for the tails beyond r* and at most one more for the
+    times where p_1 underflows (from the smallest such node the t evaluated,
+    which bounds the tail it drops); each radius and lower limit is computed
+    on its own, so each t keeps the bits it has alone.  Raises
+    QuadratureError where a t does not settle, r^{max(d, n)} (n: the poly
     exponent) overflows at r*, or p_1 underflows where its tail carries
     rel_tol of D~: the first failing t's error.
     """
@@ -266,14 +234,29 @@ def _scaled_deficits(spec, profile, t_grid, cfg):
         plans = [_deficit_plan(spec, profile, t, cfg) for t in t_grid]
         # every time's tail term A_d |Omega| int_{r*}^inf r^{d-1} p_1 dr, from one call
         advol = unit_sphere_area(spec.d) * profile.volume
-        tails = advol * _kernel_tail_mass(spec, np.array([plan[2] for plan in plans]), cfg)
-        plans = [(*plan, tail) for plan, tail in zip(plans, tails.tolist())]
-        found = _refine(
-            lambda level, todo: _level_values(spec, profile, cfg, plans, level, todo),
-            len(plans),
-            cfg,
-            lambda i: f"deficit quadrature at t={plans[i][0]:g}",
-        )
+        tails = (advol * _kernel_tail_mass(spec, np.array([plan[2] for plan in plans]), cfg)).tolist()
+        tgs, lost = np.array([plan[1] for plan in plans]), np.full(len(plans), math.inf)
+
+        def integrand(nodes, own):
+            f = nodes ** (spec.d - 1)
+            p_vals = eval_p1(spec, nodes, cfg)
+            f *= p_vals
+            args = np.repeat(tgs[own], _GK_NODES.size)
+            args *= nodes
+            f *= profile.ghat_deficit(args)
+            under = np.where(p_vals < np.finfo(float).tiny, nodes, math.inf)
+            np.minimum.at(lost, own, under.reshape(-1, _GK_NODES.size).min(axis=1))
+            return f
+
+        what = lambda i: f"deficit quadrature at t={plans[i][0]:g}"
+        found = _settle(*_deficit_panels(plans), integrand, lambda i, k, err: (k + tails[i], err), cfg, what)
+        bounds, some = np.zeros(len(plans)), lost < math.inf
+        if some.any():
+            bounds[some] = advol * _kernel_tail_mass(spec, lost[some], cfg)
+        for (t, *_), (value, _), r_lost, bound in zip(plans, found, lost.tolist(), bounds.tolist()):
+            if bound > cfg.rel_tol * value:
+                msg = f"t={t:g}: p_1 underflows from r={r_lost:.3g}, where its tail carries {bound:.2e}"
+                raise QuadratureError(f"{msg} of D~={value:.2e}", residual=bound)
         return [(value, err + cfg.abs_tol) for value, err in found]
     except Exception:  # of any type: re-raised, or raised again by the per-time loop
         if len(t_grid) == 1:
@@ -550,15 +533,14 @@ def ball_poisson_decomposition(d: int, t: float, cfg=None):
          Theta(sqrt(1 - t^2 r^2/4)) dr, and
     N2 = int_0^{2/t} r^d (1+r^2)^{-(d+1)/2} (1 - t^2 r^2/4)^{(d-1)/2} dr.
     Requires 0 < t < 2 (the covariance support).  Composite Gauss-Kronrod
-    (G16/K33) on 60 panels per level, each of N1 and N2 at the first level
-    whose Kronrod-Gauss error settles (``kernel._refine``).
+    (G16/K33) on 60 panels each, N1 and N2 settled by ``kernel._settle``.
     """
     cfg = cfg or _DEFAULT_CFG
     if not 0.0 < t < 2.0:
         raise ValueError(f"decomposition needs 0 < t < 2, got {t}")
     pref = 2.0 * unit_sphere_area(d) * unit_sphere_area(d - 1) * poisson_constant(d)
 
-    def integrand(psi, i):
+    def part(psi, i):
         # substitute r = (2/t) sin(psi): the (1 - t^2 r^2 / 4)^{(d-1)/2} factor
         # becomes cos^{d-1}(psi), smooth up to the endpoint
         s, c = np.sin(psi), np.cos(psi)
@@ -566,12 +548,15 @@ def ball_poisson_decomposition(d: int, t: float, cfg=None):
         base = r ** (d - 1) * (1.0 + r * r) ** (-(d + 1) / 2.0) * ((2.0 / t) * c)
         return base * r * c ** (d - 1) if i else base * theta(d, np.clip(c, 0.0, 1.0))
 
-    def level_values(level, todo):
-        psi = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 60 * level)]) * (math.pi / 2.0)
-        for i in todo:
-            k, err = _gk_panels(psi[:-1], psi[1:], lambda x, _: integrand(x, i))
-            scale = 1.0 if i else pref
-            yield scale * float(k.sum()), scale * float(err.sum())
+    def integrand(psi, own):
+        # each of N1 and N2 on the nodes of its own panels only
+        out, n2 = np.empty_like(psi), np.repeat(own, _GK_NODES.size) == 1
+        for i, nodes in enumerate((~n2, n2)):
+            out[nodes] = part(psi[nodes], i)
+        return out
 
-    (n1, _), (n2, _) = _refine(level_values, 2, cfg, lambda _: "ball decomposition quadrature")
+    psi = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 60)]) * (math.pi / 2.0)
+    finish = lambda i, k, err: (k, err) if i else (pref * k, pref * err)
+    lo, hi, what = np.tile(psi[:-1], 2), np.tile(psi[1:], 2), lambda _: "ball decomposition quadrature"
+    (n1, _), (n2, _) = _settle(lo, hi, np.repeat([0, 1], psi.size - 1), integrand, finish, cfg, what)
     return n1, n2

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _special
 from .errors import QuadratureError, UnsupportedShapeError, _dimension, _perimeter_index, _radii, _sample_count, _seed, _size
-from .kernel import _DEFAULT_CFG, _gk_panels, _graded_edges, _refine, unit_ball_volume, unit_sphere_area
+from .kernel import _DEFAULT_CFG, _graded_edges, _settle, unit_ball_volume, unit_sphere_area
 
 
 # -- shapes ----------------------------------------------------------------
@@ -738,11 +738,10 @@ def alpha_perimeter(shape, alpha, cfg=None):
 
     Finite exactly when alpha in (0,1) for sets of finite perimeter.
     Composite Gauss-Kronrod (G16/K33) integrates ``ghat_deficit`` on panels
-    graded toward 0, each kink and ell, at the first level whose Kronrod-Gauss
-    error settles (``kernel._refine``).  On the first panel [0, rho0], rho0 ~
-    1e-16 of the first break, the integral is the exact w_{d-1} Per
-    rho0^{1-alpha} / (1 - alpha) of the leading term; beyond ell,
-    A_d |Omega| ell^{-alpha} / alpha.
+    graded toward 0, each kink and ell, settled by ``kernel._settle``.  On
+    the first panel [0, rho0], rho0 ~ 1e-16 of the first break, the integral
+    is the exact w_{d-1} Per rho0^{1-alpha} / (1 - alpha) of the leading
+    term; beyond ell, A_d |Omega| ell^{-alpha} / alpha.
     """
     alpha = _perimeter_index(alpha)
     cfg = cfg or _DEFAULT_CFG
@@ -750,15 +749,13 @@ def alpha_perimeter(shape, alpha, cfg=None):
     ell = profile.support_radius
     slope = unit_ball_volume(shape.d - 1) * perimeter(shape)
     tail = unit_sphere_area(shape.d) * profile.volume * ell ** (-alpha) / alpha
-    breaks = np.array([0.0, *profile.kink_radii, ell])
-
-    def level_values(level, todo):
-        edges = _graded_edges(breaks, level)
-        body, err = _gk_panels(edges[1:-1], edges[2:], lambda rho, _: rho ** (-1.0 - alpha) * profile.ghat_deficit(rho))
-        return [(slope * edges[1] ** (1.0 - alpha) / (1.0 - alpha) + float(body.sum()) + tail, float(err.sum()))]
-
     with np.errstate(over="raise", divide="raise"):  # rho^(-1-alpha) past double range
-        return float(_refine(level_values, 1, cfg, lambda _: "alpha-perimeter quadrature")[0][0])
+        edges = _graded_edges(np.array([0.0, *profile.kink_radii, ell]))
+        integrand = lambda rho, _: rho ** (-1.0 - alpha) * profile.ghat_deficit(rho)
+        finish = lambda _, body, err: (slope * edges[1] ** (1.0 - alpha) / (1.0 - alpha) + body + tail, err)
+        owner = np.zeros(edges.size - 2, dtype=int)
+        [(value, _)] = _settle(edges[1:-1], edges[2:], owner, integrand, finish, cfg, lambda _: "alpha-perimeter quadrature")
+    return float(value)
 
 
 def _profile_breakpoints(shape):

@@ -232,12 +232,11 @@ def tail_mass(spec, R, cfg=_DEFAULT_CFG):
     return _algebraic_tail_mass(d, spec.kappa, spec.n, spec.m, R)
 
 
-def _graded_edges(breaks, level):
+def _graded_edges(breaks):
     """Panel edges on [breaks[0], breaks[-1]], graded geometrically toward
-    every break: from each end of a segment the panels shrink by
-    4^{-1/level}, from half its length down to about 1e-16 of it."""
-    n = int(level * math.log(0.5e16) / math.log(4.0)) + 1
-    frac = 0.5 * 4.0 ** (-np.arange(n) / level)
+    every break: from each end of a segment the panels shrink by 1/4, from
+    half its length down to about 1e-16 of it."""
+    frac = 0.5 * 4.0 ** -np.arange(int(math.log(0.5e16) / math.log(4.0)) + 1)
     parts = [breaks[:1]]
     for a, b in zip(breaks[:-1], breaks[1:]):
         parts += [a + (b - a) * frac[::-1], b - (b - a) * frac[1:], [b]]
@@ -323,40 +322,57 @@ def _gk_panels(lo, hi, integrand):
     return k * half, err * half
 
 
-_LEVELS = (1, 2, 4, 8)  # panel densities: the later ones catch an integral that misses at level 1
+_HALVINGS = 3  # rounds of halving: the finest panel is 1/8 of its first-pass width
 
 
-def _refine(level_values, n, cfg, what):
-    """[(value, error)] of n integrals, each at the first of ``_LEVELS`` where
-    its Kronrod-Gauss error is within max(abs_tol, rel_tol |value|).
-    ``level_values(level, todo)`` gives (value, error) at ``level`` of each
-    integral of the list ``todo`` not yet settled; raises ``QuadratureError``
-    naming ``what(i)`` for the first integral i unsettled at the last level."""
-    found = [None] * n
-    for level in _LEVELS:
-        todo = [i for i, f in enumerate(found) if f is None]
-        if not todo:
-            break
-        for i, (value, err) in zip(todo, level_values(level, todo)):
-            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-                found[i] = (value, err)
-            elif level == _LEVELS[-1]:
-                raise QuadratureError(f"{what(i)} did not settle by level {level}", residual=err)
-    return found
+def _settle(lo, hi, owner, integrand, finish, cfg, what):
+    """[(value, error)] of the integrals whose first-pass panels [lo_p, hi_p]
+    belong to integral ``owner[p]``, each integral's panels adjacent and in
+    order.  ``integrand(nodes, own)`` gets the Kronrod nodes, panel by panel,
+    of panels owned by ``own``; ``finish(i, K, E)`` turns integral i's summed
+    Kronrod sums and Kronrod-Gauss errors into its (value, error), which
+    settles once the error is within max(abs_tol, rel_tol |value|).  Each
+    round halves, of each unsettled integral, only the panels whose error is
+    over that target over its panel count, and evaluates only the halves.
+    Raises ``QuadratureError`` naming ``what(i)`` for the first integral i
+    unsettled after ``_HALVINGS`` rounds."""
+    k, err = _gk_panels(lo, hi, lambda x, panels: integrand(x, owner[panels]))
+    found = [None] * (int(owner[-1]) + 1)
+    for halving in range(_HALVINGS + 1):
+        starts = np.searchsorted(owner, np.arange(len(found) + 1)).tolist()
+        share = np.full(len(found), math.inf)  # an unsettled integral's target over its panel count
+        for i in (i for i, f in enumerate(found) if f is None):
+            a, b = starts[i], starts[i + 1]
+            value, e = finish(i, float(np.sum(k[a:b])), float(np.sum(err[a:b])))
+            target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+            if e <= target:
+                found[i] = (value, e)
+            elif halving == _HALVINGS:
+                raise QuadratureError(f"{what(i)} did not settle after {halving} halvings", residual=e)
+            else:
+                share[i] = target / (b - a)
+        if None not in found:
+            return found
+        split = err > share[owner]
+        # each split panel becomes two in its place: [lo, mid] at ``at``, [mid, hi] after it
+        reps = 1 + split
+        at = np.cumsum(reps)[split] - 2
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi, owner, k, err = (np.repeat(v, reps) for v in (lo, hi, owner, k, err))
+        hi[at], lo[at + 1] = mid, mid
+        new = (at[:, None] + np.arange(2)).ravel()
+        k[new], err[new] = _gk_panels(lo[new], hi[new], lambda x, panels: integrand(x, owner[new[panels]]))
 
 
 def _radial_integral(spec, q, b, cfg):
     """int_0^b r^q p_1(r) dr for a closed-form family by composite
-    Gauss-Kronrod (G16/K33) on ``_graded_edges([0, b], level)``, at the first
-    level whose Kronrod-Gauss error settles (``_refine``).  The stable family
-    integrates its table and series itself (``StableDensity.radial_integral``)."""
-
-    def level_values(level, todo):
-        edges = _graded_edges(np.array([0.0, b]), level)
-        k, err = _gk_panels(edges[:-1], edges[1:], lambda r, _: r**q * eval_p1(spec, r, cfg))
-        return [(float(k.sum()), float(err.sum()))]
-
-    return _refine(level_values, 1, cfg, lambda _: f"radial integral of r^{q:g} p_1 on [0, {b:g}]")[0][0]
+    Gauss-Kronrod (G16/K33) on ``_graded_edges([0, b])``, settled by
+    ``_settle``.  The stable family integrates its table and series itself
+    (``StableDensity.radial_integral``)."""
+    edges = _graded_edges(np.array([0.0, b]))
+    integrand, what = lambda r, _: r**q * eval_p1(spec, r, cfg), lambda _: f"radial integral of r^{q:g} p_1 on [0, {b:g}]"
+    owner = np.zeros(edges.size - 1, dtype=int)
+    return _settle(edges[:-1], edges[1:], owner, integrand, lambda _, k, err: (k, err), cfg, what)[0][0]
 
 
 def l1_norm(spec, cfg=_DEFAULT_CFG):

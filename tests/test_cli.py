@@ -290,7 +290,7 @@ def test_heat_sweep_at_deep_small_t_prints_the_constant(capsys, args, t_grid, co
 
 
 def test_heat_sweep_starved_quadrature_exit_code(capsys):
-    # tolerances no refinement level can meet: the deficit quadrature raises,
+    # tolerances no halving of the panels can meet: the deficit quadrature raises,
     # which the CLI reports as a numerical failure
     rc = main(
         [

@@ -133,8 +133,8 @@ def test_profile_dimension_must_match_spec():
 
 
 def test_scaled_deficit_raises_when_refinement_cannot_settle():
-    # at t=0.5 the level-8 Kronrod-Gauss error is ~1e-11 (the covariance's
-    # endpoint root at r*), far above roundoff, so tolerances of 1e-300
+    # at t=0.5 the Kronrod-Gauss error after three halvings is ~2e-11 (the
+    # covariance's endpoint root at r*), far above roundoff, so tolerances of 1e-300
     # cannot be met
     starved = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     with pytest.raises(QuadratureError) as exc:
@@ -193,7 +193,7 @@ def test_scaled_deficit_reports_error_estimate():
 
 def test_decomposition_raises_when_levels_disagree(monkeypatch):
     # Theta off by 1e-7 at the Kronrod-only nodes (every other of a panel's 33,
-    # from the first), which the embedded Gauss sum does not see: every level's
+    # from the first), which the embedded Gauss sum does not see: every halving's
     # error lies between the tolerance (3e-8 here) and 1e-6, and none may be returned
     exact = content.theta
     kronrod_only = lambda c: np.arange(c.size) % 33 % 2 == 0
@@ -267,6 +267,18 @@ def test_gaussian_box_deficit_matches_its_closed_form(sides):
         assert abs(res.deficit - want) <= min(1e-9 * want, res.quad_error)
 
 
+def test_a_halved_gaussian_box_time_stays_within_its_bar(monkeypatch):
+    # at these tolerances t = 0.1 misses on the first pass and halves one
+    # panel; its value moves, but stays within its bar of the closed form
+    sizes, exact = [], content.eval_p1
+    monkeypatch.setattr(content, "eval_p1", lambda spec, r, cfg: sizes.append(r.size) or exact(spec, r, cfg))
+    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10)
+    results = content.heat_contents(KernelSpec.gaussian(2), radial_profile(Box((1.0, 2.0))), DEFAULT_T_GRID, cfg)
+    assert sizes[1:] == [66]
+    for res in results:
+        assert abs(res.deficit - _gaussian_box_deficit((1.0, 2.0), res.t)) <= res.quad_error
+
+
 def test_gaussian_3d_box_deficit_at_t_1e_300_raises():
     # the integrand overflows at r* = ell t^-gamma = 3.7e150 though D is a
     # normal double: kept as found until the deficit has a far field in rho
@@ -297,7 +309,7 @@ def test_deficit_outside_double_range_raises_without_warning(spec, t):
 @pytest.mark.parametrize("alpha, d", [(1.8, 5), (1.9, 5), (1.95, 5), (1.5, 8)])
 def test_default_grid_ball_sweep_settles_across_r_switch(alpha, d):
     # p_1 jumps by the tail series' error at r_switch; with no panel edge
-    # there the Kronrod-Gauss errors stall near 1e-7 and no level settles
+    # there the Kronrod-Gauss errors stall near 1e-7 and no halving settles
     _, results = content.heat_sweep(KernelSpec.stable(alpha, d), Ball(1.0, d))
     assert max(r.quad_error for r in results) < 1e-9
 

@@ -1,5 +1,5 @@
-"""A grid's times refined together give, bit for bit, the values, error bars
-and errors of each time refined on its own on the same Gauss-Kronrod rule
+"""A grid's times settled together give, bit for bit, the values, error bars
+and errors of each time settled on its own on the same Gauss-Kronrod rule
 (``tests/deficit_reference.py``)."""
 
 import numpy as np
@@ -59,30 +59,32 @@ def _count_calls(monkeypatch):
     return p1_sizes, ghat_sizes, tail_sizes
 
 
-# (spec, shape, cfg, the deepest level): at these tolerances some times of
-# DEFAULT_T_GRID miss at level 1; the stable times settle at levels 2, 4 and 8
+# (spec, shape, cfg): at these tolerances some times of DEFAULT_T_GRID miss
+# on the first pass; the stable box's times halve panels in two rounds
 REFINED = [
-    (KernelSpec.gaussian(2), Box((1.0, 2.0)), QuadratureConfig(1e-13, 1e-10), 2),
-    (KernelSpec.poisson(2), Ball(1.0, 2), QuadratureConfig(1e-13, 1e-10), 2),
-    (KernelSpec.poisson(2), Box((1.0, 2.0)), QuadratureConfig(1e-13, 1e-10), 2),
-    (KernelSpec.stable(1.5, 2), Box((1.0, 2.0)), QuadratureConfig(1e-15, 1e-12), 8),
+    (KernelSpec.gaussian(2), Box((1.0, 2.0)), QuadratureConfig(1e-13, 1e-10)),
+    (KernelSpec.poisson(2), Ball(1.0, 2), QuadratureConfig(1e-13, 1e-10)),
+    (KernelSpec.poisson(2), Box((1.0, 2.0)), QuadratureConfig(1e-13, 1e-10)),
+    (KernelSpec.stable(1.5, 2), Box((1.0, 2.0)), QuadratureConfig(1e-15, 1e-12)),
 ]
 
 
-@pytest.mark.parametrize("spec, shape, cfg, level", REFINED, ids=lambda v: getattr(v, "family", None))
-def test_times_that_miss_at_level_1_settle_later_as_they_do_alone(monkeypatch, spec, shape, cfg, level):
+@pytest.mark.parametrize("spec, shape, cfg", REFINED, ids=lambda v: getattr(v, "family", None))
+def test_times_that_miss_at_level_1_settle_later_as_they_do_alone(monkeypatch, spec, shape, cfg):
     profile = radial_profile(shape)
     expected = scaled_deficits_loop(spec, profile, DEFAULT_T_GRID, cfg)
     p1_sizes, _, _ = _count_calls(monkeypatch)
     assert _scaled_deficits(spec, profile, DEFAULT_T_GRID, cfg) == expected
-    # the grid path (the per-time loop would make a call per time and level),
-    # one p_1 call per level up to the deepest
-    assert kernel._LEVELS[len(p1_sizes) - 1] == level
+    # the grid path (the per-time loop would make a call per time): one p_1
+    # call for the first pass, then one per round for only the halved panels,
+    # far fewer nodes than the first pass's
+    assert len(p1_sizes) >= 2
+    assert sum(p1_sizes[1:]) < p1_sizes[0]
 
 
 def test_a_grid_makes_one_p1_and_one_ghat_call_per_level(monkeypatch):
     # the grid path itself, not the per-time loop it falls back to on an error:
-    # every time settles at level 1, in one chunk
+    # every time settles on the first pass, in one chunk
     p1_sizes, ghat_sizes, tail_sizes = _count_calls(monkeypatch)
     spec, profile = KernelSpec.stable(1.5, 2), radial_profile(Box((1.0, 2.0)))
     _scaled_deficits(spec, profile, DEFAULT_T_GRID, _DEFAULT_CFG)
@@ -96,7 +98,7 @@ def test_a_grid_makes_one_tail_mass_call_plus_one_per_chunk_where_p1_underflows(
     p1_sizes, _, tail_sizes = _count_calls(monkeypatch)
     _scaled_deficits(KernelSpec.gaussian(2), radial_profile(Ball(1.0, 2)), DEFAULT_T_GRID, _DEFAULT_CFG)
     assert tail_sizes[0] == len(DEFAULT_T_GRID)
-    assert 2 <= len(tail_sizes) <= 1 + len(p1_sizes)
+    assert len(tail_sizes) == 2  # one for the underflow bounds, after every time settles
 
 
 def test_a_long_grid_is_evaluated_in_chunks(monkeypatch):
@@ -120,7 +122,7 @@ BALL2, BALL3 = radial_profile(Ball(1.0, 2)), radial_profile(Ball(1.0, 3))
 
 # (spec, profile, t, cfg) where scaled_deficit raises
 ONE_POINT_ERRORS = [
-    (KernelSpec.gaussian(2), BALL2, 0.5, STARVED),  # no level settles
+    (KernelSpec.gaussian(2), BALL2, 0.5, STARVED),  # no halving settles
     (KernelSpec.stable(0.5, 2), BALL2, 1e-70, None),  # p_1 underflows where its tail counts
     (KernelSpec.stable(0.5, 2), BALL2, 1e-80, None),  # the integrand overflows
     (KernelSpec.gaussian(3), BALL3, 1e-300, None),
@@ -141,7 +143,7 @@ def test_an_earlier_time_that_cannot_settle_wins_over_a_later_overflow():
     spec, grid = KernelSpec.gaussian(2), (0.5, 1e-2, 1e-310)
     raised = _raised(lambda: _scaled_deficits(spec, BALL2, grid, STARVED))
     assert raised == _raised(lambda: scaled_deficits_loop(spec, BALL2, grid, STARVED))
-    assert raised[:2] == (QuadratureError, "deficit quadrature at t=0.5 did not settle by level 8")
+    assert raised[:2] == (QuadratureError, "deficit quadrature at t=0.5 did not settle after 3 halvings")
 
 
 def test_an_evaluation_error_is_charged_to_its_own_time(monkeypatch):
@@ -165,7 +167,7 @@ def test_an_evaluation_error_is_charged_to_its_own_time(monkeypatch):
     spec = KernelSpec.gaussian(2)
     raised = _raised(lambda: _scaled_deficits(spec, BALL2, (0.5, 1e-4), STARVED))
     assert raised == _raised(lambda: scaled_deficits_loop(spec, BALL2, (0.5, 1e-4), STARVED))
-    assert raised[1] == "deficit quadrature at t=0.5 did not settle by level 8"
+    assert raised[1] == "deficit quadrature at t=0.5 did not settle after 3 halvings"
 
 
 def test_sweep_to_an_overflowing_time_exits_3_naming_it(capsys):

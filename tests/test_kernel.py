@@ -299,9 +299,9 @@ def test_quadrature_config_validation():
 
 
 def test_starved_quadrature_raises_instead_of_returning(monkeypatch):
-    # on ``level`` uniform panels no level's Kronrod-Gauss error comes within
-    # 1e-300, so no value comes back
-    monkeypatch.setattr(kernel, "_graded_edges", lambda breaks, level: np.linspace(breaks[0], breaks[-1], level + 1))
+    # on one uniform panel, halved three times, no Kronrod-Gauss error comes
+    # within 1e-300, so no value comes back
+    monkeypatch.setattr(kernel, "_graded_edges", lambda breaks: np.linspace(breaks[0], breaks[-1], 2))
     starved = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     with pytest.raises(QuadratureError) as info:
         moment_d(KernelSpec.gaussian(3), starved)
@@ -431,3 +431,48 @@ def test_gk_sums_embed_gauss_16_with_leggauss_weights():
         # K is exact here, so |K - G| is G16's own error on P_k (nil for k = 31)
         assert errs[0] == pytest.approx(abs(gw @ _legendre(k, g)), rel=1e-12, abs=1e-14)
     assert abs(gw @ _legendre(32, g)) > 1e-3
+
+
+def _finish(_, k, err):
+    return k, err
+
+
+def test_settle_halves_only_the_panel_over_its_share():
+    # a peak of width 0.05 inside the sixth of 16 unit panels: after the first
+    # pass each round evaluates only the two halves of one of its descendants
+    calls = []
+
+    def peak(x, own):
+        calls.append(x)
+        return np.exp(-(((x - 5.3) / 0.05) ** 2))
+
+    lo = np.arange(16.0)
+    cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)
+    [(value, err)] = kernel._settle(lo, lo + 1.0, np.zeros(16, dtype=int), peak, _finish, cfg, str)
+    assert [x.size for x in calls] == [16 * 33, 66, 66]
+    assert all(5.0 < x.min() and x.max() < 6.0 for x in calls[1:])
+    exact = 0.025 * math.sqrt(math.pi) * (math.erf(10.7 / 0.05) + math.erf(5.3 / 0.05))
+    assert abs(value - exact) <= err
+
+
+def test_settle_names_the_integral_that_cannot_settle():
+    # the first integral is smooth; the second has a jump inside its panel,
+    # whose Kronrod-Gauss error halving cannot bring down to 1e-12
+    def integrand(x, own):
+        own = np.repeat(own, 33)
+        return np.where(own == 0, x * x, (x > 2.0 + 1.0 / 3.0).astype(float))
+
+    lo, hi = np.array([0.0, 0.5, 2.0]), np.array([0.5, 1.0, 3.0])
+    cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+    with pytest.raises(QuadratureError, match="^second did not settle after 3 halvings$") as info:
+        kernel._settle(lo, hi, np.array([0, 0, 1]), integrand, _finish, cfg, ("first", "second").__getitem__)
+    assert info.value.residual > 1e-6
+
+
+def test_settle_returns_the_first_pass_sum_where_it_settles():
+    edges = kernel._graded_edges(np.array([0.0, 1.0, 4.0]))
+    lo, hi = edges[:-1], edges[1:]
+    integrand = lambda x, _: np.exp(-x) * np.sqrt(x)
+    [(value, err)] = kernel._settle(lo, hi, np.zeros(lo.size, dtype=int), integrand, _finish, kernel._DEFAULT_CFG, str)
+    sums, errs = kernel._gk_panels(lo, hi, integrand)
+    assert (value, err) == (float(np.sum(sums)), float(np.sum(errs)))
